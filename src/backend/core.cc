@@ -32,8 +32,6 @@ Core::Core(const CoreConfig &config, const Program *program,
     if (program_->memoryImage())
         funcMem_.setBackground(program_->memoryImage());
 
-    rob_.setIndexed(!config_.referenceScans);
-
     frontend_ = std::make_unique<Frontend>(config_.frontend, program_,
                                            &bp_, mem_);
 

@@ -68,12 +68,6 @@ struct CoreConfig
      *  disable (--no-fast-forward) for differential debugging. */
     bool fastForward = true;
 
-    /** Route Rob::findOldestByPc / findProducer through the retained
-     *  linear-scan reference paths instead of the incremental indexes
-     *  (see Rob::setIndexed). Certified behaviour-preserving by
-     *  tests/test_rob_index.cc; enable for differential debugging. */
-    bool referenceScans = false;
-
     /** Invariant checking effort; the RAB_CHECK_LEVEL environment
      *  variable overrides this (the test suite forces "full"). */
     CheckLevel checkLevel = CheckLevel::kOff;

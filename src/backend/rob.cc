@@ -1,7 +1,5 @@
 #include "backend/rob.hh"
 
-#include <cstdint>
-
 #include "common/logging.hh"
 
 namespace rab
@@ -14,150 +12,6 @@ Rob::Rob(int capacity)
         fatal("Rob: bad capacity %d", capacity);
     entries_.resize(capacity);
     live_.assign(capacity, false);
-    pcLinks_.assign(capacity, SlotLinks{});
-    regLinks_.assign(capacity, SlotLinks{});
-    regIndex_.assign(kNumArchRegs, ListEnds{});
-    pcCellOf_.assign(capacity, -1);
-    // A window's working set repeats PCs heavily (loops); start with
-    // room for one distinct PC per slot at <= 50% load.
-    std::size_t cells = 2;
-    while (cells < static_cast<std::size_t>(capacity) * 2)
-        cells *= 2;
-    pcCells_.assign(cells, PcCell{});
-    pcMask_ = cells - 1;
-}
-
-std::size_t
-Rob::pcHash(Pc pc)
-{
-    // Fibonacci multiplicative hash with a xor-fold so high key bits
-    // still influence the masked result.
-    std::uint64_t h = static_cast<std::uint64_t>(pc)
-        * 0x9E3779B97F4A7C15ULL;
-    h ^= h >> 29;
-    return static_cast<std::size_t>(h);
-}
-
-int
-Rob::pcFind(Pc pc) const
-{
-    for (std::size_t i = pcHash(pc) & pcMask_;;
-         i = (i + 1) & pcMask_) {
-        const PcCell &cell = pcCells_[i];
-        if (!cell.used)
-            return -1;
-        if (cell.pc == pc)
-            return static_cast<int>(i);
-    }
-}
-
-int
-Rob::pcFindOrInsert(Pc pc)
-{
-    for (std::size_t i = pcHash(pc) & pcMask_;;
-         i = (i + 1) & pcMask_) {
-        PcCell &cell = pcCells_[i];
-        if (cell.used) {
-            if (cell.pc == pc)
-                return static_cast<int>(i);
-            continue;
-        }
-        if (pcUsed_ * 2 >= pcCells_.size()) {
-            pcGrow();
-            return pcFindOrInsert(pc);
-        }
-        cell.used = true;
-        cell.pc = pc;
-        cell.ends = ListEnds{};
-        ++pcUsed_;
-        return static_cast<int>(i);
-    }
-}
-
-void
-Rob::pcGrow()
-{
-    // Growth is rare (the table only ever accumulates the program's
-    // distinct PCs), so re-probing every live slot afterwards to
-    // refresh the cached cell indices is cheap.
-    std::vector<PcCell> old;
-    old.swap(pcCells_);
-    pcCells_.assign(old.size() * 2, PcCell{});
-    pcMask_ = pcCells_.size() - 1;
-    for (const PcCell &cell : old) {
-        if (!cell.used)
-            continue;
-        for (std::size_t i = pcHash(cell.pc) & pcMask_;;
-             i = (i + 1) & pcMask_) {
-            if (pcCells_[i].used)
-                continue;
-            pcCells_[i] = cell;
-            break;
-        }
-    }
-    for (int i = 0; i < size_; ++i) {
-        const int slot = wrapSlot(head_ + i);
-        pcCellOf_[slot] = pcFind(entries_[slot].pc);
-    }
-}
-
-void
-Rob::listAppend(ListEnds &ends, std::vector<SlotLinks> &links, int slot)
-{
-    links[slot].prev = ends.back;
-    links[slot].next = -1;
-    if (ends.back >= 0)
-        links[ends.back].next = slot;
-    else
-        ends.front = slot;
-    ends.back = slot;
-}
-
-void
-Rob::listRemove(ListEnds &ends, std::vector<SlotLinks> &links, int slot)
-{
-    const SlotLinks l = links[slot];
-    if (l.prev >= 0)
-        links[l.prev].next = l.next;
-    else
-        ends.front = l.next;
-    if (l.next >= 0)
-        links[l.next].prev = l.prev;
-    else
-        ends.back = l.prev;
-    links[slot] = SlotLinks{};
-}
-
-void
-Rob::indexInsert(int slot)
-{
-    const DynUop &uop = entries_[slot];
-    // Pushes arrive in strictly increasing seq order and removals only
-    // happen at the head or tail, so appending at the back keeps every
-    // per-key list age-sorted (oldest at front).
-    const int cell = pcFindOrInsert(uop.pc);
-    pcCellOf_[slot] = cell;
-    listAppend(pcCells_[cell].ends, pcLinks_, slot);
-    const ArchReg dest = uop.sop.dest;
-    if (dest < kNumArchRegs)
-        listAppend(regIndex_[dest], regLinks_, slot);
-}
-
-void
-Rob::indexRemove(int slot)
-{
-    const DynUop &uop = entries_[slot];
-    const int cell = pcCellOf_[slot];
-    if (cell < 0 || !pcCells_[cell].used
-        || pcCells_[cell].pc != uop.pc) {
-        panic("Rob: slot %d (pc %llu) missing from the PC index", slot,
-              (unsigned long long)uop.pc);
-    }
-    listRemove(pcCells_[cell].ends, pcLinks_, slot);
-    pcCellOf_[slot] = -1;
-    const ArchReg dest = uop.sop.dest;
-    if (dest < kNumArchRegs)
-        listRemove(regIndex_[dest], regLinks_, slot);
 }
 
 int
@@ -169,7 +23,6 @@ Rob::push(DynUop &&uop)
     entries_[slot] = std::move(uop);
     live_[slot] = true;
     ++size_;
-    indexInsert(slot);
     return slot;
 }
 
@@ -189,7 +42,6 @@ Rob::finishPush()
     const int slot = wrapSlot(head_ + size_);
     live_[slot] = true;
     ++size_;
-    indexInsert(slot);
     return slot;
 }
 
@@ -214,7 +66,6 @@ Rob::popHead()
 {
     if (empty())
         panic("Rob: popHead of empty buffer");
-    indexRemove(head_);
     live_[head_] = false;
     head_ = wrapSlot(head_ + 1);
     --size_;
@@ -233,9 +84,7 @@ Rob::popTail()
 {
     if (empty())
         panic("Rob: popTail of empty buffer");
-    const int tail = tailSlot();
-    indexRemove(tail);
-    live_[tail] = false;
+    live_[tailSlot()] = false;
     --size_;
 }
 
@@ -262,12 +111,6 @@ Rob::validSlot(int phys_slot, SeqNum seq) const
         && entries_[phys_slot].seq == seq;
 }
 
-bool
-Rob::liveSlot(int phys_slot) const
-{
-    return live_[phys_slot];
-}
-
 int
 Rob::logicalToSlot(int logical) const
 {
@@ -277,40 +120,7 @@ Rob::logicalToSlot(int logical) const
 }
 
 int
-Rob::findOldestByPcIndexed(Pc pc, SeqNum after_seq) const
-{
-    const int cell = pcFind(pc);
-    if (cell < 0)
-        return -1;
-    // The list is age-sorted; skip the prefix at or below after_seq.
-    for (int slot = pcCells_[cell].ends.front; slot >= 0;
-         slot = pcLinks_[slot].next) {
-        if (entries_[slot].seq > after_seq)
-            return slot;
-    }
-    return -1;
-}
-
-int
-Rob::findProducerIndexed(ArchReg reg, SeqNum before_seq) const
-{
-    if (reg >= kNumArchRegs) {
-        // Unindexed key (kNoArchReg or out of range): no caller asks
-        // for these, but fall back to the reference scan so the two
-        // forms can never diverge.
-        return findProducerScan(reg, before_seq);
-    }
-    // Youngest-first: skip the suffix at or above before_seq.
-    for (int slot = regIndex_[reg].back; slot >= 0;
-         slot = regLinks_[slot].prev) {
-        if (entries_[slot].seq < before_seq)
-            return slot;
-    }
-    return -1;
-}
-
-int
-Rob::findOldestByPcScan(Pc pc, SeqNum after_seq) const
+Rob::findOldestByPc(Pc pc, SeqNum after_seq) const
 {
     for (int i = 0; i < size_; ++i) {
         const int slot = wrapSlot(head_ + i);
@@ -322,7 +132,7 @@ Rob::findOldestByPcScan(Pc pc, SeqNum after_seq) const
 }
 
 int
-Rob::findProducerScan(ArchReg reg, SeqNum before_seq) const
+Rob::findProducer(ArchReg reg, SeqNum before_seq) const
 {
     for (int i = size_ - 1; i >= 0; --i) {
         const int slot = wrapSlot(head_ + i);
@@ -336,20 +146,6 @@ Rob::findProducerScan(ArchReg reg, SeqNum before_seq) const
 void
 Rob::clear()
 {
-    // Reset only the lists the live entries touch: PC cells persist
-    // (clear() runs at every runahead exit, so dropping the table here
-    // would churn probe chains on the hot path).
-    for (int i = 0; i < size_; ++i) {
-        const int slot = wrapSlot(head_ + i);
-        const DynUop &uop = entries_[slot];
-        pcCells_[pcCellOf_[slot]].ends = ListEnds{};
-        pcCellOf_[slot] = -1;
-        const ArchReg dest = uop.sop.dest;
-        if (dest < kNumArchRegs)
-            regIndex_[dest] = ListEnds{};
-        pcLinks_[slot] = SlotLinks{};
-        regLinks_[slot] = SlotLinks{};
-    }
     head_ = 0;
     size_ = 0;
     live_.assign(capacity_, false);

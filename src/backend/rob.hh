@@ -5,29 +5,22 @@
  * Slots are *physical* indices that stay stable while an entry is live,
  * so the RS, store queue and writeback queue can reference entries
  * safely across head pops. The runahead buffer's dependence-chain
- * generator searches the ROB with PC and destination-register CAMs;
- * the hardware CAMs are modelled here as intrusive, age-ordered linked
- * lists threaded through the slots — one list per PC and one per
- * architectural destination register — maintained incrementally on
- * push / popHead / popTail / clear. findOldestByPc and findProducer
- * walk only the matching key's list (O(1) amortized) instead of the
- * whole window; the original linear scans are retained as
- * findOldestByPcScan / findProducerScan and cross-validated against
- * the indexed forms by the invariant checker (checkRobIndexes), the
- * same pattern the reservation station uses for hasReady/anyReady.
- * The modelled cycle costs of the searches are charged by the caller
- * either way.
+ * generator searches the ROB with PC and destination-register CAMs
+ * only when a load blocks retirement; it builds its lookups over the
+ * live window at that moment (ChainGenerator::generate), so the ROB
+ * keeps no per-key bookkeeping. findOldestByPc / findProducer are the
+ * whole-window linear searches: the reference the invariant checker
+ * compares the generator's lookups against (checkRobIndexes). The
+ * modelled cycle costs of the searches are charged by the caller.
  */
 
 #ifndef RAB_BACKEND_ROB_HH
 #define RAB_BACKEND_ROB_HH
 
-#include <cstddef>
 #include <vector>
 
 #include "backend/dyn_uop.hh"
 #include "common/types.hh"
-#include "isa/program.hh"
 
 namespace rab
 {
@@ -49,9 +42,9 @@ class Rob
 
     /** @{ In-place push, for the rename hot path: beginPush() resets
      *  and returns the tail entry for the caller to fill directly (no
-     *  intermediate DynUop copy); finishPush() makes it live and
-     *  indexes it once seq / pc / sop are set. Abandoning a begun push
-     *  (never calling finishPush) is allowed — the slot stays dead. */
+     *  intermediate DynUop copy); finishPush() makes it live.
+     *  Abandoning a begun push (never calling finishPush) is allowed —
+     *  the slot stays dead. */
     DynUop &beginPush();
     int finishPush();
     /** @} */
@@ -82,70 +75,21 @@ class Rob
 
     /**
      * PC CAM: find the *oldest* live entry with @p pc that is younger
-     * than @p after_seq. Returns -1 when absent. Used by chain
-     * generation ("add oldest matching op to DC").
+     * than @p after_seq, scanning from the head. Returns -1 when
+     * absent.
      */
-    int findOldestByPc(Pc pc, SeqNum after_seq) const
-    {
-        return indexed_ ? findOldestByPcIndexed(pc, after_seq)
-                        : findOldestByPcScan(pc, after_seq);
-    }
+    int findOldestByPc(Pc pc, SeqNum after_seq) const;
 
     /**
      * Destination-register CAM: youngest entry older than @p before_seq
-     * whose architectural destination is @p reg. Returns -1.
+     * whose architectural destination is @p reg, scanning from the
+     * tail. Returns -1.
      */
-    int findProducer(ArchReg reg, SeqNum before_seq) const
-    {
-        return indexed_ ? findProducerIndexed(reg, before_seq)
-                        : findProducerScan(reg, before_seq);
-    }
-
-    /** @{ Indexed CAM analogues: walk the per-key age-ordered list. */
-    int findOldestByPcIndexed(Pc pc, SeqNum after_seq) const;
-    int findProducerIndexed(ArchReg reg, SeqNum before_seq) const;
-    /** @} */
-
-    /** @{ Scan-based reference forms of the CAM searches: the original
-     *  whole-window linear walks, kept as the independent ground truth
-     *  the invariant checker compares the indexed forms against. */
-    int findOldestByPcScan(Pc pc, SeqNum after_seq) const;
-    int findProducerScan(ArchReg reg, SeqNum before_seq) const;
-    /** @} */
-
-    /** Select the scan-based reference paths for findOldestByPc /
-     *  findProducer (differential certification; default indexed). The
-     *  indexes stay maintained either way. */
-    void setIndexed(bool indexed) { indexed_ = indexed; }
-    bool indexed() const { return indexed_; }
+    int findProducer(ArchReg reg, SeqNum before_seq) const;
 
     void clear();
 
   private:
-    /** Intrusive doubly-linked list node threaded through a slot. */
-    struct SlotLinks
-    {
-        int prev = -1;
-        int next = -1;
-    };
-
-    /** Ends of one key's age-ordered list (front = oldest). */
-    struct ListEnds
-    {
-        int front = -1;
-        int back = -1;
-    };
-
-    /** One cell of the flat PC table. */
-    struct PcCell
-    {
-        Pc pc = 0;
-        ListEnds ends;
-        bool used = false;
-    };
-
-    bool liveSlot(int phys_slot) const;
-
     /** Wrap @p unwrapped (a head_ + offset sum, offset <= capacity_)
      *  into [0, capacity_) — capacity is not a power of two, so a
      *  compare-subtract beats the integer division of a modulo. */
@@ -155,52 +99,11 @@ class Rob
                                       : unwrapped;
     }
 
-    /** @{ Index maintenance (see file comment). */
-    void indexInsert(int slot);
-    void indexRemove(int slot);
-    static void listAppend(ListEnds &ends, std::vector<SlotLinks> &links,
-                           int slot);
-    static void listRemove(ListEnds &ends, std::vector<SlotLinks> &links,
-                           int slot);
-    /** @} */
-
-    /** @{ Flat PC table: open addressing with linear probing. Keys are
-     *  never erased (their lists are just emptied), so probing needs no
-     *  tombstones; see pcCells_. */
-    static std::size_t pcHash(Pc pc);
-    int pcFind(Pc pc) const;   ///< Cell index, -1 when absent.
-    int pcFindOrInsert(Pc pc); ///< Cell index; may grow the table.
-    void pcGrow();
-    /** @} */
-
     int capacity_;
     int head_ = 0;
     int size_ = 0;
-    bool indexed_ = true;
     std::vector<DynUop> entries_;
     std::vector<bool> live_;
-
-    /** @{ PC multimap analogue: per-PC age-ordered slot list. The
-     *  key → list-ends lookup is a flat power-of-two open-addressing
-     *  hash table (std::unordered_map's bucket chasing dominated the
-     *  rename profile). Cells persist once created (emptied, never
-     *  erased) so steady state allocates nothing and probe chains have
-     *  no tombstones; the key population is bounded by the program's
-     *  static uop count. pcCellOf_ caches each live slot's cell index
-     *  so popHead/popTail/clear never rehash the PC. */
-    std::vector<PcCell> pcCells_;
-    std::size_t pcMask_ = 0; ///< pcCells_.size() - 1.
-    std::size_t pcUsed_ = 0; ///< Distinct PCs resident in the table.
-    std::vector<int> pcCellOf_;
-    std::vector<SlotLinks> pcLinks_;
-    /** @} */
-
-    /** @{ Producer index: per-architectural-destination-register
-     *  age-ordered slot list (kNoArchReg destinations are unindexed —
-     *  no chain-generation query ever asks for them). */
-    std::vector<ListEnds> regIndex_; ///< kNumArchRegs entries.
-    std::vector<SlotLinks> regLinks_;
-    /** @} */
 };
 
 } // namespace rab

@@ -12,6 +12,7 @@
 #include "frontend/frontend.hh"
 #include "isa/program.hh"
 #include "runahead/chain_engine.hh"
+#include "runahead/chain_generator.hh"
 #include "runahead/runahead_controller.hh"
 
 namespace rab
@@ -324,7 +325,6 @@ void
 InvariantChecker::fullScan()
 {
     checkRobOrder();
-    checkRobIndexes();
     checkStoreQueue();
     checkRenameState();
     if (ctx_.engine) {
@@ -369,60 +369,64 @@ InvariantChecker::checkRobOrder()
 }
 
 void
-InvariantChecker::checkRobIndexes()
+InvariantChecker::onChainGenerated(const ChainGenerator &gen,
+                                   Pc blocking_pc, SeqNum blocking_seq)
+{
+    if (level_ == CheckLevel::kFull)
+        checkRobIndexes(gen, blocking_pc, blocking_seq);
+}
+
+void
+InvariantChecker::checkRobIndexes(const ChainGenerator &gen,
+                                  Pc blocking_pc, SeqNum blocking_seq)
 {
     if (!ctx_.rob)
         return;
     const Rob &rob = *ctx_.rob;
 
-    // Cross-validate the incremental PC / producer indexes against the
-    // retained linear scans (the RS hasReady/anyReady pattern): for
-    // every live entry, the indexed PC CAM queried just below its seq
-    // must return that entry, and the producer CAM must agree with the
-    // scan for each register the entry reads or writes.
+    // The generator builds its CAMs when it runs (chain_generator.hh);
+    // compare them against the ROB's whole-window scans, the RS
+    // hasReady/anyReady pattern. The PC CAM must find the same match.
+    const int match = rob.findOldestByPc(blocking_pc, blocking_seq);
+    if (gen.matchSlot() != match) {
+        violate("rob", "index-coherence",
+                strprintf("generator pc cam finds slot %d for pc %llu "
+                          "after seq %llu, scan finds %d",
+                          gen.matchSlot(), (unsigned long long)blocking_pc,
+                          (unsigned long long)blocking_seq, match));
+    }
+
+    // The register CAM must agree with the scan for every register each
+    // entry up to the match reads or writes, queried at that entry's
+    // seq — every consumer the producer walk can ask about — and past
+    // the tail when there is no match (the lookup then spans the
+    // window).
+    const auto agree = [&](ArchReg reg, SeqNum before) {
+        if (reg == kNoArchReg)
+            return;
+        const int looked_up = gen.findProducer(reg, before);
+        const int scanned = rob.findProducer(reg, before);
+        if (looked_up != scanned) {
+            violate("rob", "index-coherence",
+                    strprintf("generator register cam finds slot %d for "
+                              "r%d before seq %llu, scan finds %d",
+                              looked_up, (int)reg,
+                              (unsigned long long)before, scanned));
+        }
+    };
     for (int i = 0; i < rob.size(); ++i) {
         const int slot = rob.logicalToSlot(i);
         const DynUop &uop = rob.slot(slot);
-
-        const int by_pc = uop.seq == 0
-            ? slot // seq 0 has no "just below" query; core seqs start at 1.
-            : rob.findOldestByPcIndexed(uop.pc, uop.seq - 1);
-        if (by_pc != slot) {
-            violate("rob", "index-coherence",
-                    strprintf("pc index finds slot %d for pc %llu "
-                              "after seq %llu, expected slot %d",
-                              by_pc, (unsigned long long)uop.pc,
-                              (unsigned long long)(uop.seq - 1), slot));
-        }
-
-        const ArchReg regs[3] = {uop.sop.src1, uop.sop.src2,
-                                 uop.sop.dest};
-        for (const ArchReg reg : regs) {
-            if (reg == kNoArchReg)
-                continue;
-            const int indexed = rob.findProducerIndexed(reg, uop.seq);
-            const int scanned = rob.findProducerScan(reg, uop.seq);
-            if (indexed != scanned) {
-                violate("rob", "index-coherence",
-                        strprintf("producer index finds slot %d for "
-                                  "r%d before seq %llu, scan finds %d",
-                                  indexed, (int)reg,
-                                  (unsigned long long)uop.seq, scanned));
-            }
-        }
+        agree(uop.sop.src1, uop.seq);
+        agree(uop.sop.src2, uop.seq);
+        agree(uop.sop.dest, uop.seq);
+        if (slot == match)
+            break;
     }
-
-    // Absence agreement past the tail: a query younger than everything
-    // must come back empty from both forms.
-    if (!rob.empty()) {
-        const DynUop &tail = rob.slot(rob.tailSlot());
-        if (rob.findOldestByPcIndexed(tail.pc, tail.seq) >= 0) {
-            violate("rob", "index-coherence",
-                    strprintf("pc index finds an entry for pc %llu "
-                              "younger than the tail seq %llu",
-                              (unsigned long long)tail.pc,
-                              (unsigned long long)tail.seq));
-        }
+    if (match < 0 && !rob.empty()) {
+        const SeqNum past_tail = rob.slot(rob.tailSlot()).seq + 1;
+        for (ArchReg reg = 0; reg < kNumArchRegs; ++reg)
+            agree(reg, past_tail);
     }
 }
 

@@ -44,6 +44,7 @@ namespace rab
 {
 
 class Rob;
+class ChainGenerator;
 class StoreQueue;
 class RunaheadController;
 class Program;
@@ -164,6 +165,12 @@ class InvariantChecker
      *  snapshot exactly and the pipeline must be clean. */
     void onRunaheadExit(const ArchCheckpoint &checkpoint);
 
+    /** ChainGenerator::generate just ran for the blocking load
+     *  (@p blocking_pc, @p blocking_seq) against the watched ROB: at
+     *  kFull, cross-check the CAM lookups it built (checkRobIndexes). */
+    void onChainGenerated(const ChainGenerator &gen, Pc blocking_pc,
+                          SeqNum blocking_seq);
+
     /** A dependence chain was generated (or pulled from the chain
      *  cache) for the blocking load at @p blocking_pc. */
     void checkChain(const DependenceChain &chain, Pc blocking_pc,
@@ -179,7 +186,8 @@ class InvariantChecker
      *  invariant at a time). Each throws InvariantViolation on
      *  failure. */
     void checkRobOrder();
-    void checkRobIndexes();
+    void checkRobIndexes(const ChainGenerator &gen, Pc blocking_pc,
+                         SeqNum blocking_seq);
     void checkStoreQueue();
     void checkRenameState();
     void checkArchStateFrozen();

@@ -54,7 +54,6 @@ SimConfig::finalize()
     }
     mem.prefetcher.enabled = prefetch;
     core.fastForward = fastForward;
-    core.referenceScans = referenceScans;
     core.checkLevel = checkLevel;
     core.checkPolicy = checkPolicy;
     // Fault campaigns need the recovery layer armed: default the

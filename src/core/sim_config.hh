@@ -50,11 +50,6 @@ struct SimConfig
      *  differential debugging. */
     bool fastForward = true;
 
-    /** Use the ROB's scan-based reference CAM searches instead of the
-     *  incremental indexes (behaviour-preserving; see Rob::setIndexed).
-     *  For differential certification and debugging. */
-    bool referenceScans = false;
-
     /** Invariant-checking effort (see src/checker). RAB_CHECK_LEVEL in
      *  the environment overrides it. */
     CheckLevel checkLevel = CheckLevel::kOff;

@@ -10,14 +10,21 @@
  *   - Figure 4: whether each miss's chain is unique or a repeat within
  *     the current runahead interval (by structural signature),
  *   - Figure 5: average dependence chain length in uops.
+ *
+ * The history is a flat array kept in sequence order lazily: records
+ * are appended in writeback order and merged into the ordered part
+ * only when a miss needs the slice walk (or the array reaches its
+ * bound). Writeback order is program order up to the core's in-flight
+ * window, so the merge moves each record a few places at most, and
+ * steady state allocates nothing.
  */
 
 #ifndef RAB_RUNAHEAD_CHAIN_ANALYSIS_HH
 #define RAB_RUNAHEAD_CHAIN_ANALYSIS_HH
 
+#include <cstddef>
 #include <cstdint>
-#include <map>
-#include <unordered_set>
+#include <vector>
 
 #include "backend/dyn_uop.hh"
 #include "common/types.hh"
@@ -32,7 +39,10 @@ class ChainAnalysis
     friend struct SnapshotAccess; ///< src/snapshot serializer.
   public:
     /**
-     * @param window     executed-op history depth.
+     * @param window     executed-op history depth: the slice walk sees
+     *                   the @p window largest sequence numbers recorded
+     *                   in the interval (a repeated sequence number
+     *                   keeps its first record).
      * @param max_chain  backward-slice length cap.
      */
     explicit ChainAnalysis(int window = 4096, int max_chain = 64);
@@ -40,7 +50,8 @@ class ChainAnalysis
     /** A runahead interval begins. */
     void beginInterval();
 
-    /** A runahead op executed (traditional mode). */
+    /** A runahead op executed (traditional mode). Registers are
+     *  program registers (below kNumArchRegs; Program rejects others). */
     void recordExec(const DynUop &uop);
 
     /** A runahead load generated an LLC miss. Call after recordExec. */
@@ -73,21 +84,35 @@ class ChainAnalysis
   private:
     struct Rec
     {
+        SeqNum seq;
         Pc pc;
         ArchReg dest;
         ArchReg src1;
         ArchReg src2;
     };
 
-    int window_;
+    /** Merge the appended records into the ordered part (dropping
+     *  repeated sequence numbers) and keep the window_ largest. */
+    void order();
+    /** Sort and deduplicate necessary_. */
+    void compactNecessary();
+    void clearInterval();
+
+    std::size_t window_;
     int maxChain_;
     bool inInterval_ = false;
-    /** Executed-op history keyed (and therefore ordered) by sequence
-     *  number: writeback order is not program order, and the backward
-     *  slice walk needs the latter. */
-    std::map<SeqNum, Rec> history_;
-    std::unordered_set<std::uint64_t> intervalSignatures_;
-    std::unordered_set<SeqNum> intervalNecessary_;
+    /** Executed-op history: [head_, ordered_) strictly ascending by
+     *  seq, [ordered_, size) appended since the last order(); records
+     *  below head_ have left the window. */
+    std::vector<Rec> history_;
+    std::size_t head_ = 0;
+    std::size_t ordered_ = 0;
+    /** Sequence numbers on some miss's slice, deduplicated lazily:
+     *  sorted and unique below necessaryUnique_. */
+    std::vector<SeqNum> necessary_;
+    std::size_t necessaryUnique_ = 0;
+    std::vector<std::uint64_t> signatures_; ///< Sorted, this interval.
+    std::vector<Pc> slicePcs_;              ///< recordMiss scratch.
     std::uint64_t intervalExecuted_ = 0;
     StatGroup statGroup_;
 };

@@ -79,21 +79,20 @@ distribution(std::vector<double> &samples)
 }
 
 ChainGenLatencyDist
-timeVariant(Rob &rob, const StoreQueue &sq, bool indexed, int iterations,
-            int *chain_length)
+timeCase(const Rob &rob, const StoreQueue &sq, Pc blocking_pc,
+         int iterations, int *chain_length)
 {
-    rob.setIndexed(indexed);
     ChainGenerator gen(ChainGeneratorConfig{});
     std::vector<double> samples;
     samples.reserve(iterations);
-    // The blocking load is the ROB head (pc 100, seq 1), the paper's
-    // entry condition; a younger instance exists one loop body later.
+    // The blocking load is the ROB head (seq 1), the paper's entry
+    // condition.
     for (int i = 0; i < iterations; ++i) {
         // rablint: nondeterminism-ok (host wall-time measurement of
         // the generator microbench; reported, never fed back into
         // simulated state)
         const auto start = std::chrono::steady_clock::now();
-        const ChainResult result = gen.generate(rob, sq, 100, 1);
+        const ChainResult result = gen.generate(rob, sq, blocking_pc, 1);
         const auto ns =
             std::chrono::duration_cast<std::chrono::nanoseconds>(
                 // rablint: nondeterminism-ok (same measurement)
@@ -103,7 +102,6 @@ timeVariant(Rob &rob, const StoreQueue &sq, bool indexed, int iterations,
         if (chain_length)
             *chain_length = static_cast<int>(result.chain.size());
     }
-    rob.setIndexed(true);
     return distribution(samples);
 }
 
@@ -117,18 +115,19 @@ runChainGenMicrobench(int rob_entries, int iterations)
     SeqNum next_seq = 1;
     fillRob(rob, next_seq);
 
+    // pc 100 heads every loop body; pc 99 is in none.
+    constexpr Pc kBodyPc = 100;
+    constexpr Pc kAbsentPc = 99;
     ChainGenMicrobench result;
     result.robEntries = rob_entries;
-    // Warm both paths (map population, branch predictors) before
+    // Warm both cases (scratch capacity, branch predictors) before
     // timing.
-    timeVariant(rob, sq, true, std::max(8, iterations / 16), nullptr);
-    timeVariant(rob, sq, false, std::max(8, iterations / 16), nullptr);
-    result.indexed =
-        timeVariant(rob, sq, true, iterations, &result.chainLength);
-    result.scan = timeVariant(rob, sq, false, iterations, nullptr);
-    result.speedup = result.indexed.meanNs > 0
-        ? result.scan.meanNs / result.indexed.meanNs
-        : 0;
+    const int warm = std::max(8, iterations / 16);
+    timeCase(rob, sq, kBodyPc, warm, nullptr);
+    timeCase(rob, sq, kAbsentPc, warm, nullptr);
+    result.match =
+        timeCase(rob, sq, kBodyPc, iterations, &result.chainLength);
+    result.noMatch = timeCase(rob, sq, kAbsentPc, iterations, nullptr);
     return result;
 }
 
@@ -149,9 +148,8 @@ chainGenMicrobenchJson(const ChainGenMicrobench &result)
     Json j = Json::object();
     j["rob_entries"] = static_cast<double>(result.robEntries);
     j["chain_length"] = static_cast<double>(result.chainLength);
-    j["indexed"] = dist_json(result.indexed);
-    j["scan"] = dist_json(result.scan);
-    j["speedup"] = result.speedup;
+    j["match"] = dist_json(result.match);
+    j["no_match"] = dist_json(result.noMatch);
     return j;
 }
 

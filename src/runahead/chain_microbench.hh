@@ -2,14 +2,17 @@
  * @file
  * Chain-generation latency microbenchmark.
  *
- * Times ChainGenerator::generate() against a full, realistically
- * structured ROB (a pointer-chasing loop body repeated to capacity)
- * twice: once through the incremental PC/producer indexes and once
- * through the retained linear-scan reference paths, and reports the
- * per-call latency distribution of each. Shared between the
- * bench_chain_generation binary (human-readable table) and rabsweep,
- * which embeds the result in the sweep manifest's environment section
- * so every campaign records the indexing speedup it ran with.
+ * Times ChainGenerator::generate() — which builds its PC and
+ * destination-register CAMs over the live window when it runs —
+ * against a full, realistically structured ROB (a pointer-chasing loop
+ * body repeated to capacity) in two cases: the blocking load's next
+ * instance one loop body behind the head (the common case, where the
+ * PC CAM pass stops early) and a blocking PC absent from the window
+ * (the PC CAM pass spans every entry). Reports the per-call latency
+ * distribution of each. Shared between the bench_chain_generation
+ * binary (human-readable table) and rabsweep, which embeds the result
+ * in the sweep manifest's environment section so every campaign
+ * records the generation cost it ran with.
  */
 
 #ifndef RAB_RUNAHEAD_CHAIN_MICROBENCH_HH
@@ -34,12 +37,11 @@ struct ChainGenLatencyDist
     double meanNs = 0;
 };
 
-/** The full before/after comparison. */
+/** Both cases. */
 struct ChainGenMicrobench
 {
-    ChainGenLatencyDist indexed; ///< Incremental CAM indexes (default).
-    ChainGenLatencyDist scan;    ///< Linear-scan reference paths.
-    double speedup = 0;          ///< scan.meanNs / indexed.meanNs.
+    ChainGenLatencyDist match;   ///< Younger instance one body on.
+    ChainGenLatencyDist noMatch; ///< Blocking PC not in the window.
     int robEntries = 0;
     int chainLength = 0; ///< Ops in the generated chain (sanity).
 };
@@ -48,7 +50,7 @@ struct ChainGenMicrobench
  * Run the microbenchmark.
  *
  * @param rob_entries ROB capacity to fill (Table 1 default 192).
- * @param iterations  timed generate() calls per variant.
+ * @param iterations  timed generate() calls per case.
  */
 ChainGenMicrobench runChainGenMicrobench(int rob_entries = 192,
                                          int iterations = 4000);

@@ -122,6 +122,16 @@ RunaheadController::lookupTrustedChain(Pc pc)
     return cached;
 }
 
+ChainResult
+RunaheadController::generateChain(const Rob &rob, const StoreQueue &sq,
+                                  const DynUop &head)
+{
+    ChainResult result = chainGen_.generate(rob, sq, head.pc, head.seq);
+    if (checker_)
+        checker_->onChainGenerated(chainGen_, head.pc, head.seq);
+    return result;
+}
+
 EntryDecision
 RunaheadController::decideEntry(const Rob &rob, const StoreQueue &sq,
                                 const DynUop &head,
@@ -195,8 +205,7 @@ RunaheadController::decideEntry(const Rob &rob, const StoreQueue &sq,
 
                 // Fig. 13 instrumentation: does the cached chain match
                 // what the ROB would generate right now?
-                ChainResult regen =
-                    chainGen_.generate(rob, sq, head.pc, head.seq);
+                ChainResult regen = generateChain(rob, sq, head);
                 ++chainCacheCheckedHits;
                 if (regen.pcFound
                     && chainsEqual(*cached, regen.chain)) {
@@ -205,7 +214,7 @@ RunaheadController::decideEntry(const Rob &rob, const StoreQueue &sq,
                 return decision;
             }
         }
-        ChainResult result = chainGen_.generate(rob, sq, head.pc, head.seq);
+        ChainResult result = generateChain(rob, sq, head);
         regCamSearches += result.regCamSearches;
         sqCamSearches += result.sqSearches;
         robChainReads += result.robReads;
@@ -239,15 +248,14 @@ RunaheadController::decideEntry(const Rob &rob, const StoreQueue &sq,
             decision.chain = *cached;
             decision.generationCycles = 1;
 
-            ChainResult regen =
-                chainGen_.generate(rob, sq, head.pc, head.seq);
+            ChainResult regen = generateChain(rob, sq, head);
             ++chainCacheCheckedHits;
             if (regen.pcFound && chainsEqual(*cached, regen.chain))
                 ++chainCacheExactHits;
             return decision;
         }
     }
-    ChainResult result = chainGen_.generate(rob, sq, head.pc, head.seq);
+    ChainResult result = generateChain(rob, sq, head);
     ++pcCamSearches;
     regCamSearches += result.regCamSearches;
     sqCamSearches += result.sqSearches;

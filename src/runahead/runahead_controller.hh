@@ -218,6 +218,11 @@ class RunaheadController
      *  nullptr on miss or rejection. */
     const DependenceChain *lookupTrustedChain(Pc pc);
 
+    /** Algorithm 1 for the blocking load @p head, with the checker's
+     *  cross-check of the generator's CAM lookups. */
+    ChainResult generateChain(const Rob &rob, const StoreQueue &sq,
+                              const DynUop &head);
+
     RunaheadPolicy policy_;
     RunaheadMode mode_ = RunaheadMode::kNone;
     Cycle blockingReady_ = 0;
