@@ -93,7 +93,7 @@ MemorySystem::outstandingMisses(Cycle now)
 }
 
 Cycle
-MemorySystem::nextEventCycle(Cycle now)
+MemorySystem::nextEventCycle(Cycle now) const
 {
     return shared_->nextEventCycle(now);
 }

@@ -116,7 +116,7 @@ class MemorySystem
      *  changes: the next in-flight LLC-miss fill completing or a DRAM
      *  bank/bus freeing up. Returns 0 when nothing is pending. The
      *  fast-forward engine bounds its skip horizon with this. */
-    Cycle nextEventCycle(Cycle now);
+    Cycle nextEventCycle(Cycle now) const;
 
     /** True if the line holding @p addr is present in L1D or LLC tags
      *  and its fill (if any) has completed by @p now. */

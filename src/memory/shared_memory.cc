@@ -142,9 +142,11 @@ SharedMemory::notifyPrefetchUnused()
 void
 SharedMemory::pruneOutstanding(Cycle now)
 {
-    while (!outstanding_.empty() && outstanding_.top().ready <= now) {
-        --heldNow_[static_cast<std::size_t>(outstanding_.top().core)];
-        outstanding_.pop();
+    while (!outstanding_.empty() && outstanding_.front().ready <= now) {
+        --heldNow_[static_cast<std::size_t>(outstanding_.front().core)];
+        std::pop_heap(outstanding_.begin(), outstanding_.end(),
+                      OutstandingLater{});
+        outstanding_.pop_back();
     }
 }
 
@@ -171,7 +173,9 @@ SharedMemory::pushOutstanding(MemorySystem &core, Cycle ready)
     // Slots held by the *other* cores at this admission: the shared
     // MSHR occupancy this core had to fit around.
     core.sharedMshrPeersHeld += outstanding_.size() - heldNow_[id];
-    outstanding_.push({ready, core.coreId()});
+    outstanding_.push_back({ready, core.coreId()});
+    std::push_heap(outstanding_.begin(), outstanding_.end(),
+                   OutstandingLater{});
     ++heldNow_[id];
     // Monotone peak: counters only grow, so the peak is expressed as
     // the increments that raised it.
@@ -187,10 +191,13 @@ SharedMemory::outstandingMisses(Cycle now)
 }
 
 Cycle
-SharedMemory::nextEventCycle(Cycle now)
+SharedMemory::nextEventCycle(Cycle now) const
 {
-    pruneOutstanding(now);
-    Cycle next = outstanding_.empty() ? 0 : outstanding_.top().ready;
+    Cycle next = 0;
+    for (const OutstandingMiss &miss : outstanding_) {
+        if (miss.ready > now && (next == 0 || miss.ready < next))
+            next = miss.ready;
+    }
     const Cycle bank_free = dram_.nextBankFreeCycle(now);
     if (bank_free > now && (next == 0 || bank_free < next))
         next = bank_free;

@@ -27,7 +27,6 @@
 #define RAB_MEMORY_SHARED_MEMORY_HH
 
 #include <cstdint>
-#include <queue>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -88,8 +87,11 @@ class SharedMemory
 
     /** Earliest future cycle (> @p now) at which shared memory state
      *  changes: the next in-flight fill completing or a DRAM bank/bus
-     *  freeing up. 0 when nothing is pending. */
-    Cycle nextEventCycle(Cycle now);
+     *  freeing up. 0 when nothing is pending. A pure query: completed
+     *  misses stay queued until an access prunes them at its own
+     *  cycle, so asking changes nothing (the chain engine's catch-up
+     *  accesses run at cycles older than the asking core's). */
+    Cycle nextEventCycle(Cycle now) const;
 
     Cache &llc() { return llc_; }
     const Cache &llc() const { return llc_; }
@@ -203,10 +205,9 @@ class SharedMemory
     Cycle llcPendingMax_ = 0;
 
     /** Ready cycles of in-flight LLC misses (memory queue occupancy),
-     *  shared by all cores. */
-    std::priority_queue<OutstandingMiss, std::vector<OutstandingMiss>,
-                        OutstandingLater>
-        outstanding_;
+     *  shared by all cores: a min-heap under OutstandingLater, pruned
+     *  only by accesses (see nextEventCycle). */
+    std::vector<OutstandingMiss> outstanding_;
     /** Memory-queue slots currently held per core. */
     std::vector<std::uint64_t> heldNow_;
     /** Running per-core peak of heldNow_ (monotone counters so the

@@ -2,9 +2,10 @@
  * @file
  * Fast-forward certification: the cycle-loop fast-forward engine
  * (Core::fastForwardHorizon / fastForwardTo) must be invisible in
- * every architectural and statistical observable. For all six
- * runahead configurations — and again under speculative fault
- * injection — a fast-forwarded run must produce a byte-identical
+ * every architectural and statistical observable. For all eight
+ * runahead configurations, the Continuous Runahead engine's two
+ * included — and again under speculative fault injection — a
+ * fast-forwarded run must produce a byte-identical
  * commit stream, identical cycle count, and an identical full
  * statistics payload (core + memory) compared to ticking every cycle.
  * Only the core.fastforward.* counters themselves may differ.
@@ -36,6 +37,7 @@ constexpr RunaheadConfig kAllConfigs[] = {
     RunaheadConfig::kBaseline,         RunaheadConfig::kRunahead,
     RunaheadConfig::kRunaheadEnhanced, RunaheadConfig::kRunaheadBuffer,
     RunaheadConfig::kRunaheadBufferCC, RunaheadConfig::kHybrid,
+    RunaheadConfig::kCRE,              RunaheadConfig::kCREHybrid,
 };
 
 /** Everything a differential pair compares. */

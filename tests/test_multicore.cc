@@ -17,11 +17,15 @@
  * workload mixes and per-core policies — because isolated cores share
  * nothing and lockstep ticking must not leak state between them.
  *
- * Finally, shared-mode smoke: a heterogeneous mix on a shared
- * LLC/MSHR/DRAM must run to completion under the full invariant
- * checker (which audits L1-contained-in-LLC every 4096 cycles) and
- * produce the per-core and chip-wide contention accounting the
- * interference experiment reads.
+ * Shared-mode smoke: a heterogeneous mix on a shared LLC/MSHR/DRAM
+ * must run to completion under the full invariant checker (which
+ * audits L1-contained-in-LLC every 4096 cycles) and produce the
+ * per-core and chip-wide contention accounting the interference
+ * experiment reads.
+ *
+ * Finally, fast-forward must be invisible in shared mode as it is on
+ * one core: every variant's mix run reports the same cycles and stat
+ * payload with and without it.
  */
 
 #include <gtest/gtest.h>
@@ -328,6 +332,76 @@ TEST(MultiCore, SharedMixRunsWithContentionAccounting)
         conflicts += result.stats.at(
             "core" + std::to_string(i) + ".mem.bank_conflicts");
     EXPECT_GT(conflicts, 0.0);
+}
+
+/** Remove the core<i>.core.fastforward.* window counters — the one
+ *  legitimate difference between a fast-forwarded and a ticked run —
+ *  returning the skipped cycles they recorded. */
+std::uint64_t
+stripFastForward(std::map<std::string, double> &stats)
+{
+    std::uint64_t skipped = 0;
+    for (auto it = stats.begin(); it != stats.end();) {
+        if (it->first.find(".core.fastforward.") == std::string::npos) {
+            ++it;
+            continue;
+        }
+        if (it->first.find(".skipped_cycles") != std::string::npos)
+            skipped += static_cast<std::uint64_t>(it->second);
+        it = stats.erase(it);
+    }
+    return skipped;
+}
+
+/** Fast-forward in shared mode: mix4 under each of the six sweep
+ *  variants, with fast-forward on and off, reports identical cycles
+ *  and per-core and chip-wide stat payloads. The chain engine catches
+ *  up at cycles behind its core's, so this also pins the memory
+ *  system's next-event query as side-effect free. */
+TEST(MultiCore, SharedMixFastForwardMatchesTickByTick)
+{
+    constexpr RunaheadConfig kVariants[] = {
+        RunaheadConfig::kBaseline, RunaheadConfig::kRunahead,
+        RunaheadConfig::kRunaheadBufferCC, RunaheadConfig::kHybrid,
+        RunaheadConfig::kCRE, RunaheadConfig::kCREHybrid,
+    };
+    const auto run = [](RunaheadConfig rc, bool fast_forward) {
+        SimConfig config = makeTestConfig(rc, false);
+        config.numCores = 4;
+        config.warmupInstructions = 2'000;
+        config.instructions = 12'000;
+        config.fastForward = fast_forward;
+        config.finalize();
+        return simulateMix(config, {"mcf", "libq", "omnetpp", "h264"});
+    };
+
+    std::uint64_t skipped = 0;
+    for (const RunaheadConfig rc : kVariants) {
+        const std::string label = runaheadConfigName(rc);
+        MultiSimResult ff = run(rc, true);
+        MultiSimResult tick = run(rc, false);
+        skipped += stripFastForward(ff.stats);
+        EXPECT_EQ(stripFastForward(tick.stats), 0u) << label;
+
+        EXPECT_EQ(ff.cycles, tick.cycles) << label;
+        ASSERT_EQ(ff.cores.size(), tick.cores.size()) << label;
+        for (std::size_t i = 0; i < ff.cores.size(); ++i) {
+            EXPECT_EQ(ff.cores[i].cycles, tick.cores[i].cycles)
+                << label << " core " << i;
+            EXPECT_EQ(ff.cores[i].instructions, tick.cores[i].instructions)
+                << label << " core " << i;
+        }
+        ASSERT_EQ(ff.stats.size(), tick.stats.size()) << label;
+        for (const auto &[key, value] : tick.stats) {
+            const auto it = ff.stats.find(key);
+            ASSERT_TRUE(it != ff.stats.end()) << label << " missing "
+                                              << key;
+            EXPECT_EQ(it->second, value) << label << " stat " << key;
+        }
+    }
+    // The windows must actually have opened somewhere, or the
+    // comparison proves nothing.
+    EXPECT_GT(skipped, 0u);
 }
 
 /** Chip-level energy accounting: a shared-memory mix reports a chip
