@@ -15,7 +15,6 @@
  *   rabsweep --preset smoke --threads 2 --write-baseline \
  *            bench/baseline.json
  *   rabsweep --preset fig9 --store .rabstore      # resumable
- *   rabsweep --serve /tmp/rabsweep.sock --store .rabstore
  *
  * With --store, completed points are persisted in a crash-safe result
  * store and a re-run of the same campaign (same code, same configs)
@@ -43,7 +42,6 @@
 #include "runahead/chain_microbench.hh"
 #include "sweep/campaign.hh"
 #include "sweep/report.hh"
-#include "sweep/serve/daemon.hh"
 #include "sweep/store/result_store.hh"
 #include "workloads/suite.hh"
 
@@ -72,16 +70,12 @@ struct Options
     bool fastForward = true;
     bool snapshotWarmup = false; ///< Shared checkpointed warmup.
     bool snapshotNoShare = false; ///< Bench control arm: no sharing.
-    std::string storeDir;   ///< Result-store root ("" = no store).
-    std::string servePath;  ///< Daemon socket ("" = batch mode).
-    std::size_t maxJobs = 4;
-    int ioTimeoutMs = 5000;
-    int idleTimeoutMs = 60000;
+    std::string storeDir; ///< Result-store root ("" = no store).
     int retryLimit = 2;
     int retryBackoffMs = 20;
 };
 
-/** Batch-mode SIGINT latch: workers stop claiming new points. */
+/** SIGINT latch: workers stop claiming new points. */
 std::atomic<bool> g_interrupted{false};
 
 void
@@ -138,16 +132,7 @@ usage(int code)
         "                      are reused, fresh ones persisted, so a\n"
         "                      killed campaign resumes on re-run\n"
         "  --retry-limit N     per-point fault retries (default 2)\n"
-        "  --retry-backoff MS  base retry backoff, doubling (def 20)\n"
-        "  --serve SOCKET      daemon mode: serve campaign specs over\n"
-        "                      a unix socket until SIGTERM/SIGINT,\n"
-        "                      then drain gracefully\n"
-        "  --max-jobs N        (serve) admission-control campaign\n"
-        "                      limit; excess submits are shed (def 4)\n"
-        "  --io-timeout MS     (serve) per-frame read/write deadline\n"
-        "                      before a client is reaped (def 5000)\n"
-        "  --idle-timeout MS   (serve) reap idle connections (def\n"
-        "                      60000)\n",
+        "  --retry-backoff MS  base retry backoff, doubling (def 20)\n",
         code == 0 ? stdout : stderr);
     std::exit(code);
 }
@@ -175,8 +160,8 @@ splitList(const std::string &list)
 ConfigVariant
 parseVariant(const std::string &name)
 {
-    // Shared with the daemon's submit-frame parser (campaign.cc);
-    // here an unknown label is a usage error, there a bad-spec frame.
+    // parseVariantLabel throws on an unknown label; the CLI reports
+    // it as a fatal() diagnostic.
     try {
         return parseVariantLabel(name);
     } catch (const std::exception &e) {
@@ -384,15 +369,6 @@ parseArgs(int argc, char **argv)
             opts.listPresets = true;
         else if (arg == "--store")
             opts.storeDir = next(i);
-        else if (arg == "--serve")
-            opts.servePath = next(i);
-        else if (arg == "--max-jobs")
-            opts.maxJobs =
-                static_cast<std::size_t>(std::atoi(next(i)));
-        else if (arg == "--io-timeout")
-            opts.ioTimeoutMs = std::atoi(next(i));
-        else if (arg == "--idle-timeout")
-            opts.idleTimeoutMs = std::atoi(next(i));
         else if (arg == "--retry-limit")
             opts.retryLimit = std::atoi(next(i));
         else if (arg == "--retry-backoff")
@@ -509,19 +485,6 @@ main(int argc, char **argv)
     if (opts.listPresets) {
         describePresets();
         return 0;
-    }
-
-    if (!opts.servePath.empty()) {
-        DaemonConfig config;
-        config.socketPath = opts.servePath;
-        config.storeDir = opts.storeDir;
-        config.threads = resolveThreads(opts.threads);
-        config.maxActiveJobs = opts.maxJobs;
-        config.ioTimeoutMs = opts.ioTimeoutMs;
-        config.idleTimeoutMs = opts.idleTimeoutMs;
-        config.retryLimit = opts.retryLimit;
-        config.retryBackoffMs = opts.retryBackoffMs;
-        return serveDaemon(config);
     }
 
     const CampaignSpec spec = buildSpec(opts);

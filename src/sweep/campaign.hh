@@ -29,10 +29,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
-#include <mutex>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "core/sim_config.hh"
@@ -61,14 +58,13 @@ struct ConfigVariant
 ConfigVariant makeVariant(RunaheadConfig config, bool prefetch);
 
 /**
- * Parse a CLI/wire config label — "baseline", "runahead",
+ * Parse a CLI config label — "baseline", "runahead",
  * "runahead-enhanced", "buffer", "buffer-cc", "hybrid", "cre" or
- * "cre-hybrid", each with an optional "+pf" suffix — into a variant. A '|'-joined label
- * ("hybrid|baseline") assigns a policy per core of a multi-core mix
- * point; the first segment is the variant's headline config, and any
- * segment's "+pf" suffix enables the (chip-wide) prefetcher. Throws
- * std::runtime_error on an unknown name (the daemon turns that into
- * a bad-spec error frame; the CLI into a fatal()).
+ * "cre-hybrid", each with an optional "+pf" suffix — into a variant.
+ * A '|'-joined label ("hybrid|baseline") assigns a policy per core of
+ * a multi-core mix point; the first segment is the variant's headline
+ * config, and any segment's "+pf" suffix enables the (chip-wide)
+ * prefetcher. Throws std::runtime_error on an unknown name.
  */
 ConfigVariant parseVariantLabel(const std::string &label);
 
@@ -207,7 +203,7 @@ struct CampaignResult
     int threads = 1;
     double wallSeconds = 0;
     std::vector<PointResult> points;
-    /** Stopped early (SIGINT / daemon drain): not every point ran. */
+    /** Stopped early (SIGINT): not every point ran. */
     bool interrupted = false;
 
     /** @{ Result-store traffic (zero when no store was attached). */
@@ -241,17 +237,17 @@ struct CampaignRunOptions
     ResultStore *store = nullptr;
 
     /**
-     * Cooperative stop flag (set by a SIGINT handler or the daemon's
-     * drain path). Once true, workers finish their in-flight point
-     * but claim no new ones; the campaign returns with
-     * interrupted == true and un-run points marked !ran.
+     * Cooperative stop flag (set by a SIGINT handler). Once true,
+     * workers finish their in-flight point but claim no new ones; the
+     * campaign returns with interrupted == true and un-run points
+     * marked !ran.
      */
     const std::atomic<bool> *stop = nullptr;
 
     /**
      * Per-completed-point callback, invoked under an internal mutex
      * (serialised) as soon as each point finishes, in completion
-     * order — the daemon's incremental streaming hook.
+     * order, after a fresh result has been persisted to the store.
      */
     std::function<void(const PointResult &point)> onPoint;
 
@@ -273,12 +269,13 @@ struct CampaignRunOptions
  */
 CampaignResult runCampaign(const CampaignSpec &spec, int threads);
 
-/** As above with a store / stop flag / streaming callback. */
+/** As above with a store / stop flag / per-point callback. */
 CampaignResult runCampaign(const CampaignSpec &spec, int threads,
                            const CampaignRunOptions &options);
 
 /**
- * Run one point in isolation (also the serial path's worker). When
+ * Run one point in isolation, without retries (runCampaign adds the
+ * spec's bounded-backoff retry and quarantine policy). When
  * @p warmup_image is non-null (a captureSnapshot payload of a warmed
  * baseline-policy simulation of the point's workload/seed/prefetch
  * group), the point's simulation fork-restores from it and runs only
@@ -288,14 +285,6 @@ CampaignResult runCampaign(const CampaignSpec &spec, int threads,
 PointResult runPoint(const CampaignSpec &spec, const SweepPoint &point,
                      const std::string *warmup_image = nullptr);
 
-/**
- * runPoint plus the spec's bounded-backoff retry and quarantine
- * policy (the daemon's and the pool's per-point worker).
- */
-PointResult runPointWithRecovery(
-    const CampaignSpec &spec, const SweepPoint &point,
-    const std::string *warmup_image = nullptr);
-
 /** Is @p error a fault-classified failure worth retrying? */
 bool isRetryableFailure(const std::string &error);
 
@@ -303,8 +292,8 @@ bool isRetryableFailure(const std::string &error);
  * Warm one baseline-policy simulation of @p point's (workload, seed,
  * prefetch) group under @p spec's budgets and capture it — the image
  * every variant of the group forks from. Throws on any build, run or
- * capture failure. Exposed for the snapshotNoShare control arm and
- * tests; campaigns normally go through WarmupImageCache.
+ * capture failure. runCampaign shares one image per group (or, with
+ * snapshotNoShare, builds one per point).
  */
 std::string buildWarmupImage(const CampaignSpec &spec,
                              const SweepPoint &point);
@@ -312,46 +301,6 @@ std::string buildWarmupImage(const CampaignSpec &spec,
 /** Store-key id of a warmup image: "<format-version>/<content-hash>",
  *  the pair that makes a v4 config key self-invalidating. */
 std::string warmupSnapshotId(const std::string &payload);
-
-/**
- * Thread-safe cache of shared warmup images, one per (workload, seed,
- * prefetch) group: the engine behind CampaignSpec::snapshotWarmup,
- * reusable by any scheduler that runs points itself (runCampaign's
- * pool, the daemon's per-job workers). The first worker to reach a
- * group builds its image — consulting / feeding the result store's
- * snapshot records when one is attached — while the group's other
- * points block on the warmup they are about to reuse.
- */
-class WarmupImageCache
-{
-  public:
-    /** @p store (may be null) caches images across processes under
-     *  code identity @p git_sha. */
-    WarmupImageCache(ResultStore *store, std::string git_sha);
-    ~WarmupImageCache();
-
-    /**
-     * The shared image for @p point's group under @p spec, building
-     * it on first request. Returns nullptr — the caller warms inline
-     * — for mix points and after a failed build (a group fails once,
-     * not per point); otherwise the payload, with its store id left
-     * in @p snapshot_id. The pointer stays valid for the cache's
-     * lifetime.
-     */
-    const std::string *get(const CampaignSpec &spec,
-                           const SweepPoint &point,
-                           std::string &snapshot_id);
-
-  private:
-    struct Group;
-
-    ResultStore *store_;
-    std::string gitSha_;
-    std::mutex mutex_; ///< Guards the map's shape, not the groups.
-    std::map<std::tuple<std::string, std::uint64_t, bool>,
-             std::unique_ptr<Group>>
-        groups_;
-};
 
 } // namespace rab
 

@@ -3,7 +3,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <set>
 #include <sstream>
 #include <thread>
 
@@ -300,121 +299,6 @@ resolveSweepExitCode(bool interrupted, bool failed_points,
     if (failed_points)
         return 5;
     return 0;
-}
-
-namespace
-{
-
-/** "workload|variant|seed" — the identity a manifest point entry has
- *  independent of its position in any particular grid. */
-std::string
-pointKeyOf(const Json &entry)
-{
-    return entry.at("workload").asString() + "|"
-        + entry.at("variant").asString() + "|"
-        + std::to_string(entry.at("seed").asU64());
-}
-
-void
-requireManifestSchema(const Json &manifest, const char *which)
-{
-    const Json *schema = manifest.find("schema");
-    if (!schema)
-        throw JsonError(std::string(which)
-                        + " manifest has no schema field");
-    if (schema->asString() != kSweepManifestSchema) {
-        throw JsonError(std::string(which)
-                        + " manifest schema mismatch: expected '"
-                        + kSweepManifestSchema + "', got '"
-                        + schema->asString() + "'");
-    }
-}
-
-/** Append @p value to array @p axis unless already present. */
-void
-unionAxis(Json &axis, const Json &value)
-{
-    for (const Json &existing : axis.elements()) {
-        if (existing.dump() == value.dump())
-            return;
-    }
-    axis.push(value);
-}
-
-} // namespace
-
-Json
-mergeManifests(const Json &a, const Json &b)
-{
-    requireManifestSchema(a, "left");
-    requireManifestSchema(b, "right");
-
-    Json merged = Json::object();
-    merged["schema"] = kSweepManifestSchema;
-
-    const Json &ca = a.at("campaign");
-    const Json &cb = b.at("campaign");
-    Json grid = Json::object();
-    grid["name"] =
-        ca.at("name").asString() == cb.at("name").asString()
-        ? ca.at("name").asString()
-        : ca.at("name").asString() + "+" + cb.at("name").asString();
-    grid["instructions"] = ca.at("instructions").asU64();
-    grid["warmup"] = ca.at("warmup").asU64();
-    for (const char *axis : {"workloads", "variants", "seeds"}) {
-        Json unioned = Json::array();
-        for (const Json &v : ca.at(axis).elements())
-            unionAxis(unioned, v);
-        for (const Json &v : cb.at(axis).elements())
-            unionAxis(unioned, v);
-        grid[axis] = std::move(unioned);
-    }
-    // The mix axis is optional (absent from pre-multi-core manifests
-    // and single-core campaigns): union whatever is present.
-    Json mixes = Json::array();
-    for (const Json *c : {&ca, &cb}) {
-        if (const Json *m = c->find("mixes")) {
-            for (const Json &v : m->elements())
-                unionAxis(mixes, v);
-        }
-    }
-    if (mixes.size() > 0)
-        grid["mixes"] = std::move(mixes);
-
-    // Points: concatenate, re-index, and reject duplicates — the
-    // old silent last-writer-wins behaviour turned a double merge
-    // into quietly wrong aggregate counts.
-    Json points = Json::array();
-    std::set<std::string> seen;
-    std::uint64_t failed = 0;
-    std::uint64_t skipped = 0;
-    for (const Json *source : {&a, &b}) {
-        for (const Json &entry : source->at("points").elements()) {
-            const std::string key = pointKeyOf(entry);
-            if (!seen.insert(key).second) {
-                throw JsonError("duplicate point key '" + key
-                                + "' while merging manifests");
-            }
-            Json copy = entry;
-            copy["index"] = static_cast<std::uint64_t>(points.size());
-            if (!copy.at("ok").asBool()) {
-                ++failed;
-                const Json *error = copy.find("error");
-                if (error
-                    && error->asString().rfind("interrupted:", 0) == 0)
-                    ++skipped;
-            }
-            points.push(std::move(copy));
-        }
-    }
-    grid["points"] = static_cast<std::uint64_t>(points.size());
-    grid["failed_points"] = failed;
-    grid["interrupted"] = ca.at("interrupted").asBool()
-        || cb.at("interrupted").asBool();
-    grid["skipped_points"] = skipped;
-    merged["campaign"] = std::move(grid);
-    merged["points"] = std::move(points);
-    return merged;
 }
 
 bool

@@ -94,17 +94,6 @@ GateResult perfGate(const CampaignResult &campaign,
 int resolveSweepExitCode(bool interrupted, bool failed_points,
                          bool gate_failed);
 
-/**
- * Merge two rab-sweep-manifest-v1 documents into one: grid axes are
- * unioned in first-appearance order, points concatenated with indices
- * rewritten sequentially, and the point/failure counters recomputed.
- * Rejects (JsonError) a schema string that is not exactly
- * kSweepManifestSchema on either side, and any duplicate
- * (workload, variant, seed) point key — within one input or across
- * the two — instead of silently letting the last writer win.
- */
-Json mergeManifests(const Json &a, const Json &b);
-
 /** Write @p document to @p path; returns false on I/O error. */
 bool writeJsonFile(const std::string &path, const Json &document);
 

@@ -700,8 +700,9 @@ TEST(Recovery, DeterministicFaultIsQuarantined)
         config.core.watchdog.cycles = 2'000;
     };
 
-    const PointResult pr =
-        runPointWithRecovery(spec, expandGrid(spec)[0]);
+    const CampaignResult campaign = runCampaign(spec, 1);
+    ASSERT_EQ(campaign.points.size(), 1u);
+    const PointResult &pr = campaign.points[0];
     EXPECT_FALSE(pr.ok);
     EXPECT_TRUE(pr.quarantined);
     EXPECT_EQ(pr.retries, 1);
@@ -710,9 +711,6 @@ TEST(Recovery, DeterministicFaultIsQuarantined)
         << pr.error;
 
     // The quarantine verdict is part of the canonical manifest.
-    CampaignResult campaign;
-    campaign.spec = spec;
-    campaign.points = {pr};
     const Json manifest = campaignManifest(campaign, true);
     EXPECT_TRUE(
         manifest.at("points").at(0).at("quarantined").asBool());

@@ -14,8 +14,6 @@
 
 #include <gtest/gtest.h>
 
-#include <set>
-
 #include "sweep/campaign.hh"
 #include "sweep/report.hh"
 
@@ -322,70 +320,6 @@ TEST(Campaign, SeedsVaryTheWorkload)
     // identical seeds would defeat the seed axis.
     EXPECT_NE(campaign.points[0].result.cycles,
               campaign.points[1].result.cycles);
-}
-
-TEST(Merge, DisjointManifestsReassembleTheFullGrid)
-{
-    // Split smallSpec's grid by workload, run each half, and merge:
-    // the result must be byte-identical to the full-grid canonical
-    // manifest — indices rewritten, axes unioned, counters recomputed.
-    const CampaignSpec full = smallSpec();
-    const std::string reference =
-        campaignManifest(runCampaign(full, 2), /*canonical=*/true)
-            .dump();
-
-    CampaignSpec mcf = full;
-    mcf.workloads = {"mcf"};
-    CampaignSpec libq = full;
-    libq.workloads = {"libq"};
-    const Json merged = mergeManifests(
-        campaignManifest(runCampaign(mcf, 2), /*canonical=*/true),
-        campaignManifest(runCampaign(libq, 2), /*canonical=*/true));
-    EXPECT_EQ(merged.dump(), reference);
-}
-
-TEST(Merge, RejectsDuplicatePointKeys)
-{
-    // Merging a manifest with itself collides on every
-    // (workload, variant, seed) key; a silent last-writer-wins here
-    // would corrupt resumed campaigns, so it must throw.
-    CampaignSpec spec = smallSpec();
-    spec.workloads = {"mcf"};
-    const Json manifest =
-        campaignManifest(runCampaign(spec, 1), /*canonical=*/true);
-    try {
-        mergeManifests(manifest, manifest);
-        FAIL() << "duplicate point keys were merged silently";
-    } catch (const JsonError &e) {
-        EXPECT_NE(std::string(e.what()).find("duplicate point key"),
-                  std::string::npos)
-            << e.what();
-    }
-}
-
-TEST(Merge, RejectsSchemaMismatch)
-{
-    CampaignSpec spec = smallSpec();
-    spec.workloads = {"mcf"};
-    const Json manifest =
-        campaignManifest(runCampaign(spec, 1), /*canonical=*/true);
-
-    Json wrong = manifest;
-    wrong["schema"] = "rab-sweep-manifest-v999";
-    try {
-        mergeManifests(manifest, wrong);
-        FAIL() << "mismatched manifest schema merged silently";
-    } catch (const JsonError &e) {
-        const std::string what = e.what();
-        // The error must name the offending side and both schemas.
-        EXPECT_NE(what.find("rab-sweep-manifest-v999"),
-                  std::string::npos) << what;
-        EXPECT_NE(what.find("right"), std::string::npos) << what;
-    }
-
-    Json missing = manifest;
-    missing["schema"] = Json(); // Not even a string.
-    EXPECT_THROW(mergeManifests(missing, manifest), JsonError);
 }
 
 } // namespace

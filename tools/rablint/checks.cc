@@ -431,9 +431,10 @@ checkBannedNondeterminism(const std::string &path, const LexedFile &lexed,
 
         // Socket/select I/O: anything read off a socket is ordered by
         // the host scheduler and the network, never by the
-        // simulation. Service plumbing (daemon mode) annotates each
-        // call site with `nondeterminism-ok=socket-io` and a reason;
-        // simulation code gets flagged. Unlike the libc-call rule,
+        // simulation. src/ has no sanctioned call site; any future
+        // service plumbing must annotate each one with
+        // `nondeterminism-ok=socket-io` and a reason, and simulation
+        // code gets flagged. Unlike the libc-call rule,
         // `::`-qualified *global* calls (`::poll(`) are still flagged
         // — that is exactly how socket syscalls are written.
         bool socket_call = kSocketCalls.count(t.text) != 0

@@ -1,8 +1,8 @@
 // rablint fixture: nothing in this file may be flagged. Every hazard
 // carries a correctly *scoped* suppression
-// (`nondeterminism-ok=<category>`), the grammar the daemon and the
-// result store use so that sanctioning socket plumbing or a record
-// timestamp does not also sanction rand() in the same file.
+// (`nondeterminism-ok=<category>`), the grammar the result store uses
+// so that sanctioning a record timestamp (or socket plumbing) does
+// not also sanction rand() in the same file.
 #include <chrono>
 #include <cstdlib>
 
