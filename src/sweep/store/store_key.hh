@@ -43,7 +43,8 @@ std::string hex64(std::uint64_t value);
  *  whose warmup was forked from a shared baseline-policy snapshot is a
  *  different result universe than one warmed inline under its own
  *  config, so the warmup mode (and the identity of the snapshot it
- *  forked from) is part of the key. */
+ *  forked from) is part of the key. Records keyed under an older
+ *  schema read as misses (ResultStore checks the echoed schema). */
 inline constexpr const char *kConfigKeySchema = "rab-config-key-v4";
 
 /**
@@ -61,17 +62,6 @@ inline constexpr const char *kConfigKeySchema = "rab-config-key-v4";
 std::string canonicalConfigString(const CampaignSpec &spec,
                                   const SweepPoint &point,
                                   const std::string &snapshot_id = "");
-
-/** @{ Retired serialisations (v1: no multi-core fields; v2: no engine
- *  field; v3: no warmup-mode fields), kept only so tests can pin every
- *  golden hash and prove each schema bump actually diverged. */
-std::string canonicalConfigStringV1(const CampaignSpec &spec,
-                                    const SweepPoint &point);
-std::string canonicalConfigStringV2(const CampaignSpec &spec,
-                                    const SweepPoint &point);
-std::string canonicalConfigStringV3(const CampaignSpec &spec,
-                                    const SweepPoint &point);
-/** @} */
 
 /** fnv1a64 of canonicalConfigString, as hex64. */
 std::string configHashHex(const CampaignSpec &spec,

@@ -129,45 +129,32 @@ TEST(StoreKey, GoldenConfigSerialisation)
               "engine=0\n"
               "warmup_mode=snapshot\n"
               "snapshot=1/00c0ffee00c0ffee\n");
-    // The retired formats must stay byte-stable too: they document
-    // exactly what pre-v4 records were keyed under, and the
-    // divergences below are what reject them.
-    EXPECT_EQ(canonicalConfigStringV3(spec, hybrid),
-              "schema=rab-config-key-v3\n"
-              "variant=Hybrid\n"
-              "runahead=Hybrid\n"
+    // A mix point adds one workload/policy line per core.
+    CampaignSpec mix = storeSpec();
+    mix.workloads.clear();
+    mix.variants = {parseVariantLabel("cre|baseline")};
+    mix.mixes = {{"duo", {"mcf", "libq"}}};
+    EXPECT_EQ(canonicalConfigString(mix, expandGrid(mix)[0]),
+              "schema=rab-config-key-v4\n"
+              "variant=cre|baseline\n"
+              "runahead=CRE\n"
               "prefetch=0\n"
               "warmup=500\n"
               "fast_forward=1\n"
               "check_level=0\n"
               "check_policy=0\n"
-              "cores=1\n"
-              "engine=0\n");
-    EXPECT_EQ(canonicalConfigStringV2(spec, hybrid),
-              "schema=rab-config-key-v2\n"
-              "variant=Hybrid\n"
-              "runahead=Hybrid\n"
-              "prefetch=0\n"
-              "warmup=500\n"
-              "fast_forward=1\n"
-              "check_level=0\n"
-              "check_policy=0\n"
-              "cores=1\n");
-    EXPECT_EQ(canonicalConfigStringV1(spec, hybrid),
-              "schema=rab-config-key-v1\n"
-              "variant=Hybrid\n"
-              "runahead=Hybrid\n"
-              "prefetch=0\n"
-              "warmup=500\n"
-              "fast_forward=1\n"
-              "check_level=0\n"
-              "check_policy=0\n");
+              "cores=2\n"
+              "core0=mcf/CRE\n"
+              "core1=libq/Baseline\n"
+              "engine=1\n"
+              "warmup_mode=inline\n"
+              "snapshot=-\n");
 }
 
 TEST(StoreKey, EngineConfigsKeyDistinctly)
 {
-    // CRE and its non-engine base (buffer-cc) share every v2 field
-    // but not the engine: they must never alias in the store. The
+    // CRE and its non-engine base (buffer-cc) share every other key
+    // field but not the engine: they must never alias in the store. The
     // engine bit also derives from per-core policies of a mix.
     CampaignSpec spec = storeSpec();
     spec.variants = {makeVariant(RunaheadConfig::kRunaheadBufferCC,
@@ -192,22 +179,13 @@ TEST(StoreKey, EngineConfigsKeyDistinctly)
 
 TEST(StoreKey, GoldenConfigHash)
 {
-    // Golden hashes of the serialisations above: byte-identical
-    // across processes, hosts and compilers (FNV-1a over fixed
-    // strings). All versions stay pinned — the retired ones so each
-    // rejection boundary is itself regression-tested — and must never
-    // collide.
+    // Golden hash of the serialisation above: byte-identical across
+    // processes, hosts and compilers (FNV-1a over a fixed string).
     CampaignSpec spec = storeSpec();
     const std::vector<SweepPoint> grid = expandGrid(spec);
     EXPECT_EQ(configHashHex(spec, grid[1]),
               hex64(fnv1a64(canonicalConfigString(spec, grid[1]))));
     EXPECT_EQ(configHashHex(spec, grid[1]), "38b4ce0b1c397aca");
-    EXPECT_EQ(hex64(fnv1a64(canonicalConfigStringV3(spec, grid[1]))),
-              "315f5b6d103e06f3");
-    EXPECT_EQ(hex64(fnv1a64(canonicalConfigStringV2(spec, grid[1]))),
-              "5a868bdeb562fd6f");
-    EXPECT_EQ(hex64(fnv1a64(canonicalConfigStringV1(spec, grid[1]))),
-              "bd2a9d1ecb27994a");
     // A non-empty snapshot id changes the key (and only the key —
     // the id is never parsed back out of it).
     EXPECT_NE(configHashHex(spec, grid[1], "1/00c0ffee00c0ffee"),
