@@ -17,9 +17,9 @@
  *   rabsim --workload mcf --warmup 50000 --snapshot-out warm.rabsnap
  *   rabsim --workload mcf --warmup 50000 --snapshot-in warm.rabsnap
  *
- * Exit codes: 0 success, 3 watchdog gave up (forward progress lost),
- * 4 invariant violation escaped (checker in throw policy), 8 snapshot
- * load failed under --snapshot-strict.
+ * Exit codes: 0 success, 2 usage error, 3 watchdog gave up (forward
+ * progress lost), 4 invariant violation escaped (checker in throw
+ * policy), 8 snapshot load failed under --snapshot-strict.
  */
 
 #include <cstdio>
@@ -91,14 +91,16 @@ usage(int code)
         "rabsim - runahead buffer simulator\n"
         "\n"
         "  --workload NAME     suite workload (default mcf)\n"
-        "  --all               run the whole suite\n"
+        "  --all               run the whole suite (single-core)\n"
         "  --config NAME       baseline | runahead | runahead-enhanced |\n"
         "                      buffer | buffer-cc | hybrid | cre |\n"
         "                      cre-hybrid\n"
         "                      (multi-core default: sweep the six\n"
         "                      paper configs)\n"
         "  --cores N           simulate N cores sharing the LLC, MSHR\n"
-        "                      pool and DRAM (default 1)\n"
+        "                      pool and DRAM (default 1; N > 1 and\n"
+        "                      --mix reject --all, --trace-out and\n"
+        "                      the --snapshot-* flags)\n"
         "  --mix A,B,...       one workload per core (implies --cores\n"
         "                      when unset; --workload replicated\n"
         "                      otherwise)\n"
@@ -143,6 +145,14 @@ usage(int code)
         "  --list              list suite workloads and exit\n",
         code == 0 ? stdout : stderr);
     std::exit(code);
+}
+
+/** A usage error with a one-line reason (exit 2, no help text). */
+[[noreturn]] void
+usageError(const std::string &reason)
+{
+    std::fprintf(stderr, "rabsim: %s\n", reason.c_str());
+    std::exit(2);
 }
 
 RunaheadConfig
@@ -270,6 +280,24 @@ parseArgs(int argc, char **argv)
             usage(0);
         else
             usage(2);
+    }
+
+    if (opts.cores < 1)
+        usageError("--cores must be at least 1");
+    if (opts.cores > 1 || !opts.mixWorkloads.empty()) {
+        // The multi-core driver has no snapshot, trace or whole-suite
+        // path: refuse these flags rather than silently ignore them.
+        const char *flag = opts.allWorkloads ? "--all"
+            : !opts.tracePath.empty()        ? "--trace-out"
+            : !opts.snapshotIn.empty()       ? "--snapshot-in"
+            : !opts.snapshotOut.empty()      ? "--snapshot-out"
+            : opts.snapshotStrict            ? "--snapshot-strict"
+                                             : nullptr;
+        if (flag) {
+            usageError(std::string(flag)
+                       + " is single-core only (drop --cores N>1 and "
+                         "--mix)");
+        }
     }
     return opts;
 }
