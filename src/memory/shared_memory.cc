@@ -167,6 +167,14 @@ SharedMemory::prunePending(PendingMap &pending, Cycle now)
 }
 
 void
+SharedMemory::addPendingFill(Addr line_addr, Cycle ready)
+{
+    llcPending_[line_addr] = ready;
+    if (ready > llcPendingMax_)
+        llcPendingMax_ = ready;
+}
+
+void
 SharedMemory::pushOutstanding(MemorySystem &core, Cycle ready)
 {
     const auto id = static_cast<std::size_t>(core.coreId());
@@ -323,9 +331,7 @@ SharedMemory::accessLlc(MemorySystem &core, AccessType type,
         core.bankConflictWaitCycles += dram_result.queueWait;
     }
     const Cycle ready = dram_result.readyCycle + fault_delay;
-    llcPending_[line_addr] = ready;
-    if (ready > llcPendingMax_)
-        llcPendingMax_ = ready;
+    addPendingFill(line_addr, ready);
     pushOutstanding(core, ready);
     prunePending(llcPending_, now);
 
@@ -359,7 +365,7 @@ SharedMemory::issuePrefetches(MemorySystem &core, Cycle now)
         }
         const DramResult dram_result =
             dram_.access(line_addr, now, /*is_write=*/false);
-        llcPending_[line_addr] = dram_result.readyCycle;
+        addPendingFill(line_addr, dram_result.readyCycle);
         pushOutstanding(core, dram_result.readyCycle);
         ++core.prefetchesIssued;
         const Eviction ev = llc_.insert(line_addr, /*is_write=*/false,
@@ -401,9 +407,7 @@ SharedMemory::enginePrefetch(MemorySystem &core, Addr line_addr,
 
     const DramResult dram_result =
         dram_.access(line_addr, now, /*is_write=*/false);
-    llcPending_[line_addr] = dram_result.readyCycle;
-    if (dram_result.readyCycle > llcPendingMax_)
-        llcPendingMax_ = dram_result.readyCycle;
+    addPendingFill(line_addr, dram_result.readyCycle);
     pushOutstanding(core, dram_result.readyCycle);
     prunePending(llcPending_, now);
     const Eviction ev = llc_.insert(line_addr, /*is_write=*/false,

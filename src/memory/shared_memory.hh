@@ -187,6 +187,12 @@ class SharedMemory
     void pruneOutstanding(Cycle now);
     static void prunePending(PendingMap &pending, Cycle now);
 
+    /** Record an LLC fill of @p line_addr completing at @p ready and
+     *  raise llcPendingMax_ with it. Every fill enters llcPending_
+     *  through here, so the watermark guard on the hit paths never
+     *  skips a line that is still in flight. */
+    void addPendingFill(Addr line_addr, Cycle ready);
+
     /** Acquire a memory-queue slot for @p core's fill completing at
      *  @p ready, maintaining the per-core occupancy accounting. */
     void pushOutstanding(MemorySystem &core, Cycle ready);

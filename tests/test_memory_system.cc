@@ -163,6 +163,17 @@ TEST(MemorySystem, PrefetcherFillsAhead)
     EXPECT_GT(mem.prefetchesIssued.value(), 0u);
     // Lines ahead of the stream should now be resident or in flight.
     EXPECT_TRUE(mem.llc().probe(13 * 64) || mem.missInFlight(13 * 64, now));
+
+    // Line 12's prefetch is still filling: the line is tagged in the
+    // LLC but its data is not on chip yet, so a demand load to it
+    // merges into the fill instead of hitting at LLC latency.
+    const Addr line12 = 12 * 64;
+    EXPECT_FALSE(mem.dataOnChip(line12, now));
+    EXPECT_TRUE(mem.missInFlight(line12, now));
+    const std::uint64_t merges = mem.mshrMerges.value();
+    const AccessResult demand = mem.access(AccessType::kLoad, line12, now);
+    EXPECT_EQ(mem.mshrMerges.value(), merges + 1);
+    EXPECT_GT(demand.readyCycle, now + cfg.l1d.latency + cfg.llc.latency);
 }
 
 } // namespace
