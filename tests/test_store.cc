@@ -129,33 +129,14 @@ TEST(StoreKey, GoldenConfigSerialisation)
               "engine=0\n"
               "warmup_mode=snapshot\n"
               "snapshot=1/00c0ffee00c0ffee\n");
-    // A mix point adds one workload/policy line per core.
-    CampaignSpec mix = storeSpec();
-    mix.workloads.clear();
-    mix.variants = {parseVariantLabel("cre|baseline")};
-    mix.mixes = {{"duo", {"mcf", "libq"}}};
-    EXPECT_EQ(canonicalConfigString(mix, expandGrid(mix)[0]),
-              "schema=rab-config-key-v4\n"
-              "variant=cre|baseline\n"
-              "runahead=CRE\n"
-              "prefetch=0\n"
-              "warmup=500\n"
-              "fast_forward=1\n"
-              "check_level=0\n"
-              "check_policy=0\n"
-              "cores=2\n"
-              "core0=mcf/CRE\n"
-              "core1=libq/Baseline\n"
-              "engine=1\n"
-              "warmup_mode=inline\n"
-              "snapshot=-\n");
 }
 
 TEST(StoreKey, EngineConfigsKeyDistinctly)
 {
     // CRE and its non-engine base (buffer-cc) share every other key
     // field but not the engine: they must never alias in the store. The
-    // engine bit also derives from per-core policies of a mix.
+    // engine bit also derives from per-core policies of a mix, whose
+    // key pins one workload/policy line per core.
     CampaignSpec spec = storeSpec();
     spec.variants = {makeVariant(RunaheadConfig::kRunaheadBufferCC,
                                  false),
@@ -172,9 +153,21 @@ TEST(StoreKey, EngineConfigsKeyDistinctly)
     mix.mixes = {{"duo", {"mcf", "libq"}}};
     const SweepPoint p = expandGrid(mix)[0];
     ASSERT_TRUE(p.isMix());
-    EXPECT_NE(canonicalConfigString(mix, p)
-                  .find("engine=1\n"),
-              std::string::npos);
+    EXPECT_EQ(canonicalConfigString(mix, p),
+              "schema=rab-config-key-v4\n"
+              "variant=cre|baseline\n"
+              "runahead=CRE\n"
+              "prefetch=0\n"
+              "warmup=500\n"
+              "fast_forward=1\n"
+              "check_level=0\n"
+              "check_policy=0\n"
+              "cores=2\n"
+              "core0=mcf/CRE\n"
+              "core1=libq/Baseline\n"
+              "engine=1\n"
+              "warmup_mode=inline\n"
+              "snapshot=-\n");
 }
 
 TEST(StoreKey, GoldenConfigHash)
