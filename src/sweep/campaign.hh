@@ -203,7 +203,7 @@ struct CampaignResult
     int threads = 1;
     double wallSeconds = 0;
     std::vector<PointResult> points;
-    /** Stopped early (SIGINT): not every point ran. */
+    /** Stopped early by the stop flag: not every point ran. */
     bool interrupted = false;
 
     /** @{ Result-store traffic (zero when no store was attached). */
