@@ -1,5 +1,7 @@
 #include "backend/execute.hh"
 
+#include <algorithm>
+#include <functional>
 #include <limits>
 
 namespace rab
@@ -8,16 +10,18 @@ namespace rab
 void
 WritebackQueue::schedule(Cycle when, int rob_slot, SeqNum seq)
 {
-    heap_.push(WbEvent{when, rob_slot, seq});
+    heap_.push_back(WbEvent{when, rob_slot, seq});
+    std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
 }
 
 const std::vector<WbEvent> &
 WritebackQueue::popReady(Cycle now)
 {
     readyBuf_.clear();
-    while (!heap_.empty() && heap_.top().when <= now) {
-        readyBuf_.push_back(heap_.top());
-        heap_.pop();
+    while (!heap_.empty() && heap_.front().when <= now) {
+        std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
+        readyBuf_.push_back(heap_.back());
+        heap_.pop_back();
     }
     return readyBuf_;
 }
@@ -27,14 +31,13 @@ WritebackQueue::nextEventCycle() const
 {
     if (heap_.empty())
         return std::numeric_limits<Cycle>::max();
-    return heap_.top().when;
+    return heap_.front().when;
 }
 
 void
 WritebackQueue::clear()
 {
-    while (!heap_.empty())
-        heap_.pop();
+    heap_.clear();
 }
 
 } // namespace rab

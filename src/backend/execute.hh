@@ -8,7 +8,6 @@
 #ifndef RAB_BACKEND_EXECUTE_HH
 #define RAB_BACKEND_EXECUTE_HH
 
-#include <queue>
 #include <vector>
 
 #include "common/types.hh"
@@ -48,8 +47,10 @@ class WritebackQueue
     void clear();
 
   private:
-    std::priority_queue<WbEvent, std::vector<WbEvent>, std::greater<>>
-        heap_;
+    /** Min-heap on `when` under std::greater<>, kept with push_heap /
+     *  pop_heap. Same-cycle events pop in the order that heap layout
+     *  gives, which the pipeline can observe. */
+    std::vector<WbEvent> heap_;
     std::vector<WbEvent> readyBuf_; ///< popReady() scratch, reused.
 };
 
