@@ -15,6 +15,10 @@
  *   - integral/enum   sizeof(T) bytes;
  *   - float/double    IEEE bit pattern, sizeof(T) bytes;
  *   - string/vector/deque  u64 count + elements;
+ *   - vector of a non-bool integral type: the same bytes, moved with
+ *     one copy of the whole buffer on little-endian hosts (the
+ *     in-memory layout already is the encoding) and element by
+ *     element elsewhere;
  *   - array/pair      elements only (extent is part of the type);
  *   - map             u64 count + (key, value) in key order;
  *   - unordered_map/unordered_set  u64 count + entries sorted by key,
@@ -32,6 +36,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <deque>
@@ -153,6 +158,15 @@ template <class T> struct SnapIsVector : std::false_type
 {
 };
 template <class T> struct SnapIsVector<std::vector<T>> : std::true_type
+{
+};
+template <class T> struct SnapIsIntVector : std::false_type
+{
+};
+template <class T>
+struct SnapIsIntVector<std::vector<T>>
+    : std::bool_constant<std::is_integral_v<T>
+                         && !std::is_same_v<T, bool>>
 {
 };
 template <class T> struct SnapIsDeque : std::false_type
@@ -390,6 +404,14 @@ field(Ar &ar, T &v)
             if constexpr (Ar::kIsLoad)
                 v[i] = b != 0;
         }
+    } else if constexpr (SnapIsIntVector<T>::value
+                         && std::endian::native == std::endian::little) {
+        using E = typename T::value_type;
+        const std::uint64_t n = fieldCount(ar, v.size(), sizeof(E));
+        if constexpr (Ar::kIsLoad)
+            v.resize(static_cast<std::size_t>(n));
+        if (n > 0)
+            ar.bytes(v.data(), static_cast<std::size_t>(n) * sizeof(E));
     } else if constexpr (SnapIsVector<T>::value
                          || SnapIsDeque<T>::value) {
         fieldSeq(ar, v,

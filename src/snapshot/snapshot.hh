@@ -40,7 +40,7 @@ class Simulation;
 struct SimConfig;
 
 /** Snapshot payload format version (bump on any layout change). */
-inline constexpr std::uint32_t kSnapshotFormatVersion = 2;
+inline constexpr std::uint32_t kSnapshotFormatVersion = 3;
 
 /** How a snapshot is applied to a simulation. */
 enum class SnapshotRestoreMode
