@@ -26,6 +26,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -39,6 +40,8 @@
 #include "snapshot/snapshot.hh"
 #include "trace/trace.hh"
 #include "workloads/suite.hh"
+
+#include "cli_number.hh"
 
 using namespace rab;
 
@@ -97,8 +100,8 @@ usage(int code)
         "                      cre-hybrid\n"
         "                      (multi-core default: sweep the six\n"
         "                      paper configs)\n"
-        "  --cores N           simulate N cores sharing the LLC, MSHR\n"
-        "                      pool and DRAM (default 1; N > 1 and\n"
+        "  --cores N           simulate N >= 1 cores sharing the LLC,\n"
+        "                      MSHR pool and DRAM (default 1; N > 1 and\n"
         "                      --mix reject --all, --trace-out and\n"
         "                      the --snapshot-* flags)\n"
         "  --mix A,B,...       one workload per core (implies --cores\n"
@@ -128,6 +131,7 @@ usage(int code)
         "                      (RAB_CHECK_POLICY overrides)\n"
         "  --fault-seed N      fault-injection RNG seed (default 1)\n"
         "  --fault-rate P      enable injection, set every rate to P\n"
+        "                      (every rate P is in [0, 1])\n"
         "  --fault-chain-rate P       chain-cache corruption rate\n"
         "  --fault-buffer-rate P      runahead-buffer uop flip rate\n"
         "  --fault-dram-drop-rate P   DRAM response drop rate\n"
@@ -140,7 +144,7 @@ usage(int code)
         "  --profile           per-stage wall-time profile at exit\n"
         "                      (RAB_PROFILE=1 equivalent)\n"
         "  --rob N | --rs N | --buffer N | --chain-cache N |\n"
-        "  --mem-queue N | --llc BYTES     Table 1 overrides\n"
+        "  --mem-queue N | --llc BYTES     Table 1 overrides (>= 1)\n"
         "  --print-config      show the simulated system and exit\n"
         "  --list              list suite workloads and exit\n",
         code == 0 ? stdout : stderr);
@@ -186,6 +190,21 @@ parseArgs(int argc, char **argv)
             usage(2);
         return argv[++i];
     };
+    // Numeric flags take exactly one number in the documented range.
+    const auto number = [&](int &i, auto lo, auto hi) {
+        const char *flag = argv[i];
+        const char *text = next(i);
+        const auto value = parseNumber(text, lo, hi);
+        if (!value) {
+            usageError(strprintf("%s expects %s, got '%s'", flag,
+                                 numberRangeText(lo, hi).c_str(), text));
+        }
+        return *value;
+    };
+    constexpr std::uint64_t kU64Max =
+        std::numeric_limits<std::uint64_t>::max();
+    constexpr int kIntMax = std::numeric_limits<int>::max();
+    const auto rate = [&](int &i) { return number(i, 0.0, 1.0); };
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--workload")
@@ -196,7 +215,7 @@ parseArgs(int argc, char **argv)
             opts.config = parseConfig(next(i));
             opts.configSet = true;
         } else if (arg == "--cores")
-            opts.cores = std::atoi(next(i));
+            opts.cores = number(i, 1, kIntMax);
         else if (arg == "--mix") {
             std::stringstream ss(next(i));
             std::string item;
@@ -214,9 +233,9 @@ parseArgs(int argc, char **argv)
         } else if (arg == "--prefetch")
             opts.prefetch = true;
         else if (arg == "--instructions")
-            opts.instructions = std::strtoull(next(i), nullptr, 10);
+            opts.instructions = number(i, std::uint64_t{0}, kU64Max);
         else if (arg == "--warmup")
-            opts.warmup = std::strtoull(next(i), nullptr, 10);
+            opts.warmup = number(i, std::uint64_t{0}, kU64Max);
         else if (arg == "--stats")
             opts.dumpStats = true;
         else if (arg == "--json")
@@ -235,43 +254,43 @@ parseArgs(int argc, char **argv)
             opts.checkPolicy = parseCheckPolicy(next(i));
         else if (arg == "--fault-seed") {
             opts.fault.enabled = true;
-            opts.fault.seed = std::strtoull(next(i), nullptr, 10);
+            opts.fault.seed = number(i, std::uint64_t{0}, kU64Max);
         } else if (arg == "--fault-rate") {
             opts.fault.enabled = true;
-            opts.fault.setAllRates(std::atof(next(i)));
+            opts.fault.setAllRates(rate(i));
         } else if (arg == "--fault-chain-rate") {
             opts.fault.enabled = true;
-            opts.fault.chainCacheRate = std::atof(next(i));
+            opts.fault.chainCacheRate = rate(i);
         } else if (arg == "--fault-buffer-rate") {
             opts.fault.enabled = true;
-            opts.fault.bufferUopRate = std::atof(next(i));
+            opts.fault.bufferUopRate = rate(i);
         } else if (arg == "--fault-dram-drop-rate") {
             opts.fault.enabled = true;
-            opts.fault.dramDropRate = std::atof(next(i));
+            opts.fault.dramDropRate = rate(i);
         } else if (arg == "--fault-dram-delay-rate") {
             opts.fault.enabled = true;
-            opts.fault.dramDelayRate = std::atof(next(i));
+            opts.fault.dramDelayRate = rate(i);
         } else if (arg == "--fault-stall-rate") {
             opts.fault.enabled = true;
-            opts.fault.memStallRate = std::atof(next(i));
+            opts.fault.memStallRate = rate(i);
         } else if (arg == "--watchdog")
-            opts.watchdogCycles = std::strtoull(next(i), nullptr, 10);
+            opts.watchdogCycles = number(i, std::uint64_t{0}, kU64Max);
         else if (arg == "--no-fast-forward")
             opts.fastForward = false;
         else if (arg == "--profile")
             Profiler::setEnabled(true);
         else if (arg == "--rob")
-            opts.robEntries = std::atoi(next(i));
+            opts.robEntries = number(i, 1, kIntMax);
         else if (arg == "--rs")
-            opts.rsEntries = std::atoi(next(i));
+            opts.rsEntries = number(i, 1, kIntMax);
         else if (arg == "--buffer")
-            opts.bufferEntries = std::atoi(next(i));
+            opts.bufferEntries = number(i, 1, kIntMax);
         else if (arg == "--chain-cache")
-            opts.chainCacheEntries = std::atoi(next(i));
+            opts.chainCacheEntries = number(i, 1, kIntMax);
         else if (arg == "--mem-queue")
-            opts.memQueueEntries = std::atoi(next(i));
+            opts.memQueueEntries = number(i, 1, kIntMax);
         else if (arg == "--llc")
-            opts.llcBytes = std::strtoull(next(i), nullptr, 10);
+            opts.llcBytes = number(i, std::uint64_t{1}, kU64Max);
         else if (arg == "--print-config")
             opts.printConfig = true;
         else if (arg == "--list")
@@ -282,8 +301,6 @@ parseArgs(int argc, char **argv)
             usage(2);
     }
 
-    if (opts.cores < 1)
-        usageError("--cores must be at least 1");
     if (opts.cores > 1 || !opts.mixWorkloads.empty()) {
         // The multi-core driver has no snapshot, trace or whole-suite
         // path: refuse these flags rather than silently ignore them.

@@ -33,6 +33,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -44,6 +45,8 @@
 #include "sweep/report.hh"
 #include "sweep/store/result_store.hh"
 #include "workloads/suite.hh"
+
+#include "cli_number.hh"
 
 using namespace rab;
 
@@ -108,14 +111,15 @@ usage(int code)
         "  --seeds N,M         seed axis (0 = workload default)\n"
         "  --instructions N    measured instructions per point\n"
         "  --warmup N          warmup instructions per point\n"
-        "  --threads N         worker threads (default: RAB_THREADS or\n"
-        "                      all hardware threads; 1 = serial)\n"
+        "  --threads N         worker threads (default or 0: RAB_THREADS\n"
+        "                      or all hardware threads; 1 = serial)\n"
         "  --out FILE          manifest path (default BENCH_sweep.json)\n"
         "  --stdout            print the manifest instead of writing\n"
         "  --canonical         omit volatile fields (host, git, wall\n"
         "                      times) so output is byte-stable\n"
         "  --gate FILE         perf-regression gate against a baseline\n"
-        "  --gate-threshold F  max relative throughput drop (def 0.15)\n"
+        "  --gate-threshold F  max relative throughput drop, in [0, 1]\n"
+        "                      (default 0.15)\n"
         "  --write-baseline F  write a new baseline and exit\n"
         "  --no-fast-forward   disable the cycle-loop fast-forward\n"
         "                      engine in every point (debugging)\n"
@@ -135,6 +139,14 @@ usage(int code)
         "  --retry-backoff MS  base retry backoff, doubling (def 20)\n",
         code == 0 ? stdout : stderr);
     std::exit(code);
+}
+
+/** A usage error with a one-line reason (exit 2, no help text). */
+[[noreturn]] void
+usageError(const std::string &reason)
+{
+    std::fprintf(stderr, "rabsweep: %s\n", reason.c_str());
+    std::exit(2);
 }
 
 std::vector<std::string>
@@ -327,6 +339,23 @@ parseArgs(int argc, char **argv)
             usage(2);
         return argv[++i];
     };
+    // Numeric flags take exactly one number in the documented range.
+    const auto checked = [](const char *flag, const char *text, auto lo,
+                            auto hi) {
+        const auto value = parseNumber(text, lo, hi);
+        if (!value) {
+            usageError(strprintf("%s expects %s, got '%s'", flag,
+                                 numberRangeText(lo, hi).c_str(), text));
+        }
+        return *value;
+    };
+    const auto number = [&](int &i, auto lo, auto hi) {
+        const char *flag = argv[i];
+        return checked(flag, next(i), lo, hi);
+    };
+    constexpr std::uint64_t kU64Max =
+        std::numeric_limits<std::uint64_t>::max();
+    constexpr int kIntMax = std::numeric_limits<int>::max();
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--preset")
@@ -338,15 +367,16 @@ parseArgs(int argc, char **argv)
         else if (arg == "--configs")
             opts.configs = splitList(next(i));
         else if (arg == "--seeds") {
-            for (const std::string &s : splitList(next(i)))
-                opts.seeds.push_back(
-                    std::strtoull(s.c_str(), nullptr, 10));
+            for (const std::string &s : splitList(next(i))) {
+                opts.seeds.push_back(checked("--seeds", s.c_str(),
+                                             std::uint64_t{0}, kU64Max));
+            }
         } else if (arg == "--instructions")
-            opts.instructions = std::strtoull(next(i), nullptr, 10);
+            opts.instructions = number(i, std::uint64_t{0}, kU64Max);
         else if (arg == "--warmup")
-            opts.warmup = std::strtoull(next(i), nullptr, 10);
+            opts.warmup = number(i, std::uint64_t{0}, kU64Max);
         else if (arg == "--threads")
-            opts.threads = std::atoi(next(i));
+            opts.threads = number(i, 0, kIntMax);
         else if (arg == "--out")
             opts.outPath = next(i);
         else if (arg == "--stdout")
@@ -356,7 +386,7 @@ parseArgs(int argc, char **argv)
         else if (arg == "--gate")
             opts.gatePath = next(i);
         else if (arg == "--gate-threshold")
-            opts.gateThreshold = std::atof(next(i));
+            opts.gateThreshold = number(i, 0.0, 1.0);
         else if (arg == "--write-baseline")
             opts.baselineOutPath = next(i);
         else if (arg == "--snapshot-warmup")
@@ -370,9 +400,9 @@ parseArgs(int argc, char **argv)
         else if (arg == "--store")
             opts.storeDir = next(i);
         else if (arg == "--retry-limit")
-            opts.retryLimit = std::atoi(next(i));
+            opts.retryLimit = number(i, 0, kIntMax);
         else if (arg == "--retry-backoff")
-            opts.retryBackoffMs = std::atoi(next(i));
+            opts.retryBackoffMs = number(i, 0, kIntMax);
         else if (arg == "--help" || arg == "-h")
             usage(0);
         else
