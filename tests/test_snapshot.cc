@@ -72,6 +72,7 @@ struct RunCapture
     std::vector<RefCommit> trace;
     std::map<std::string, double> stats;
     std::uint64_t cycles = 0;
+    std::uint64_t llcLinesAtCapture = 0; ///< Snapshot arm only.
 };
 
 void
@@ -145,10 +146,12 @@ RunCapture
 runViaSnapshot(const SimConfig &config)
 {
     std::string payload;
+    RunCapture cap;
     {
         Simulation warm(config, buildSuiteWorkload("mcf"));
         warm.runWarmup();
         payload = captureSnapshot(warm);
+        cap.llcLinesAtCapture = warm.memory().llc().occupancy();
     }
 
     Simulation sim(config, buildSuiteWorkload("mcf"));
@@ -156,7 +159,6 @@ runViaSnapshot(const SimConfig &config)
     // Round-trip fixpoint: restored state re-captures byte-identically.
     EXPECT_EQ(captureSnapshot(sim), payload);
 
-    RunCapture cap;
     hookCommits(sim, cap);
     cap.cycles = sim.runMeasured().cycles;
     collectStats(sim, cap);
@@ -179,6 +181,169 @@ TEST(Snapshot, ExactRestoreMatchesStraightLineUnderFaults)
         expectIdentical(runViaSnapshot(config), runStraight(config),
                         rc);
     }
+}
+
+TEST(Snapshot, ExactRestoreThroughLlcEvictionsAllConfigs)
+{
+    // The 2k-instruction warmups above leave the 1 MB LLC mostly
+    // empty. A 64 KB LLC is full after this warmup, so every fill of
+    // the resumed run evicts a victim chosen from restored LRU stamps
+    // and back-invalidates its copies in the restored L1s.
+    for (const RunaheadConfig rc : kAllConfigs) {
+        SimConfig config = makeTestConfig(rc, false);
+        config.warmupInstructions = 50'000;
+        config.mem.llc.sizeBytes = 64 * 1024;
+        const RunCapture snap = runViaSnapshot(config);
+        EXPECT_EQ(snap.llcLinesAtCapture,
+                  config.mem.llc.sizeBytes / config.mem.llc.lineBytes)
+            << runaheadConfigName(rc);
+        expectIdentical(snap, runStraight(config), rc);
+    }
+}
+
+TEST(Snapshot, CorruptPayloadNeverCrashesRestore)
+{
+    // Flip one byte at a fixed stride through every section and
+    // restore each copy into a fresh simulation. A copy may restore
+    // (most bytes are plain values) or be rejected, but only ever with
+    // SnapshotError: counts are checked against the bytes left, and
+    // the cache and BTB indices and the ROB head and size against the
+    // restoring simulation's geometry, so no corrupt payload writes
+    // out of bounds (CI runs this under ASan+UBSan). The CRE config
+    // under faults fills every section, and omnetpp leaves valid BTB
+    // entries.
+    SimConfig config = makeTestConfig(RunaheadConfig::kCRE, true);
+    config.mem.llc.sizeBytes = 64 * 1024;
+    const Program program = buildSuiteWorkload("omnetpp");
+    std::string payload;
+    {
+        Simulation warm(config, program);
+        warm.runWarmup();
+        payload = captureSnapshot(warm);
+    }
+
+    // Payload header: 8-byte magic + u32 version; then sections of
+    // u32 tag + u64 length + body.
+    constexpr std::size_t kStride = 31;
+    std::size_t sections = 0;
+    std::size_t restored = 0;
+    std::size_t rejected = 0;
+    for (std::size_t begin = 12; begin < payload.size(); ++sections) {
+        std::uint64_t len = 0;
+        for (std::size_t b = 0; b < 8; ++b) {
+            len |= std::uint64_t(std::uint8_t(payload[begin + 4 + b]))
+                << (8 * b);
+        }
+        const std::size_t end = begin + 12 + len;
+        ASSERT_LE(end, payload.size());
+        for (std::size_t at = begin; at < end; at += kStride) {
+            std::string corrupt = payload;
+            corrupt[at] = static_cast<char>(corrupt[at] ^ 0xff);
+            Simulation sim(config, program);
+            try {
+                restoreSnapshot(sim, corrupt, SnapshotRestoreMode::kExact);
+                ++restored;
+            } catch (const SnapshotError &) {
+                ++rejected;
+            }
+        }
+        begin = end;
+    }
+    EXPECT_EQ(sections, 6u);
+    EXPECT_GT(restored, 0u);
+    EXPECT_GT(rejected, 0u);
+}
+
+/** A baseline-warmup image and the ROB state it captured. */
+struct RobImage
+{
+    std::string payload;
+    int robHead = 0;
+    int robSize = 0;
+};
+
+RobImage
+captureRobImage(const SimConfig &config, const char *workload)
+{
+    Simulation warm(config, buildSuiteWorkload(workload));
+    warm.runWarmup();
+    RobImage image;
+    image.payload = captureSnapshot(warm);
+    // A baseline warmup never flushes the ROB, so its head slot is the
+    // retired-uop count modulo the capacity; the checker's state dump
+    // reads "..., rob <size>/<capacity>, ...".
+    image.robHead =
+        static_cast<int>(warm.core().retired() % config.core.robEntries);
+    const std::string dump = warm.core().checker().stateDump();
+    const std::size_t at = dump.find(", rob ");
+    if (at != std::string::npos)
+        image.robSize = std::stoi(dump.substr(at + 6));
+    return image;
+}
+
+/** Restore @p image into a fresh @p small simulation after forging
+ *  the image's config digest to match it; the error kind, if any. */
+SnapshotErrorKind
+restoreForged(const RobImage &image, const char *workload,
+              const SimConfig &small)
+{
+    // META's body starts after the 12-byte payload header and the
+    // 12-byte section header: u32 formatVersion, u64 configDigest.
+    std::string forged = image.payload;
+    const std::uint64_t digest = snapshotConfigDigest(small);
+    for (std::size_t b = 0; b < 8; ++b)
+        forged[28 + b] = static_cast<char>(digest >> (8 * b));
+    Simulation sim(small, buildSuiteWorkload(workload));
+    try {
+        restoreSnapshot(sim, forged, SnapshotRestoreMode::kExact);
+    } catch (const SnapshotError &e) {
+        return e.kind();
+    }
+    ADD_FAILURE() << "image of a larger machine accepted";
+    return SnapshotErrorKind::kIo;
+}
+
+TEST(Snapshot, SmallerTablesRejectLargerImage)
+{
+    // The decoders bound every restored index by the restoring
+    // simulation's own geometry. An image of the default machine,
+    // with its config digest forged to pass the identity gate of a
+    // machine with a smaller BTB, LLC or ROB, must be refused as
+    // kFormat before it writes past the smaller table. omnetpp's BTB
+    // holds entries at indices 19, 38, 57 and 78 after this warmup.
+    const SimConfig config =
+        makeTestConfig(RunaheadConfig::kBaseline, false);
+    const RobImage omnetpp = captureRobImage(config, "omnetpp");
+    const RobImage mcf = captureRobImage(config, "mcf");
+
+    SimConfig small = config;
+    small.core.bp.btbEntries = 16;
+    EXPECT_EQ(restoreForged(omnetpp, "omnetpp", small),
+              SnapshotErrorKind::kFormat);
+    small = config;
+    small.mem.llc.sizeBytes = 64 * 1024;
+    EXPECT_EQ(restoreForged(omnetpp, "omnetpp", small),
+              SnapshotErrorKind::kFormat);
+
+    // Only the ROB head out of range: the live entries fit the smaller
+    // ROB, and the head lies at twice its capacity or beyond, so an
+    // unchecked restore would write past the ring from the first
+    // entry on.
+    small = config;
+    small.core.robEntries = omnetpp.robSize;
+    ASSERT_GE(omnetpp.robSize, 1);
+    ASSERT_GE(omnetpp.robHead, 2 * small.core.robEntries);
+    EXPECT_EQ(restoreForged(omnetpp, "omnetpp", small),
+              SnapshotErrorKind::kFormat);
+
+    // Only the ROB size out of range: the head fits, and the live
+    // entries run past twice the capacity, where a single wrap no
+    // longer lands inside the ring.
+    small = config;
+    small.core.robEntries = mcf.robHead + 1;
+    ASSERT_GE(mcf.robHead + mcf.robSize - 1, 2 * small.core.robEntries);
+    EXPECT_EQ(restoreForged(mcf, "mcf", small),
+              SnapshotErrorKind::kFormat);
 }
 
 TEST(Snapshot, MetaDescribesCapturePoint)
@@ -388,10 +553,25 @@ TEST_F(SnapshotFileTest, RejectsWrongMagic)
 
 TEST_F(SnapshotFileTest, RejectsWrongVersion)
 {
-    std::string raw = readRaw();
-    raw[8] = 99; // Version u32 sits right after the 8-byte magic.
-    writeRaw(raw);
-    EXPECT_EQ(readKind(), SnapshotErrorKind::kVersion);
+    // The version u32 sits right after the 8-byte magic, in the file
+    // frame and in the payload alike. Images of the previous format
+    // (dense tables) are version skew too.
+    const std::string good = readRaw();
+    for (const std::uint32_t version : {99u, kSnapshotFormatVersion - 1}) {
+        std::string raw = good;
+        raw[8] = static_cast<char>(version);
+        writeRaw(raw);
+        EXPECT_EQ(readKind(), SnapshotErrorKind::kVersion) << version;
+
+        std::string payload = payload_;
+        payload[8] = static_cast<char>(version);
+        try {
+            peekSnapshotMeta(payload);
+            ADD_FAILURE() << "payload version " << version << " accepted";
+        } catch (const SnapshotError &e) {
+            EXPECT_EQ(e.kind(), SnapshotErrorKind::kVersion) << version;
+        }
+    }
 }
 
 TEST_F(SnapshotFileTest, RejectsMissingFile)

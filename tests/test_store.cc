@@ -487,6 +487,12 @@ TEST(ResultStore, SnapshotRecordsRoundTrip)
     EXPECT_EQ(*back, payload);
     EXPECT_EQ(store.snapshotHits(), 1u);
 
+    // The key carries the snapshot format version, so an image stored
+    // by another format never hits and is rebuilt.
+    SnapshotStoreKey other_format = key;
+    ++other_format.formatVersion;
+    EXPECT_EQ(store.lookupSnapshot(other_format), std::nullopt);
+
     // Result records and snapshot records share a root without
     // colliding (different subdirectories, different magic).
     const CampaignSpec spec = storeSpec();
