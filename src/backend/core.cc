@@ -229,26 +229,6 @@ Core::tick()
     }
 }
 
-void
-Core::run(std::uint64_t max_instructions, std::uint64_t max_cycles)
-{
-    const std::uint64_t target = retired_ + max_instructions;
-    const Cycle cycle_limit = cycle_ + max_cycles;
-    while (retired_ < target && cycle_ < cycle_limit) {
-        tick();
-        // Only look for a skippable window from a fully-stalled tick
-        // (see fastForwardEligible): this gate can shorten a window by
-        // at most one extra real tick, never change behaviour.
-        if (!fastForwardEligible())
-            continue;
-        Cycle horizon = proposeFastForward();
-        if (horizon > cycle_limit)
-            horizon = cycle_limit;
-        if (horizon > cycle_ + 1)
-            applyFastForward(horizon);
-    }
-}
-
 Cycle
 Core::proposeFastForward()
 {

@@ -62,8 +62,8 @@ struct CoreConfig
     std::uint64_t deadlockCycles = 2'000'000;
     bool collectChainAnalysis = false;
 
-    /** Skip fully-stalled cycle windows in run() by jumping straight
-     *  to the next pipeline event (see Core::fastForwardHorizon).
+    /** Skip fully-stalled cycle windows by jumping straight to the
+     *  next pipeline event (see Core::fastForwardHorizon).
      *  Certified behaviour-preserving by tests/test_fastforward.cc;
      *  disable (--no-fast-forward) for differential debugging. */
     bool fastForward = true;
@@ -99,13 +99,8 @@ class Core
     /** Advance one cycle. */
     void tick();
 
-    /** Run until @p max_instructions retire or @p max_cycles elapse. */
-    void run(std::uint64_t max_instructions, std::uint64_t max_cycles);
-
-    /** @{ External-driver interface. run() is written in terms of
-     *  these three calls, so a lockstep multi-core driver
-     *  (MultiSimulation) interleaving several cores reproduces the
-     *  single-core control flow exactly: tick, then — only from a
+    /** @{ Driver interface. Simulation's lockstep loop drives every
+     *  core through these calls: tick, then — only from a
      *  fully-stalled tick — propose a skip horizon and apply it. */
     /** A fast-forward window may only open from a fully-stalled tick;
      *  an active tick is near-certain to fail the quiescence checks
@@ -243,11 +238,12 @@ class Core
     bool inRunahead() const { return runaheadCtrl_.inRunahead(); }
     RunaheadMode mode() const { return runaheadCtrl_.mode(); }
 
-    /** @{ Fast-forward engine (see run()). The horizon query proves
-     *  the core quiescent at cycle_ and returns the earliest cycle at
-     *  which any pipeline event can occur (0: not quiescent, tick
-     *  normally); fastForwardTo() jumps there, bulk-replicating every
-     *  per-cycle statistic the skipped ticks would have produced. */
+    /** @{ Fast-forward engine (see proposeFastForward()). The
+     *  horizon query proves the core quiescent at cycle_ and returns
+     *  the earliest cycle at which any pipeline event can occur (0:
+     *  not quiescent, tick normally); fastForwardTo() jumps there,
+     *  bulk-replicating every per-cycle statistic the skipped ticks
+     *  would have produced. */
     Cycle fastForwardHorizon();
     void fastForwardTo(Cycle target);
     /** @} */

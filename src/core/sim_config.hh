@@ -65,9 +65,8 @@ struct SimConfig
     std::uint64_t instructions = 100'000;
     std::uint64_t maxCycles = 400'000'000;
 
-    /** @{ Multi-core simulation (MultiSimulation). numCores == 1
-     *  drives one core exactly like Simulation does — certified
-     *  byte-identical by tests/test_multicore.cc. */
+    /** @{ Core count: Simulation takes one Program per core, and
+     *  numCores == 1 is the paper's single-core system. */
     int numCores = 1;
 
     /** Per-core runahead policy override, indexed by core id; empty

@@ -10,34 +10,24 @@
 namespace rab
 {
 
-MemorySystem::MemorySystem(const MemSysConfig &config)
-    : config_(config), l1i_(config.l1i), l1d_(config.l1d),
-      ownedShared_(std::make_unique<SharedMemory>(config, 1)),
-      shared_(ownedShared_.get()), statGroup_("mem")
-{
-    shared_->attach(this);
-    regStats(/*attached=*/false);
-    shared_->regComponentStats(&statGroup_);
-}
-
 MemorySystem::MemorySystem(const MemSysConfig &config,
                            SharedMemory &shared, int core_id)
     : config_(config), l1i_(config.l1i), l1d_(config.l1d),
       shared_(&shared), coreId_(core_id),
       addrBase_(static_cast<Addr>(core_id) << kCoreAddrShift),
-      attached_(true), statGroup_("mem")
+      multiCore_(shared.numCores() > 1), statGroup_("mem")
 {
     if (core_id < 0 || core_id >= shared.numCores())
         panic("MemorySystem: core id %d outside shared range %d",
               core_id, shared.numCores());
     shared_->attach(this);
-    regStats(/*attached=*/true);
+    regStats();
 }
 
 MemorySystem::~MemorySystem() = default;
 
 void
-MemorySystem::regStats(bool attached)
+MemorySystem::regStats()
 {
     statGroup_.addCounter("demand_loads", &demandLoads, "demand loads");
     statGroup_.addCounter("demand_stores", &demandStores, "demand stores");
@@ -59,7 +49,7 @@ MemorySystem::regStats(bool attached)
                           "accesses that exhausted the retry budget");
     statGroup_.addCounter("queue_fault_stalls", &queueFaultStalls,
                           "rejections from injected queue stall windows");
-    if (attached) {
+    if (multiCore_) {
         // Contention counters exist only in the multi-core stat
         // payload; the single-core layout predates them and is pinned
         // by the N=1 differential test.
@@ -84,6 +74,11 @@ MemorySystem::regStats(bool attached)
     }
     l1i_.regStats(&statGroup_);
     l1d_.regStats(&statGroup_);
+    // A one-core chip keeps the shared components under "mem"; a
+    // larger chip publishes them once, in the simulation's "shared"
+    // group (SharedMemory::regSharedStats).
+    if (!multiCore_)
+        shared_->regComponentStats(&statGroup_);
 }
 
 std::size_t
@@ -129,7 +124,7 @@ MemorySystem::access(AccessType type, Addr addr, Cycle now,
     AccessResult result;
     if (engine_)
         engine_->advanceTo(now);
-    if (attached_ && (addr >> kCoreAddrShift) != 0) {
+    if (multiCore_ && (addr >> kCoreAddrShift) != 0) {
         // Namespacing boundary: an address already using the core-id
         // bits (runahead garbage values, corrupted state) would alias
         // another core's slice after rebasing. Mask and count it.

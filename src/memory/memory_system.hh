@@ -12,11 +12,14 @@
  * misses in flight — requests beyond it are rejected and retried by the
  * core, which is what bounds achievable MLP.
  *
- * A default-constructed MemorySystem owns a private SharedMemory (the
- * single-core hierarchy, byte-identical to the pre-split model). The
- * attached form plugs the core into an external SharedMemory under a
- * core id; its addresses are namespaced with that id (see
- * kCoreAddrShift) and it gains the per-core contention counters.
+ * Every MemorySystem plugs one core into a SharedMemory under a core
+ * id; its addresses are namespaced with that id (see kCoreAddrShift).
+ * The SharedMemory's core count decides the rest: on a chip of more
+ * than one core the view registers the per-core contention counters
+ * and masks addresses that reach into the core-id bits, and the
+ * shared components' stats belong to the caller's chip-wide group; on
+ * a one-core chip it does neither and registers the shared components
+ * under its own "mem" group (the single-core stat layout).
  */
 
 #ifndef RAB_MEMORY_MEMORY_SYSTEM_HH
@@ -85,12 +88,9 @@ class MemorySystem
 {
     friend struct SnapshotAccess; ///< src/snapshot serializer.
   public:
-    /** Single-core form: owns its SharedMemory privately. */
-    explicit MemorySystem(const MemSysConfig &config);
-
-    /** Multi-core form: core @p core_id's private L1s in front of an
-     *  external @p shared hierarchy. Cores must be constructed in
-     *  core-id order (each constructor attaches to @p shared). */
+    /** Core @p core_id's private L1s in front of @p shared, which
+     *  must outlive this view. Cores must be constructed in core-id
+     *  order (each constructor attaches to @p shared). */
     MemorySystem(const MemSysConfig &config, SharedMemory &shared,
                  int core_id);
 
@@ -139,19 +139,19 @@ class MemorySystem
     }
     GhbPrefetcher &ghbPrefetcher() { return shared_->ghbPrefetcher(); }
 
-    /** The shared half of the hierarchy (owned or external). */
+    /** The shared half of the hierarchy. */
     SharedMemory &shared() { return *shared_; }
     const SharedMemory &shared() const { return *shared_; }
 
-    /** This core's id (0 in the single-core form). */
+    /** This core's id (0 on a one-core chip). */
     int coreId() const { return coreId_; }
 
     /** Rebase an architectural address into this core's namespaced
      *  slice of the shared address space (identity for core 0). */
     Addr rebase(Addr addr) const { return addr | addrBase_; }
 
-    /** Total DRAM requests (reads + writebacks); Figure 16's metric.
-     *  Chip-wide in the multi-core form. */
+    /** Total DRAM requests (reads + writebacks) of the whole chip;
+     *  Figure 16's metric. */
     std::uint64_t dramRequests() const;
 
     /** @{ Statistics. */
@@ -170,9 +170,8 @@ class MemorySystem
                               ///< memory-queue stall window.
     /** @} */
 
-    /** @{ Contention statistics, meaningful (and registered) only in
-     *  the attached multi-core form; a single core keeps them at
-     *  zero so the legacy stat payload is unchanged. */
+    /** @{ Contention statistics, registered only on a chip of more
+     *  than one core; a single core leaves them out of its payload. */
     Counter llcEvictedByOthers;     ///< My LLC lines evicted by peers.
     Counter bankConflicts;          ///< My DRAM reads that waited for a
                                     ///< busy bank or bus.
@@ -215,8 +214,8 @@ class MemorySystem
      */
     EnginePrefetchResult enginePrefetchLine(Addr vaddr, Cycle now);
 
-    /** Demand addresses (attached form) whose bits ≥ kCoreAddrShift
-     *  were masked at the namespacing boundary. */
+    /** Demand addresses (chips of more than one core) whose bits
+     *  ≥ kCoreAddrShift were masked at the namespacing boundary. */
     Counter addrHighMasked;
 
   private:
@@ -225,19 +224,21 @@ class MemorySystem
     /** Per-level in-flight fill tracking. */
     using PendingMap = std::unordered_map<Addr, Cycle>;
 
-    /** Shared counter + L1 registration (both constructors). */
-    void regStats(bool attached);
+    /** Counter, L1 and (one-core chip) shared-component
+     *  registration. */
+    void regStats();
 
     MemSysConfig config_;
     Cache l1i_;
     Cache l1d_;
 
-    std::unique_ptr<SharedMemory> ownedShared_;
     SharedMemory *shared_;
     std::unique_ptr<ChainEngine> engine_;
     int coreId_ = 0;
     Addr addrBase_ = 0;
-    bool attached_ = false;
+    /** The chip has more than one core: contention counters and
+     *  namespacing-boundary masking are live. */
+    bool multiCore_ = false;
 
     PendingMap l1iPending_;
     PendingMap l1dPending_;

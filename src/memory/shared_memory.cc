@@ -63,8 +63,8 @@ SharedMemory::ownerOf(Addr line_addr) const
         static_cast<std::size_t>(line_addr >> kCoreAddrShift);
     if (id >= cores_.size()) {
         // Clamps indicate corrupted state upstream of the namespacing
-        // boundary; they must never happen silently (satellite of the
-        // attached-mode masking fix — see MemorySystem::access).
+        // boundary; they must never happen silently (see the
+        // multi-core masking in MemorySystem::access).
         ++ownerClamps;
         return *cores_[id % cores_.size()];
     }

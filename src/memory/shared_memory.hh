@@ -5,16 +5,14 @@
  * the DDR3 channel/bank state, and the prefetchers that train on LLC
  * demand traffic.
  *
- * A single-core MemorySystem owns a private SharedMemory internally —
- * the split is pure code motion and the single-core path is certified
- * byte-identical to the pre-split hierarchy. Multi-core simulations
- * build one SharedMemory and attach one MemorySystem (private L1s,
- * per-core counters) per core; cores contend for memory-queue slots,
- * DRAM banks and LLC capacity exactly the way a single core contends
- * with its own prefetcher.
+ * A Simulation builds one SharedMemory and attaches one MemorySystem
+ * (private L1s, per-core counters) per core; a single core is simply a
+ * chip of one. Cores contend for memory-queue slots, DRAM banks and
+ * LLC capacity exactly the way a single core contends with its own
+ * prefetcher.
  *
  * Cores are kept architecturally disjoint by address namespacing: each
- * attached MemorySystem rebases its addresses with its core id in the
+ * MemorySystem rebases its addresses with its core id in the
  * top bits (see kCoreAddrShift), so two cores never alias a line while
  * still colliding in LLC sets and DRAM banks — the contention the
  * multi-core model exists to measure. The namespaced address also
@@ -51,9 +49,10 @@ struct MemSysConfig;
 constexpr int kCoreAddrShift = 48;
 
 /** Mask selecting the architectural (pre-namespacing) address bits.
- *  Addresses presented to an attached MemorySystem must fit below the
- *  core-id field; anything above is masked at the namespacing boundary
- *  (and counted) so it can never alias another core's slice. */
+ *  Addresses presented to a MemorySystem on a chip of more than one
+ *  core must fit below the core-id field; anything above is masked at
+ *  the namespacing boundary (and counted) so it can never alias
+ *  another core's slice. */
 constexpr Addr kCoreAddrMask = (Addr{1} << kCoreAddrShift) - 1;
 
 struct EnginePrefetchResult;
@@ -105,9 +104,9 @@ class SharedMemory
 
     /**
      * Register the shared components' stats into @p parent in the
-     * legacy single-core order (llc, dram, prefetchers). The owning
-     * single-core MemorySystem calls this with its own "mem" group so
-     * the pre-split stat layout is preserved byte-for-byte.
+     * legacy single-core order (llc, dram, prefetchers). On a one-core
+     * chip the MemorySystem calls this with its own "mem" group so the
+     * single-core stat layout is preserved byte-for-byte.
      */
     void regComponentStats(StatGroup *parent);
 

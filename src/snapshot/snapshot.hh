@@ -66,12 +66,14 @@ struct SnapshotMeta
     bool enginePresent = false; ///< Chain-engine section present.
 };
 
-/** Serialize the complete simulation state to a payload string. */
+/** Serialize the complete simulation state to a payload string. An
+ *  image holds one core: throws SnapshotError(kMismatch) when @p sim
+ *  has more than one. */
 std::string captureSnapshot(Simulation &sim);
 
-/** Apply @p payload to @p sim. Throws SnapshotError on any mismatch,
- *  corruption or format problem; @p sim must then be discarded (it may
- *  be partially overwritten). */
+/** Apply @p payload to @p sim. Throws SnapshotError on any mismatch
+ *  (a multi-core @p sim included), corruption or format problem;
+ *  @p sim must then be discarded (it may be partially overwritten). */
 void restoreSnapshot(Simulation &sim, const std::string &payload,
                      SnapshotRestoreMode mode);
 

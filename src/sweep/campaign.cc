@@ -14,7 +14,6 @@
 
 #include "checker/invariant_checker.hh"
 #include "common/logging.hh"
-#include "core/multi_sim.hh"
 #include "fault/watchdog.hh"
 #include "snapshot/snapshot.hh"
 #include "sweep/report.hh"
@@ -189,19 +188,17 @@ CampaignResult::simulatedCycles() const
 namespace
 {
 
-/** Workload parameters for @p point (seed 0 = workload default). */
-WorkloadParams
-pointWorkloadParams(const SweepPoint &point)
+/** Suite workload @p name under @p seed (0 = workload default). */
+Program
+buildPointWorkload(const std::string &name, std::uint64_t seed)
 {
-    const WorkloadSpec *workload = findWorkload(point.workload);
-    if (!workload) {
-        throw std::runtime_error("unknown workload '" + point.workload
-                                 + "'");
-    }
+    const WorkloadSpec *workload = findWorkload(name);
+    if (!workload)
+        throw std::runtime_error("unknown workload '" + name + "'");
     WorkloadParams params = workload->params;
-    if (point.seed != 0)
-        params.seed = point.seed;
-    return params;
+    if (seed != 0)
+        params.seed = seed;
+    return buildWorkload(params);
 }
 
 /**
@@ -231,7 +228,7 @@ std::string
 buildWarmupImage(const CampaignSpec &spec, const SweepPoint &point)
 {
     Simulation sim(warmupImageConfig(spec, point),
-                   buildWorkload(pointWorkloadParams(point)));
+                   buildPointWorkload(point.workload, point.seed));
     sim.runWarmup();
     return captureSnapshot(sim);
 }
@@ -269,67 +266,37 @@ runPoint(const CampaignSpec &spec, const SweepPoint &point,
         if (spec.configHook)
             spec.configHook(point.index, config);
 
-        if (point.isMix()) {
-            std::vector<Program> programs;
-            programs.reserve(point.mixWorkloads.size());
-            for (const std::string &name : point.mixWorkloads) {
-                const WorkloadSpec *workload = findWorkload(name);
-                if (!workload) {
-                    throw std::runtime_error("unknown workload '"
-                                             + name + "'");
-                }
-                WorkloadParams params = workload->params;
-                if (point.seed != 0)
-                    params.seed = point.seed;
-                programs.push_back(buildWorkload(params));
-            }
-            MultiSimulation sim(config, std::move(programs));
-            const MultiSimResult multi = sim.run();
-            // PointResult carries one SimResult: synthesise the
-            // chip-level view (per-core results live in the stats
-            // payload under core<i>.* and shared.*).
-            pr.result.workload = point.workload;
-            pr.result.config = point.runahead;
-            pr.result.prefetch = point.prefetch;
-            pr.result.instructions = multi.instructions;
-            pr.result.cycles = multi.cycles;
-            pr.result.ipc = multi.throughputIpc;
-            pr.result.energy = multi.energy;
-            for (const SimResult &core : multi.cores) {
-                pr.result.runaheadIntervals += core.runaheadIntervals;
-                pr.result.dramRequests += core.dramRequests;
-                pr.result.faultsInjected += core.faultsInjected;
-                pr.result.watchdogRecoveries += core.watchdogRecoveries;
-                pr.result.degradeSteps += core.degradeSteps;
-            }
-            pr.stats = multi.stats;
-        } else {
-            const WorkloadParams params = pointWorkloadParams(point);
+        // One program per core: the mix's workloads, or the point's.
+        const std::vector<std::string> single = {point.workload};
+        const std::vector<std::string> &names =
+            point.isMix() ? point.mixWorkloads : single;
+        const auto programs = [&] {
+            std::vector<Program> out;
+            out.reserve(names.size());
+            for (const std::string &name : names)
+                out.push_back(buildPointWorkload(name, point.seed));
+            return out;
+        };
 
-            std::optional<Simulation> sim;
-            sim.emplace(config, buildWorkload(params));
-            if (warmup_image && !spec.configHook) {
-                try {
-                    restoreSnapshot(*sim, *warmup_image,
-                                    SnapshotRestoreMode::kFork);
-                    pr.snapshotWarmed = true;
-                } catch (const SnapshotError &e) {
-                    // Straight-line fallback: a bad image costs one
-                    // inline warmup, never a failed point. The sim may
-                    // be partially overwritten — rebuild it.
-                    warn("sweep: snapshot restore failed for point "
-                         "%zu (%s): falling back to inline warmup",
-                         point.index, e.what());
-                    sim.emplace(config, buildWorkload(params));
-                }
+        std::optional<Simulation> sim;
+        sim.emplace(config, programs());
+        if (warmup_image && !spec.configHook) {
+            try {
+                restoreSnapshot(*sim, *warmup_image,
+                                SnapshotRestoreMode::kFork);
+                pr.snapshotWarmed = true;
+            } catch (const SnapshotError &e) {
+                // Straight-line fallback: a bad image costs one inline
+                // warmup, never a failed point. The sim may be
+                // partially overwritten — rebuild it.
+                warn("sweep: snapshot restore failed for point %zu "
+                     "(%s): falling back to inline warmup",
+                     point.index, e.what());
+                sim.emplace(config, programs());
             }
-            pr.result =
-                pr.snapshotWarmed ? sim->runMeasured() : sim->run();
-            pr.stats = sim->core().stats().collect();
-            for (const auto &[name, value] :
-                 sim->memory().stats().collect())
-                pr.stats.emplace(name, value);
         }
+        pr.result = pr.snapshotWarmed ? sim->runMeasured() : sim->run();
+        pr.stats = sim->statPayload();
         pr.ok = true;
     } catch (const WatchdogTimeout &e) {
         pr.error = strprintf(
@@ -615,9 +582,7 @@ runCampaign(const CampaignSpec &spec, int threads,
     // One shared warmup image per (workload, seed, prefetch) group of
     // single-core points; built lazily by whichever worker reaches
     // the group first.
-    std::unique_ptr<WarmupImageCache> warmup_cache;
-    if (snapshot_mode && !options.snapshotNoShare)
-        warmup_cache = std::make_unique<WarmupImageCache>(store, git_sha);
+    WarmupImageCache warmup_cache(store, git_sha);
 
     const std::atomic<bool> *stop = options.stop;
     const auto stopped = [stop] { return stop && stop->load(); };
@@ -632,22 +597,8 @@ runCampaign(const CampaignSpec &spec, int threads,
 
         const std::string *image = nullptr;
         std::string snapshot_id;
-        std::string local_payload; // snapshotNoShare per-point image.
-        if (snapshot_mode && !point.isMix()) {
-            if (options.snapshotNoShare) {
-                try {
-                    local_payload = buildWarmupImage(spec, point);
-                    snapshot_id = warmupSnapshotId(local_payload);
-                    image = &local_payload;
-                } catch (const std::exception &e) {
-                    warn("sweep: warmup image build failed for point "
-                         "%zu (%s): inline warmup",
-                         index, e.what());
-                }
-            } else {
-                image = warmup_cache->get(spec, point, snapshot_id);
-            }
-        }
+        if (snapshot_mode)
+            image = warmup_cache.get(spec, point, snapshot_id);
 
         PointResult pr;
         if (store) {

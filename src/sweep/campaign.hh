@@ -95,7 +95,7 @@ struct CampaignSpec
     std::vector<std::uint64_t> seeds{0};  ///< 0: workload default seed.
 
     /** Multi-core mix axis, expanded after `workloads` (each mix x
-     *  variants x seeds). A mix point runs a MultiSimulation with one
+     *  variants x seeds). A mix point runs a Simulation with one
      *  core per mix entry sharing the LLC/MSHRs/DRAM; its variant's
      *  corePolicies (when set) give each core its own runahead
      *  policy. */
@@ -183,7 +183,7 @@ struct PointResult
     bool ok = false;
     std::string error; ///< Diagnostic when !ok.
     SimResult result;  ///< Valid only when ok.
-    /** Flattened core+memory StatGroup payload (dotted names). */
+    /** The point's Simulation::statPayload() (dotted names). */
     std::map<std::string, double> stats;
     double wallSeconds = 0;
     bool ran = false;    ///< False: interrupted before this point ran.
@@ -250,15 +250,6 @@ struct CampaignRunOptions
      * order, after a fresh result has been persisted to the store.
      */
     std::function<void(const PointResult &point)> onPoint;
-
-    /**
-     * With spec.snapshotWarmup: build a private warmup image per
-     * point instead of sharing one per group. Results are identical
-     * by construction (same fork semantics, same image content) —
-     * this is the benchmark control arm that isolates what sharing
-     * buys, not a mode anyone should run for real.
-     */
-    bool snapshotNoShare = false;
 };
 
 /**
@@ -292,8 +283,7 @@ bool isRetryableFailure(const std::string &error);
  * Warm one baseline-policy simulation of @p point's (workload, seed,
  * prefetch) group under @p spec's budgets and capture it — the image
  * every variant of the group forks from. Throws on any build, run or
- * capture failure. runCampaign shares one image per group (or, with
- * snapshotNoShare, builds one per point).
+ * capture failure. runCampaign shares one image per group.
  */
 std::string buildWarmupImage(const CampaignSpec &spec,
                              const SweepPoint &point);

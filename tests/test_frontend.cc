@@ -29,8 +29,8 @@ loopProgram()
 struct FrontendFixture : ::testing::Test
 {
     FrontendFixture()
-        : program(loopProgram()), mem(MemSysConfig{}),
-          bp(BranchPredictorConfig{}),
+        : program(loopProgram()), shared(MemSysConfig{}, 1),
+          mem(MemSysConfig{}, shared, 0), bp(BranchPredictorConfig{}),
           fe(FrontendConfig{}, &program, &bp, &mem)
     {
     }
@@ -47,6 +47,7 @@ struct FrontendFixture : ::testing::Test
     }
 
     Program program;
+    SharedMemory shared;
     MemorySystem mem;
     BranchPredictor bp;
     Frontend fe;
@@ -127,7 +128,8 @@ TEST_F(FrontendFixture, QueueCapacityBoundsFetch)
 TEST(Frontend, EmptyProgramFatal)
 {
     Program empty("empty");
-    MemorySystem mem{MemSysConfig{}};
+    SharedMemory shared(MemSysConfig{}, 1);
+    MemorySystem mem(MemSysConfig{}, shared, 0);
     BranchPredictor bp{BranchPredictorConfig{}};
     EXPECT_DEATH(Frontend(FrontendConfig{}, &empty, &bp, &mem),
                  "empty program");

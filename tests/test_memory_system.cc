@@ -18,9 +18,22 @@ config()
     return MemSysConfig{};
 }
 
+/** A one-core chip: the hierarchy behind every single-core run. */
+struct OneCore
+{
+    explicit OneCore(const MemSysConfig &cfg)
+        : shared(cfg, 1), mem(cfg, shared, 0)
+    {
+    }
+
+    SharedMemory shared;
+    MemorySystem mem;
+};
+
 TEST(MemorySystem, L1HitLatency)
 {
-    MemorySystem mem(config());
+    OneCore chip(config());
+    MemorySystem &mem = chip.mem;
     const AccessResult miss = mem.access(AccessType::kLoad, 0x1000, 0);
     EXPECT_TRUE(miss.l1Miss);
     EXPECT_TRUE(miss.llcMiss);
@@ -35,7 +48,8 @@ TEST(MemorySystem, L1HitLatency)
 
 TEST(MemorySystem, LlcHitAfterL1Eviction)
 {
-    MemorySystem mem(config());
+    OneCore chip(config());
+    MemorySystem &mem = chip.mem;
     const AccessResult first = mem.access(AccessType::kLoad, 0x0, 0);
     const Cycle t = first.readyCycle + 1;
     // Evict line 0 from the 32 KB 8-way L1 by filling its set: L1 set
@@ -55,7 +69,8 @@ TEST(MemorySystem, LlcHitAfterL1Eviction)
 
 TEST(MemorySystem, MshrMergeSharesInFlightFill)
 {
-    MemorySystem mem(config());
+    OneCore chip(config());
+    MemorySystem &mem = chip.mem;
     const AccessResult a = mem.access(AccessType::kLoad, 0x2000, 0);
     ASSERT_TRUE(a.llcMiss);
     const AccessResult b = mem.access(AccessType::kLoad, 0x2008, 1);
@@ -69,7 +84,8 @@ TEST(MemorySystem, MemQueueLimitRejects)
 {
     MemSysConfig cfg = config();
     cfg.memQueueEntries = 4;
-    MemorySystem mem(cfg);
+    OneCore chip(cfg);
+    MemorySystem &mem = chip.mem;
     int accepted = 0;
     int rejected = 0;
     for (int i = 0; i < 8; ++i) {
@@ -87,7 +103,8 @@ TEST(MemorySystem, RunaheadReservationLeavesDemandRoom)
     MemSysConfig cfg = config();
     cfg.memQueueEntries = 8;
     cfg.runaheadQueueReserve = 4;
-    MemorySystem mem(cfg);
+    OneCore chip(cfg);
+    MemorySystem &mem = chip.mem;
     // Runahead may take only 4 of the 8 slots.
     int accepted = 0;
     for (int i = 0; i < 8; ++i) {
@@ -104,7 +121,8 @@ TEST(MemorySystem, RunaheadReservationLeavesDemandRoom)
 
 TEST(MemorySystem, OutstandingMissesDrain)
 {
-    MemorySystem mem(config());
+    OneCore chip(config());
+    MemorySystem &mem = chip.mem;
     const AccessResult r = mem.access(AccessType::kLoad, 0x3000, 0);
     EXPECT_EQ(mem.outstandingMisses(1), 1u);
     EXPECT_EQ(mem.outstandingMisses(r.readyCycle), 0u);
@@ -112,7 +130,8 @@ TEST(MemorySystem, OutstandingMissesDrain)
 
 TEST(MemorySystem, DataOnChipTracksFill)
 {
-    MemorySystem mem(config());
+    OneCore chip(config());
+    MemorySystem &mem = chip.mem;
     EXPECT_FALSE(mem.dataOnChip(0x4000, 0));
     const AccessResult r = mem.access(AccessType::kLoad, 0x4000, 0);
     EXPECT_FALSE(mem.dataOnChip(0x4000, 1)); // fill in flight
@@ -122,7 +141,8 @@ TEST(MemorySystem, DataOnChipTracksFill)
 
 TEST(MemorySystem, StoreMissCountsAsDemandMiss)
 {
-    MemorySystem mem(config());
+    OneCore chip(config());
+    MemorySystem &mem = chip.mem;
     mem.access(AccessType::kStore, 0x5000, 0);
     EXPECT_EQ(mem.llcDemandMisses.value(), 1u);
     EXPECT_EQ(mem.llcLoadMisses.value(), 0u);
@@ -131,7 +151,8 @@ TEST(MemorySystem, StoreMissCountsAsDemandMiss)
 
 TEST(MemorySystem, DirtyLlcEvictionWritesBack)
 {
-    MemorySystem mem(config());
+    OneCore chip(config());
+    MemorySystem &mem = chip.mem;
     // Dirty a line, then stream enough lines through its LLC set to
     // evict it. LLC: 1 MB 8-way, 2048 sets -> set stride 128 KB.
     Cycle now = 0;
@@ -152,7 +173,8 @@ TEST(MemorySystem, PrefetcherFillsAhead)
 {
     MemSysConfig cfg = config();
     cfg.prefetcher.enabled = true;
-    MemorySystem mem(cfg);
+    OneCore chip(cfg);
+    MemorySystem &mem = chip.mem;
     // A clean ascending stream of demand misses trains the prefetcher.
     Cycle now = 0;
     for (int i = 0; i < 12; ++i) {

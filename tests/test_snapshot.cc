@@ -631,12 +631,14 @@ campaignSpec()
 
 TEST(SnapshotCampaign, SharedAndPerPointImagesAreByteIdentical)
 {
-    // The whole scheme's correctness argument in one test: the shared
-    // arm warms each (workload, seed, prefetch) group once and forks
-    // every variant from the image; the control arm builds a private
-    // image per point. Same fork semantics, deterministic warmup ⇒
-    // identical images ⇒ the canonical manifests must be
-    // byte-identical. Also certified against thread-count variation.
+    // The whole scheme's correctness argument in one test: the
+    // campaign warms each (workload, seed, prefetch) group once and
+    // forks every variant from the shared image; the reference builds
+    // a private image per point and forks the point from it. Same
+    // fork semantics, deterministic warmup ⇒ identical images ⇒ every
+    // result and stat payload, and so the canonical manifests, must
+    // be byte-identical. The campaign runs on two threads, so this
+    // also certifies against thread-count variation.
     const CampaignSpec spec = campaignSpec();
 
     const CampaignResult shared = runCampaign(spec, 2);
@@ -645,14 +647,26 @@ TEST(SnapshotCampaign, SharedAndPerPointImagesAreByteIdentical)
         EXPECT_TRUE(p.snapshotWarmed);
     }
 
-    CampaignRunOptions cold_options;
-    cold_options.snapshotNoShare = true;
-    const CampaignResult cold = runCampaign(spec, 1, cold_options);
-    for (const PointResult &p : cold.points)
-        EXPECT_TRUE(p.snapshotWarmed);
+    CampaignResult private_images;
+    private_images.spec = spec;
+    const std::vector<SweepPoint> grid = expandGrid(spec);
+    private_images.points.reserve(grid.size());
+    for (const SweepPoint &point : grid) {
+        const std::string image = buildWarmupImage(spec, point);
+        PointResult pr = runPoint(spec, point, &image);
+        ASSERT_TRUE(pr.ok) << pr.error;
+        EXPECT_TRUE(pr.snapshotWarmed);
+        const PointResult &s = shared.points.at(point.index);
+        EXPECT_EQ(simResultJson(pr.result).dump(),
+                  simResultJson(s.result).dump())
+            << point.workload << "/" << point.variant;
+        EXPECT_EQ(pr.stats, s.stats)
+            << point.workload << "/" << point.variant;
+        private_images.points.push_back(std::move(pr));
+    }
 
     EXPECT_EQ(campaignManifest(shared, /*canonical=*/true).dump(),
-              campaignManifest(cold, /*canonical=*/true).dump());
+              campaignManifest(private_images, /*canonical=*/true).dump());
 }
 
 TEST(SnapshotCampaign, SnapshotAndInlineWarmupAreDistinctUniverses)

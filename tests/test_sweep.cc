@@ -266,10 +266,11 @@ TEST(PerfGate, ExitCodePrecedence)
 TEST(Campaign, MixPointsCarryChipEnergy)
 {
     // Multi-core mix points must report chip-level energy in the
-    // manifest (a MultiSimulation point used to leave energy_total_j
-    // at zero), and the payload must be deterministic. The once-per-
-    // chip static-power accounting itself is certified in
-    // test_multicore, where the per-core breakdowns are visible.
+    // manifest (a mix point once left energy_total_j at zero) and the
+    // chip's DRAM requests once, over the measured region, and the
+    // payload must be deterministic. The once-per-chip static-power
+    // accounting itself is certified in test_multicore, where the
+    // per-core breakdowns are visible.
     CampaignSpec spec;
     spec.name = "mix-energy";
     spec.mixes = {{"duo", {"mcf", "libq"}}};
@@ -291,6 +292,12 @@ TEST(Campaign, MixPointsCarryChipEnergy)
         EXPECT_TRUE(pr.stats.count("shared.energy.dram_j"))
             << pr.point.variant;
         EXPECT_TRUE(pr.stats.count("shared.energy.leakage_j"))
+            << pr.point.variant;
+        // Summing each core's reading of the chip-wide counter would
+        // count the same requests several times.
+        EXPECT_EQ(static_cast<double>(pr.result.dramRequests),
+                  pr.stats.at("shared.dram.reads")
+                      + pr.stats.at("shared.dram.writes"))
             << pr.point.variant;
     }
 
