@@ -26,7 +26,6 @@ run(const std::string &workload, int buffer_entries, int cc_entries)
 {
     SimConfig config = makeConfig(RunaheadConfig::kRunaheadBufferCC,
                                   false);
-    config.core.runahead.bufferEntries = buffer_entries;
     config.core.runahead.chainGen.maxChainLength = buffer_entries;
     config.core.runahead.chainCacheEntries = cc_entries;
     config.instructions = 40'000;

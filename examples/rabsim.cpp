@@ -33,15 +33,15 @@
 #include <vector>
 
 #include "checker/invariant_checker.hh"
+#include "common/hash.hh"
 #include "common/logging.hh"
+#include "common/number.hh"
 #include "common/profiler.hh"
 #include "core/simulation.hh"
 #include "fault/watchdog.hh"
 #include "snapshot/snapshot.hh"
 #include "trace/trace.hh"
 #include "workloads/suite.hh"
-
-#include "cli_number.hh"
 
 using namespace rab;
 
@@ -396,10 +396,8 @@ makeSimConfig(const Options &opts, RunaheadConfig variant, int cores)
         config.core.robEntries = opts.robEntries;
     if (opts.rsEntries > 0)
         config.core.rsEntries = opts.rsEntries;
-    if (opts.bufferEntries > 0) {
-        config.core.runahead.bufferEntries = opts.bufferEntries;
+    if (opts.bufferEntries > 0)
         config.core.runahead.chainGen.maxChainLength = opts.bufferEntries;
-    }
     if (opts.chainCacheEntries > 0)
         config.core.runahead.chainCacheEntries = opts.chainCacheEntries;
     if (opts.memQueueEntries > 0)
@@ -503,7 +501,7 @@ runOnce(const Options &opts, const std::vector<std::string> &workloads,
             writeSnapshotFile(opts.snapshotOut, payload);
             std::fprintf(
                 stderr, "rabsim: snapshot %s (%zu bytes) -> %s\n",
-                snapshotHashHex(snapshotContentHash(payload)).c_str(),
+                hex64(snapshotContentHash(payload)).c_str(),
                 payload.size(), opts.snapshotOut.c_str());
         }
     }

@@ -39,14 +39,13 @@
 #include <vector>
 
 #include "common/logging.hh"
+#include "common/number.hh"
 #include "core/experiment.hh"
 #include "runahead/chain_microbench.hh"
 #include "sweep/campaign.hh"
 #include "sweep/report.hh"
 #include "sweep/store/result_store.hh"
 #include "workloads/suite.hh"
-
-#include "cli_number.hh"
 
 using namespace rab;
 

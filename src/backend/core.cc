@@ -546,8 +546,7 @@ Core::doCommit(Cycle now)
         if (!runahead && head.isStore()) {
             checker_->onRealStore(head.effAddr);
             const AccessResult res =
-                mem_->access(AccessType::kStore, head.effAddr, now,
-                             /*runahead=*/false, head.pc);
+                mem_->access(AccessType::kStore, head.effAddr, now);
             if (res.rejected) {
                 // Memory queue full (or faulted): retry next cycle.
                 ++storeQueueRetries;
@@ -909,8 +908,7 @@ Core::issueLoad(int slot, DynUop &uop, Cycle now)
     }
 
     const AccessResult res =
-        mem_->access(AccessType::kLoad, uop.effAddr, now, inRunahead(),
-                     uop.pc);
+        mem_->access(AccessType::kLoad, uop.effAddr, now, inRunahead());
     if (res.rejected) {
         ++loadQueueRetries;
         if (res.faulted)

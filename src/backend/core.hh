@@ -42,7 +42,6 @@ namespace rab
 /** Core configuration (defaults reproduce Table 1). */
 struct CoreConfig
 {
-    int fetchWidth = 4;
     int renameWidth = 4;
     int issueWidth = 4;
     int commitWidth = 4;

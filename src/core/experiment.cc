@@ -4,10 +4,12 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 #include <thread>
 
 #include "common/logging.hh"
+#include "common/number.hh"
 #include "sweep/campaign.hh"
 
 namespace rab
@@ -16,19 +18,23 @@ namespace rab
 namespace
 {
 
+/** Environment variable @p name as one integer in [0, @p hi];
+ *  @p fallback when unset or empty. Anything else is fatal: a bench
+ *  sized by a misread variable would report numbers for a run nobody
+ *  asked for. */
 std::uint64_t
-envU64(const char *name, std::uint64_t fallback)
+envU64(const char *name, std::uint64_t fallback,
+       std::uint64_t hi = std::numeric_limits<std::uint64_t>::max())
 {
     const char *value = std::getenv(name);
     if (!value || !*value)
         return fallback;
-    char *end = nullptr;
-    const unsigned long long parsed = std::strtoull(value, &end, 10);
-    if (end == value) {
-        warn("ignoring unparsable %s='%s'", name, value);
-        return fallback;
+    const auto parsed = parseNumber<std::uint64_t>(value, 0, hi);
+    if (!parsed) {
+        fatal("%s='%s' is not %s", name, value,
+              numberRangeText<std::uint64_t>(0, hi).c_str());
     }
-    return parsed;
+    return *parsed;
 }
 
 } // namespace
@@ -38,7 +44,8 @@ resolveThreads(int cli_threads)
 {
     if (cli_threads > 0)
         return cli_threads;
-    const std::uint64_t env = envU64("RAB_THREADS", 0);
+    const std::uint64_t env =
+        envU64("RAB_THREADS", 0, std::numeric_limits<int>::max());
     if (env > 0)
         return static_cast<int>(env);
     const unsigned hardware = std::thread::hardware_concurrency();

@@ -42,7 +42,9 @@ struct BenchOptions
     /**
      * Read RAB_INSTRUCTIONS, RAB_WARMUP, RAB_WORKLOADS (comma list)
      * and RAB_THREADS from the environment, falling back to the given
-     * defaults (threads: all hardware threads).
+     * defaults (threads: all hardware threads). A numeric variable
+     * that is set but not one plain integer (RAB_THREADS at most
+     * INT_MAX) is fatal(): "200k", "1e5" and "-3" exit 1.
      */
     static BenchOptions fromEnv(std::uint64_t default_instructions = 60'000,
                                 std::uint64_t default_warmup = 15'000);

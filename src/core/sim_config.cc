@@ -75,7 +75,7 @@ SimConfig::table1String() const
        << core.robEntries << " entry ROB, " << core.rsEntries
        << " entry reservation station, hybrid branch predictor, "
        << mem.dram.coreClockGhz << " GHz\n";
-    os << "Runahead Buffer " << core.runahead.bufferEntries
+    os << "Runahead Buffer " << core.runahead.chainGen.maxChainLength
        << "-entry, uop size 8 bytes\n";
     os << "Runahead Cache  "
        << core.runahead.runaheadCache.sizeBytes << " B, "

@@ -118,7 +118,7 @@ MemorySystem::missInFlight(Addr addr, Cycle now) const
 
 AccessResult
 MemorySystem::access(AccessType type, Addr addr, Cycle now,
-                     bool runahead, Pc pc)
+                     bool runahead)
 {
     ProfScope prof(ProfPhase::kMemAccess);
     AccessResult result;
@@ -186,7 +186,7 @@ MemorySystem::access(AccessType type, Addr addr, Cycle now,
     const Cycle pre_misses = llcDemandMisses.value();
     const Cycle ready = shared_->accessLlc(
         *this, type, shared_->llc_.lineAddr(addr), llc_time, now,
-        result, rejected, runahead, pc);
+        result, rejected, runahead);
     if (rejected) {
         result.rejected = true;
         return result;

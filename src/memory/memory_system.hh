@@ -32,23 +32,13 @@
 
 #include "memory/cache.hh"
 #include "memory/dram.hh"
-#include "memory/ghb_prefetcher.hh"
 #include "memory/req.hh"
 #include "memory/shared_memory.hh"
 #include "memory/stream_prefetcher.hh"
-#include "memory/stride_prefetcher.hh"
 #include "stats/stats.hh"
 
 namespace rab
 {
-
-/** Which hardware prefetcher trains on LLC demand traffic. */
-enum class PrefetcherKind
-{
-    kStream, ///< Table 1's POWER4-style stream prefetcher.
-    kStride, ///< PC-indexed stride prefetcher (related-work baseline).
-    kGhb,    ///< Global-history-buffer PC/DC prefetcher [26].
-};
 
 /** Hierarchy configuration (defaults reproduce the paper's Table 1). */
 struct MemSysConfig
@@ -58,9 +48,6 @@ struct MemSysConfig
     CacheConfig llc{"llc", 1024 * 1024, 8, 64, 18};
     DramConfig dram{};
     PrefetcherConfig prefetcher{};
-    PrefetcherKind prefetcherKind = PrefetcherKind::kStream;
-    StridePrefetcherConfig stridePrefetcher{};
-    GhbPrefetcherConfig ghbPrefetcher{};
     int memQueueEntries = 64; ///< Max LLC misses in flight.
     int runaheadQueueReserve = 24; ///< Memory-queue slots reserved for
                                    ///< demand (non-runahead) misses, so
@@ -107,7 +94,7 @@ class MemorySystem
      * @param now  current core cycle.
      */
     AccessResult access(AccessType type, Addr addr, Cycle now,
-                        bool runahead = false, Pc pc = 0);
+                        bool runahead = false);
 
     /** Number of LLC misses currently in flight (chip-wide). */
     std::size_t outstandingMisses(Cycle now);
@@ -133,11 +120,6 @@ class MemorySystem
     Cache &llc() { return shared_->llc(); }
     Dram &dram() { return shared_->dram(); }
     StreamPrefetcher &prefetcher() { return shared_->prefetcher(); }
-    StridePrefetcher &stridePrefetcher()
-    {
-        return shared_->stridePrefetcher();
-    }
-    GhbPrefetcher &ghbPrefetcher() { return shared_->ghbPrefetcher(); }
 
     /** The shared half of the hierarchy. */
     SharedMemory &shared() { return *shared_; }

@@ -20,8 +20,6 @@ SharedMemory::SharedMemory(const MemSysConfig &config, int num_cores)
     : numCores_(num_cores),
       llc_(config.llc), dram_(config.dram),
       prefetcher_(config.prefetcher, config.llc.lineBytes),
-      stridePf_(config.stridePrefetcher, config.llc.lineBytes),
-      ghbPf_(config.ghbPrefetcher, config.llc.lineBytes),
       heldNow_(static_cast<std::size_t>(num_cores), 0),
       mshrPeak_(static_cast<std::size_t>(num_cores)),
       memQueueEntries_(config.memQueueEntries),
@@ -29,13 +27,12 @@ SharedMemory::SharedMemory(const MemSysConfig &config, int num_cores)
       memRetryLimit_(config.memRetryLimit),
       memTimeoutCycles_(config.memTimeoutCycles),
       memRetryBackoffCycles_(config.memRetryBackoffCycles),
-      prefetchEnabled_(config.prefetcher.enabled),
-      prefetcherKind_(static_cast<int>(config.prefetcherKind))
+      prefetchEnabled_(config.prefetcher.enabled)
 {
     if (num_cores < 1)
         panic("SharedMemory: num_cores must be >= 1");
     cores_.reserve(static_cast<std::size_t>(num_cores));
-    // Sized once for the worst case any prefetcher emits per access;
+    // Sized once for the worst case the prefetcher emits per access;
     // issuePrefetches() drains it in place, so this is the only
     // allocation the candidate path ever performs.
     prefetchCandidates_.reserve(64);
@@ -77,8 +74,6 @@ SharedMemory::regComponentStats(StatGroup *parent)
     llc_.regStats(parent);
     dram_.regStats(parent);
     prefetcher_.regStats(parent);
-    stridePf_.regStats(parent);
-    ghbPf_.regStats(parent);
 }
 
 void
@@ -99,44 +94,14 @@ SharedMemory::regSharedStats(StatGroup *parent)
 }
 
 void
-SharedMemory::trainPrefetcher(AccessType type, Pc pc, Addr line_addr,
+SharedMemory::trainPrefetcher(AccessType type, Addr line_addr,
                               bool was_miss)
 {
     if (!prefetchEnabled_)
         return;
     if (type != AccessType::kLoad && type != AccessType::kStore)
         return; // Train on data traffic only.
-    const auto kind = static_cast<PrefetcherKind>(prefetcherKind_);
-    if (kind == PrefetcherKind::kStream)
-        prefetcher_.observe(line_addr, was_miss, prefetchCandidates_);
-    else if (kind == PrefetcherKind::kStride)
-        stridePf_.observe(pc, line_addr, prefetchCandidates_);
-    else
-        ghbPf_.observe(pc, line_addr, prefetchCandidates_);
-}
-
-void
-SharedMemory::notifyPrefetchUseful()
-{
-    const auto kind = static_cast<PrefetcherKind>(prefetcherKind_);
-    if (kind == PrefetcherKind::kStream)
-        prefetcher_.notifyUseful();
-    else if (kind == PrefetcherKind::kStride)
-        stridePf_.notifyUseful();
-    else
-        ghbPf_.notifyUseful();
-}
-
-void
-SharedMemory::notifyPrefetchUnused()
-{
-    const auto kind = static_cast<PrefetcherKind>(prefetcherKind_);
-    if (kind == PrefetcherKind::kStream)
-        prefetcher_.notifyUnused();
-    else if (kind == PrefetcherKind::kStride)
-        stridePf_.notifyUnused();
-    else
-        ghbPf_.notifyUnused();
+    prefetcher_.observe(line_addr, was_miss, prefetchCandidates_);
 }
 
 void
@@ -217,7 +182,7 @@ SharedMemory::handleEviction(const Eviction &ev, MemorySystem &accessor,
                              Cycle now)
 {
     if (ev.prefetchUnused)
-        notifyPrefetchUnused();
+        prefetcher_.notifyUnused();
     // Inclusive hierarchy: back-invalidate the owning core's L1
     // copies. The owner is encoded in the namespaced line address.
     MemorySystem &owner = ownerOf(ev.lineAddr);
@@ -240,7 +205,7 @@ Cycle
 SharedMemory::accessLlc(MemorySystem &core, AccessType type,
                         Addr line_addr, Cycle llc_time, Cycle now,
                         AccessResult &result, bool &rejected,
-                        bool runahead, Pc pc)
+                        bool runahead)
 {
     rejected = false;
 
@@ -250,7 +215,7 @@ SharedMemory::accessLlc(MemorySystem &core, AccessType type,
         if (pending_it != llcPending_.end()
             && pending_it->second > now) {
             ++core.mshrMerges;
-            trainPrefetcher(type, pc, line_addr, /*was_miss=*/false);
+            trainPrefetcher(type, line_addr, /*was_miss=*/false);
             return std::max(pending_it->second, llc_time);
         }
     }
@@ -260,9 +225,9 @@ SharedMemory::accessLlc(MemorySystem &core, AccessType type,
     if (lookup.hit) {
         if (lookup.wasPrefetched) {
             result.prefetchHit = true;
-            notifyPrefetchUseful();
+            prefetcher_.notifyUseful();
         }
-        trainPrefetcher(type, pc, line_addr, /*was_miss=*/false);
+        trainPrefetcher(type, line_addr, /*was_miss=*/false);
         return llc_time + llc_.config().latency;
     }
 
@@ -320,7 +285,7 @@ SharedMemory::accessLlc(MemorySystem &core, AccessType type,
         ++core.llcDemandMisses;
         if (type == AccessType::kLoad)
             ++core.llcLoadMisses;
-        trainPrefetcher(type, pc, line_addr, /*was_miss=*/true);
+        trainPrefetcher(type, line_addr, /*was_miss=*/true);
     }
 
     const DramResult dram_result =

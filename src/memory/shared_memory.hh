@@ -2,8 +2,8 @@
  * @file
  * The memory-system state shared by every core of a chip: the
  * inclusive LLC, the memory queue (shared MSHR pool) in front of DRAM,
- * the DDR3 channel/bank state, and the prefetchers that train on LLC
- * demand traffic.
+ * the DDR3 channel/bank state, and the stream prefetcher that trains on
+ * LLC demand traffic.
  *
  * A Simulation builds one SharedMemory and attaches one MemorySystem
  * (private L1s, per-core counters) per core; a single core is simply a
@@ -31,10 +31,8 @@
 
 #include "memory/cache.hh"
 #include "memory/dram.hh"
-#include "memory/ghb_prefetcher.hh"
 #include "memory/req.hh"
 #include "memory/stream_prefetcher.hh"
-#include "memory/stride_prefetcher.hh"
 #include "stats/stats.hh"
 
 namespace rab
@@ -96,15 +94,13 @@ class SharedMemory
     const Cache &llc() const { return llc_; }
     Dram &dram() { return dram_; }
     StreamPrefetcher &prefetcher() { return prefetcher_; }
-    StridePrefetcher &stridePrefetcher() { return stridePf_; }
-    GhbPrefetcher &ghbPrefetcher() { return ghbPf_; }
 
     /** Total DRAM requests (reads + writebacks), chip-wide. */
     std::uint64_t dramRequests() const;
 
     /**
      * Register the shared components' stats into @p parent in the
-     * legacy single-core order (llc, dram, prefetchers). On a one-core
+     * legacy single-core order (llc, dram, prefetcher). On a one-core
      * chip the MemorySystem calls this with its own "mem" group so the
      * single-core stat layout is preserved byte-for-byte.
      */
@@ -157,13 +153,10 @@ class SharedMemory
      *  Counters for the miss are charged to @p core. */
     Cycle accessLlc(MemorySystem &core, AccessType type, Addr line_addr,
                     Cycle llc_time, Cycle now, AccessResult &result,
-                    bool &rejected, bool runahead, Pc pc);
+                    bool &rejected, bool runahead);
 
-    /** Train the configured prefetcher on a demand access. */
-    void trainPrefetcher(AccessType type, Pc pc, Addr line_addr,
-                         bool was_miss);
-    void notifyPrefetchUseful();
-    void notifyPrefetchUnused();
+    /** Train the stream prefetcher on a demand access. */
+    void trainPrefetcher(AccessType type, Addr line_addr, bool was_miss);
 
     /** Issue prefetch candidates produced by the prefetcher; issued
      *  prefetches are charged to the triggering @p core. */
@@ -200,8 +193,6 @@ class SharedMemory
     Cache llc_;
     Dram dram_;
     StreamPrefetcher prefetcher_;
-    StridePrefetcher stridePf_;
-    GhbPrefetcher ghbPf_;
 
     PendingMap llcPending_;
     /** Watermark: the latest fill cycle ever inserted into
@@ -229,7 +220,6 @@ class SharedMemory
     const Cycle memTimeoutCycles_;
     const Cycle memRetryBackoffCycles_;
     const bool prefetchEnabled_;
-    const int prefetcherKind_; ///< PrefetcherKind as int (layering).
 };
 
 } // namespace rab

@@ -85,7 +85,7 @@ RunaheadController::RunaheadController(const RunaheadPolicy &policy)
       runaheadCache_(policy.runaheadCache),
       chainGen_(policy.chainGen),
       chainCache_(policy.chainCacheEntries),
-      buffer_(policy.bufferEntries),
+      buffer_(policy.chainGen.maxChainLength),
       ladder_(policy.degrade),
       statGroup_("runahead")
 {

@@ -53,9 +53,8 @@ struct RunaheadPolicy
      *  memory fewer than this many instructions ago. */
     std::uint64_t distanceThreshold = 250;
 
-    int bufferEntries = 32;
     int chainCacheEntries = 2;
-    ChainGeneratorConfig chainGen{};
+    ChainGeneratorConfig chainGen{}; ///< maxChainLength sizes the buffer.
     RunaheadCacheConfig runaheadCache{};
     DegradationConfig degrade{}; ///< Graceful-degradation ladder.
     ChainEngineConfig engine{}; ///< Continuous Runahead engine (CRE).

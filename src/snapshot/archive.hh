@@ -236,7 +236,6 @@ class FaultInjector;
 class ForwardProgressWatchdog;
 class Frontend;
 class FunctionalMemory;
-class GhbPrefetcher;
 class InvariantChecker;
 class IssuePorts;
 class MemorySystem;
@@ -251,7 +250,6 @@ class RunaheadController;
 class SharedMemory;
 class StoreQueue;
 class StreamPrefetcher;
-class StridePrefetcher;
 class WritebackQueue;
 struct ArchCheckpoint;
 struct ChainOp;
@@ -285,8 +283,6 @@ struct SnapshotAccess
     template <class Ar> static void io(Ar &ar, Cache &v);
     template <class Ar> static void io(Ar &ar, Dram &v);
     template <class Ar> static void io(Ar &ar, StreamPrefetcher &v);
-    template <class Ar> static void io(Ar &ar, StridePrefetcher &v);
-    template <class Ar> static void io(Ar &ar, GhbPrefetcher &v);
     template <class Ar> static void io(Ar &ar, MemorySystem &v);
     template <class Ar> static void io(Ar &ar, SharedMemory &v);
     template <class Ar> static void io(Ar &ar, RunaheadCache &v);

@@ -51,6 +51,7 @@
 #include <limits>
 
 #include "backend/core.hh"
+#include "common/hash.hh"
 #include "common/logging.hh"
 #include "core/simulation.hh"
 #include "snapshot/archive.hh"
@@ -500,55 +501,11 @@ SnapshotAccess::io(Ar &ar, StreamPrefetcher &v)
 
 template <class Ar>
 void
-SnapshotAccess::io(Ar &ar, StridePrefetcher &v)
-{
-    fieldSeq(ar, v.table_, [](Ar &a, auto &e) {
-        field(a, e.valid);
-        field(a, e.pc);
-        field(a, e.lastLine);
-        field(a, e.stride);
-        field(a, e.confidence);
-        field(a, e.prefetched);
-    });
-    io(ar, v.issued);
-    io(ar, v.useful);
-    io(ar, v.unused);
-    io(ar, v.confirmations);
-}
-
-template <class Ar>
-void
-SnapshotAccess::io(Ar &ar, GhbPrefetcher &v)
-{
-    fieldSeq(ar, v.ghb_, [](Ar &a, auto &e) {
-        field(a, e.line);
-        field(a, e.pc);
-        field(a, e.prev);
-        field(a, e.gen);
-    });
-    fieldSeq(ar, v.index_, [](Ar &a, auto &e) {
-        field(a, e.valid);
-        field(a, e.pc);
-        field(a, e.head);
-        field(a, e.gen);
-    });
-    field(ar, v.nextGen_);
-    field(ar, v.nextSlot_);
-    io(ar, v.issued);
-    io(ar, v.useful);
-    io(ar, v.unused);
-    io(ar, v.correlations);
-}
-
-template <class Ar>
-void
 SnapshotAccess::io(Ar &ar, SharedMemory &v)
 {
     io(ar, v.llc_);
     io(ar, v.dram_);
     io(ar, v.prefetcher_);
-    io(ar, v.stridePf_);
-    io(ar, v.ghbPf_);
     field(ar, v.llcPending_);
     field(ar, v.llcPendingMax_);
     fieldSeq(ar, v.outstanding_, [](Ar &a, auto &m) {
@@ -886,38 +843,6 @@ SnapshotAccess::io(Ar &ar, Core &v)
 namespace
 {
 
-std::uint64_t
-fnv1a64(const void *data, std::size_t n)
-{
-    const auto *p = static_cast<const std::uint8_t *>(data);
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    for (std::size_t i = 0; i < n; ++i) {
-        h ^= p[i];
-        h *= 0x100000001b3ull;
-    }
-    return h;
-}
-
-std::uint32_t
-crc32(const void *data, std::size_t n)
-{
-    static const auto table = [] {
-        std::array<std::uint32_t, 256> t{};
-        for (std::uint32_t i = 0; i < 256; ++i) {
-            std::uint32_t c = i;
-            for (int k = 0; k < 8; ++k)
-                c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
-            t[i] = c;
-        }
-        return t;
-    }();
-    const auto *p = static_cast<const std::uint8_t *>(data);
-    std::uint32_t c = 0xffffffffu;
-    for (std::size_t i = 0; i < n; ++i)
-        c = table[(c ^ p[i]) & 0xffu] ^ (c >> 8);
-    return c ^ 0xffffffffu;
-}
-
 /** Section tags (little-endian fourcc). */
 constexpr std::uint32_t kSecMeta = 0x4154454du;    // "META"
 constexpr std::uint32_t kSecCore = 0x45524f43u;    // "CORE"
@@ -1029,9 +954,12 @@ appendKvD(std::string &s, const char *key, double value)
 }
 
 /** Canonical string of every config field that shapes warmup state:
- *  memory hierarchy, prefetchers, core structure, workload budget and
+ *  memory hierarchy, prefetcher, core structure, workload budget and
  *  fault schedule — nothing variant-specific. Shared by both digests
- *  (the exact digest appends the variant fields). */
+ *  (the exact digest appends the variant fields). A field the model
+ *  reads belongs here or in exactCanonical, or an image could restore
+ *  into a machine it does not describe; test_snapshot's
+ *  DigestsCoverEveryModelledField pins the split. */
 std::string
 warmupCanonical(const SimConfig &c)
 {
@@ -1059,7 +987,11 @@ warmupCanonical(const SimConfig &c)
     appendKv(s, "dram_banks",
              static_cast<std::uint64_t>(m.dram.banksPerChannel));
     appendKv(s, "dram_row_bytes", m.dram.rowBytes);
+    appendKv(s, "dram_line_bytes",
+             static_cast<std::uint64_t>(m.dram.lineBytes));
     appendKvD(s, "dram_cas_ns", m.dram.casNs);
+    appendKvD(s, "dram_trcd_ns", m.dram.tRcdNs);
+    appendKvD(s, "dram_trp_ns", m.dram.tRpNs);
     appendKv(s, "mem_queue_entries",
              static_cast<std::uint64_t>(m.memQueueEntries));
     appendKv(s, "runahead_queue_reserve",
@@ -1068,8 +1000,6 @@ warmupCanonical(const SimConfig &c)
              static_cast<std::uint64_t>(m.memRetryLimit));
     appendKv(s, "mem_timeout_cycles", m.memTimeoutCycles);
     appendKv(s, "mem_retry_backoff_cycles", m.memRetryBackoffCycles);
-    appendKv(s, "prefetcher_kind",
-             static_cast<std::uint64_t>(m.prefetcherKind));
     appendKv(s, "pf_enabled", m.prefetcher.enabled ? 1 : 0);
     appendKv(s, "pf_streams",
              static_cast<std::uint64_t>(m.prefetcher.streams));
@@ -1080,17 +1010,12 @@ warmupCanonical(const SimConfig &c)
     appendKv(s, "pf_fdp", m.prefetcher.fdpThrottle ? 1 : 0);
     appendKv(s, "pf_fdp_interval",
              static_cast<std::uint64_t>(m.prefetcher.fdpInterval));
-    appendKv(s, "stride_entries",
-             static_cast<std::uint64_t>(m.stridePrefetcher.entries));
-    appendKv(s, "stride_degree",
-             static_cast<std::uint64_t>(m.stridePrefetcher.degree));
-    appendKv(s, "ghb_history",
-             static_cast<std::uint64_t>(m.ghbPrefetcher.historyEntries));
-    appendKv(s, "ghb_index",
-             static_cast<std::uint64_t>(m.ghbPrefetcher.indexEntries));
+    appendKvD(s, "pf_fdp_high", m.prefetcher.fdpHighAccuracy);
+    appendKvD(s, "pf_fdp_low", m.prefetcher.fdpLowAccuracy);
 
     const CoreConfig &k = c.core;
-    appendKv(s, "fetch_width", static_cast<std::uint64_t>(k.fetchWidth));
+    appendKv(s, "fetch_width",
+             static_cast<std::uint64_t>(k.frontend.fetchWidth));
     appendKv(s, "rename_width",
              static_cast<std::uint64_t>(k.renameWidth));
     appendKv(s, "issue_width", static_cast<std::uint64_t>(k.issueWidth));
@@ -1150,14 +1075,19 @@ warmupCanonical(const SimConfig &c)
 
 /** The exact digest's extra, variant-specific fields. Deliberately
  *  excluded from both digests: `instructions` / `maxCycles` (resuming
- *  with a different measured budget is the point of a snapshot) and
- *  `fastForward` (certified behaviour-preserving). */
+ *  with a different measured budget is the point of a snapshot),
+ *  `fastForward` (certified behaviour-preserving), the energy
+ *  coefficients (they price the counters after the run and shape no
+ *  state), `isolateMemory` (a one-core chip is the same either way)
+ *  and the policies of cores past 0 (images hold one core). */
 std::string
 exactCanonical(const SimConfig &c)
 {
     std::string s = warmupCanonical(c);
     s += "schema2=rab-snapshot-exact-v1\n";
     appendKvS(s, "runahead", runaheadConfigName(c.runahead));
+    // A non-empty corePolicies overrides `runahead` for core 0 too.
+    appendKvS(s, "core0_policy", runaheadConfigName(c.corePolicy(0)));
     appendKv(s, "collect_chain_analysis",
              c.core.collectChainAnalysis ? 1 : 0);
 
@@ -1168,15 +1098,21 @@ exactCanonical(const SimConfig &c)
     appendKv(s, "ra_hybrid", p.hybrid ? 1 : 0);
     appendKv(s, "ra_enhancements", p.enhancements ? 1 : 0);
     appendKv(s, "ra_distance_threshold", p.distanceThreshold);
-    appendKv(s, "ra_buffer_entries",
-             static_cast<std::uint64_t>(p.bufferEntries));
     appendKv(s, "ra_chain_cache_entries",
              static_cast<std::uint64_t>(p.chainCacheEntries));
     appendKv(s, "ra_max_chain",
              static_cast<std::uint64_t>(p.chainGen.maxChainLength));
     appendKv(s, "ra_srsl",
              static_cast<std::uint64_t>(p.chainGen.srslEntries));
+    appendKv(s, "ra_reg_searches",
+             static_cast<std::uint64_t>(p.chainGen.regSearchesPerCycle));
+    appendKv(s, "ra_readout_width",
+             static_cast<std::uint64_t>(p.chainGen.readoutWidth));
     appendKv(s, "ra_rc_bytes", p.runaheadCache.sizeBytes);
+    appendKv(s, "ra_rc_assoc",
+             static_cast<std::uint64_t>(p.runaheadCache.associativity));
+    appendKv(s, "ra_rc_line_bytes",
+             static_cast<std::uint64_t>(p.runaheadCache.lineBytes));
     appendKv(s, "ra_degrade_enabled", p.degrade.enabled ? 1 : 0);
     appendKv(s, "ra_degrade_threshold",
              static_cast<std::uint64_t>(p.degrade.faultThreshold));
@@ -1189,7 +1125,16 @@ exactCanonical(const SimConfig &c)
              static_cast<std::uint64_t>(p.engine.storeBufEntries));
     appendKv(s, "engine_uops_per_cycle",
              static_cast<std::uint64_t>(p.engine.uopsPerCycle));
+    appendKv(s, "engine_utility_init",
+             static_cast<std::uint64_t>(p.engine.utilityInit));
+    appendKv(s, "engine_utility_max",
+             static_cast<std::uint64_t>(p.engine.utilityMax));
     appendKv(s, "engine_idle_limit", p.engine.idleIterationLimit);
+    appendKv(s, "engine_recent_entries", p.engine.recentEntries);
+    appendKv(s, "engine_queue_retry",
+             static_cast<std::uint64_t>(p.engine.queueRetryCycles));
+    appendKv(s, "engine_recent_ttl",
+             static_cast<std::uint64_t>(p.engine.recentTtlCycles));
     return s;
 }
 
@@ -1201,8 +1146,7 @@ hashProgram(const Program &program)
         Uop u = program.at(static_cast<Pc>(i));
         field(w, u);
     }
-    const std::string bytes = w.take();
-    return fnv1a64(bytes.data(), bytes.size());
+    return fnv1a64(w.take());
 }
 
 /** Images hold one core's state: refuse a multi-core simulation. */
@@ -1309,27 +1253,19 @@ SnapshotError::SnapshotError(SnapshotErrorKind kind,
 std::uint64_t
 snapshotConfigDigest(const SimConfig &config)
 {
-    const std::string s = exactCanonical(config);
-    return fnv1a64(s.data(), s.size());
+    return fnv1a64(exactCanonical(config));
 }
 
 std::uint64_t
 snapshotWarmupDigest(const SimConfig &config)
 {
-    const std::string s = warmupCanonical(config);
-    return fnv1a64(s.data(), s.size());
+    return fnv1a64(warmupCanonical(config));
 }
 
 std::uint64_t
 snapshotContentHash(const std::string &payload)
 {
-    return fnv1a64(payload.data(), payload.size());
-}
-
-std::string
-snapshotHashHex(std::uint64_t hash)
-{
-    return strprintf("%016llx", (unsigned long long)hash);
+    return fnv1a64(payload);
 }
 
 std::string

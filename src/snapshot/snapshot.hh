@@ -40,7 +40,7 @@ class Simulation;
 struct SimConfig;
 
 /** Snapshot payload format version (bump on any layout change). */
-inline constexpr std::uint32_t kSnapshotFormatVersion = 3;
+inline constexpr std::uint32_t kSnapshotFormatVersion = 4;
 
 /** How a snapshot is applied to a simulation. */
 enum class SnapshotRestoreMode
@@ -90,9 +90,6 @@ std::uint64_t snapshotWarmupDigest(const SimConfig &config);
 
 /** FNV-1a 64 content hash of a snapshot payload (store keys). */
 std::uint64_t snapshotContentHash(const std::string &payload);
-
-/** @p hash as 16 lowercase hex digits. */
-std::string snapshotHashHex(std::uint64_t hash);
 
 /** Write `payload` to @p path inside the CRC file frame, atomically
  *  (tmp + fsync + rename). Throws SnapshotError(kIo) on failure. */

@@ -13,6 +13,7 @@
 #include <tuple>
 
 #include "checker/invariant_checker.hh"
+#include "common/hash.hh"
 #include "common/logging.hh"
 #include "fault/watchdog.hh"
 #include "snapshot/snapshot.hh"
@@ -238,7 +239,7 @@ warmupSnapshotId(const std::string &payload)
 {
     return strprintf(
         "%lu/%s", (unsigned long)kSnapshotFormatVersion,
-        snapshotHashHex(snapshotContentHash(payload)).c_str());
+        hex64(snapshotContentHash(payload)).c_str());
 }
 
 PointResult

@@ -1,6 +1,5 @@
 #include "sweep/store/result_store.hh"
 
-#include <array>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -21,26 +20,6 @@ namespace fs = std::filesystem;
 
 namespace rab
 {
-
-std::uint32_t
-crc32(const void *data, std::size_t size)
-{
-    static const auto table = [] {
-        std::array<std::uint32_t, 256> t{};
-        for (std::uint32_t n = 0; n < 256; ++n) {
-            std::uint32_t c = n;
-            for (int k = 0; k < 8; ++k)
-                c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-            t[n] = c;
-        }
-        return t;
-    }();
-    std::uint32_t crc = 0xFFFFFFFFu;
-    const auto *p = static_cast<const unsigned char *>(data);
-    for (std::size_t i = 0; i < size; ++i)
-        crc = table[(crc ^ p[i]) & 0xFFu] ^ (crc >> 8);
-    return crc ^ 0xFFFFFFFFu;
-}
 
 namespace
 {

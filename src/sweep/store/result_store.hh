@@ -46,14 +46,12 @@
 #include <optional>
 #include <string>
 
+#include "common/hash.hh" // crc32: the record frame's checksum.
 #include "sweep/campaign.hh"
 #include "sweep/store/store_key.hh"
 
 namespace rab
 {
-
-/** CRC-32 (IEEE 802.3) over @p data. */
-std::uint32_t crc32(const void *data, std::size_t size);
 
 /**
  * Identity of one cached warmup snapshot. A snapshot is reusable by

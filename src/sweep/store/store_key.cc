@@ -1,31 +1,9 @@
 #include "sweep/store/store_key.hh"
 
-#include <cstdio>
-
 #include "common/logging.hh"
 
 namespace rab
 {
-
-std::uint64_t
-fnv1a64(const std::string &text)
-{
-    std::uint64_t hash = 14695981039346656037ULL;
-    for (const char c : text) {
-        hash ^= static_cast<unsigned char>(c);
-        hash *= 1099511628211ULL;
-    }
-    return hash;
-}
-
-std::string
-hex64(std::uint64_t value)
-{
-    char buf[17];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  (unsigned long long)value);
-    return buf;
-}
 
 std::string
 canonicalConfigString(const CampaignSpec &spec, const SweepPoint &point,

@@ -23,16 +23,11 @@
 #include <cstdint>
 #include <string>
 
+#include "common/hash.hh" // fnv1a64, hex64: the key's hash and its text.
 #include "sweep/campaign.hh"
 
 namespace rab
 {
-
-/** 64-bit FNV-1a over @p text (the store's only hash primitive). */
-std::uint64_t fnv1a64(const std::string &text);
-
-/** @p value as a fixed-width 16-digit lowercase hex string. */
-std::string hex64(std::uint64_t value);
 
 /** Current canonical config-key schema. Bumped v1 -> v2 when the
  *  multi-core fields (cores, per-core workload/policy) were added,

@@ -71,7 +71,7 @@ TEST_P(CoreConfigSweep, CommitsReferenceStream)
     config.warmupInstructions = 0;
     config.instructions = kInstructions;
     config.core.robEntries = rob;
-    config.core.fetchWidth = width;
+    config.core.frontend.fetchWidth = width;
     config.core.renameWidth = width;
     config.core.issueWidth = width;
     config.core.commitWidth = width;
@@ -157,7 +157,7 @@ TEST(CoreConfigScaling, WiderMachineHelpsComputeCode)
         SimConfig config = makeConfig(RunaheadConfig::kBaseline, false);
         config.warmupInstructions = 1'000;
         config.instructions = 10'000;
-        config.core.fetchWidth = width;
+        config.core.frontend.fetchWidth = width;
         config.core.renameWidth = width;
         config.core.issueWidth = width;
         config.core.commitWidth = width;

@@ -93,6 +93,43 @@ TEST(BenchOptions, ReadsEnvironment)
     EXPECT_TRUE(defaults.workloadFilter.empty());
 }
 
+/** Set @p name to @p value, then read the bench sizing from the
+ *  environment (run inside EXPECT_EXIT's child). */
+void
+readEnvWith(const char *name, const char *value)
+{
+    ::setenv(name, value, 1);
+    BenchOptions::fromEnv();
+}
+
+TEST(BenchOptions, MalformedNumbersAreFatal)
+{
+    // Each exits 1 naming the variable and the value, as a bad
+    // RAB_CHECK_LEVEL does: read loosely, "200k" would size a bench at
+    // 200 instructions and "1e5" its warmup at 1.
+    const auto exits = ::testing::ExitedWithCode(1);
+    EXPECT_EXIT(readEnvWith("RAB_INSTRUCTIONS", "200k"), exits,
+                "RAB_INSTRUCTIONS='200k' is not an integer >= 0");
+    EXPECT_EXIT(readEnvWith("RAB_WARMUP", "1e5"), exits,
+                "RAB_WARMUP='1e5'");
+    EXPECT_EXIT(readEnvWith("RAB_WARMUP", "18446744073709551616"), exits,
+                "RAB_WARMUP='18446744073709551616'");
+    EXPECT_EXIT(readEnvWith("RAB_INSTRUCTIONS", " 5"), exits,
+                "RAB_INSTRUCTIONS=' 5'");
+    EXPECT_EXIT(readEnvWith("RAB_THREADS", "-3"), exits,
+                "RAB_THREADS='-3' is not an integer in \\[0, 2147483647\\]");
+    EXPECT_EXIT(readEnvWith("RAB_THREADS", "2147483648"), exits,
+                "RAB_THREADS='2147483648'");
+
+    // The largest accepted values still parse.
+    ::setenv("RAB_THREADS", "2147483647", 1);
+    EXPECT_EQ(resolveThreads(0), 2147483647);
+    ::setenv("RAB_INSTRUCTIONS", "18446744073709551615", 1);
+    EXPECT_EQ(BenchOptions::fromEnv().instructions, 18446744073709551615u);
+    ::unsetenv("RAB_THREADS");
+    ::unsetenv("RAB_INSTRUCTIONS");
+}
+
 TEST(SelectWorkloads, FiltersByName)
 {
     const auto &all = spec06Suite();

@@ -73,7 +73,7 @@ TEST(Policies, PresetsMatchPaperConfigurations)
     EXPECT_TRUE(hybrid.traditionalEnabled && hybrid.bufferEnabled
                 && hybrid.chainCacheEnabled && hybrid.hybrid
                 && hybrid.enhancements);
-    EXPECT_EQ(hybrid.bufferEntries, 32);
+    EXPECT_EQ(hybrid.chainGen.maxChainLength, 32);
     EXPECT_EQ(hybrid.chainCacheEntries, 2);
     EXPECT_EQ(hybrid.distanceThreshold, 250u);
 }
