@@ -404,7 +404,6 @@ makeSimConfig(const Options &opts, RunaheadConfig variant, int cores)
         config.mem.memQueueEntries = opts.memQueueEntries;
     if (opts.llcBytes > 0)
         config.mem.llc.sizeBytes = opts.llcBytes;
-    config.energy.robEntries = config.core.robEntries;
     return config;
 }
 

@@ -452,7 +452,7 @@ Core::doWriteback(Cycle now)
             ++prfWrites;
         }
 
-        if (config_.collectChainAnalysis
+        if (config_.runahead.traditionalEnabled
             && mode() == RunaheadMode::kTraditional) {
             chainAnalysis_.recordExec(uop);
             // Chains that lead to cache misses: both fresh misses and
@@ -713,7 +713,7 @@ Core::enterRunahead(const EntryDecision &decision, Cycle now)
             engine->shipChain(head.pc, decision.chain, archValues_,
                               now);
         }
-    } else if (config_.collectChainAnalysis) {
+    } else if (config_.runahead.traditionalEnabled) {
         chainAnalysis_.beginInterval();
     }
 
@@ -726,7 +726,7 @@ Core::exitRunahead(Cycle now)
     pipelineActivity_ = true;
     const RunaheadMode exit_mode = mode();
     if (exit_mode == RunaheadMode::kTraditional
-        && config_.collectChainAnalysis) {
+        && config_.runahead.traditionalEnabled) {
         chainAnalysis_.endInterval();
     }
 

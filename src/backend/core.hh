@@ -59,7 +59,6 @@ struct CoreConfig
                                   ///< interval cannot repay the exit
                                   ///< flush).
     std::uint64_t deadlockCycles = 2'000'000;
-    bool collectChainAnalysis = false;
 
     /** Skip fully-stalled cycle windows by jumping straight to the
      *  next pipeline event (see Core::fastForwardHorizon).
@@ -278,7 +277,7 @@ class Core
     RunaheadController runaheadCtrl_;
     ForwardProgressWatchdog watchdog_;
     FaultInjector *faults_ = nullptr;
-    ChainAnalysis chainAnalysis_;
+    ChainAnalysis chainAnalysis_; ///< Figs 3-5: traditional intervals.
     ArchCheckpoint checkpoint_;
     std::unique_ptr<InvariantChecker> checker_; ///< After the structures
                                                 ///< it watches.

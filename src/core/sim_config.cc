@@ -61,10 +61,6 @@ SimConfig::finalize()
     // unless the user configured a bound explicitly.
     if (fault.enabled && core.watchdog.cycles == 0)
         core.watchdog.cycles = 100'000;
-    // Figures 3-5 instrument traditional runahead intervals.
-    core.collectChainAnalysis = core.runahead.traditionalEnabled;
-    energy.robEntries = core.robEntries;
-    energy.clockGhz = mem.dram.coreClockGhz;
 }
 
 std::string

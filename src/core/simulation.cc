@@ -380,8 +380,8 @@ Simulation::chipResult(Cycle cycles)
 
     // Chip-level energy: sum the per-core breakdowns component-wise.
     const EnergyCoefficients &ec = config_.energy;
-    const double chip_seconds =
-        static_cast<double>(cycles) / (ec.clockGhz * 1e9);
+    const double chip_seconds = static_cast<double>(cycles)
+        / (config_.mem.dram.coreClockGhz * 1e9);
     for (const SimResult &core : results_) {
         r.energy.frontendJ += core.energy.frontendJ;
         r.energy.renameJ += core.energy.renameJ;

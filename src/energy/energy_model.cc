@@ -42,7 +42,7 @@ EnergyModel::compute(Core &core, std::uint64_t measured_cycles) const
     const double cycles = measured_cycles
         ? static_cast<double>(measured_cycles)
         : static_cast<double>(core.cycle());
-    e.seconds = cycles / (c.clockGhz * 1e9);
+    e.seconds = cycles / (mem.config().dram.coreClockGhz * 1e9);
 
     e.frontendJ = kPj
         * (static_cast<double>(fe.fetchedUops.value())
@@ -91,7 +91,7 @@ EnergyModel::compute(Core &core, std::uint64_t measured_cycles) const
     const double rob_cam_events =
         static_cast<double>(ra.pcCamSearches.value()
                             + ra.regCamSearches.value())
-        * static_cast<double>(c.robEntries);
+        * static_cast<double>(core.config().robEntries);
     e.runaheadJ = kPj
         * ((static_cast<double>(rc.writes.value())
             + static_cast<double>(rc.readHits.value())

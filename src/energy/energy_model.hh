@@ -85,9 +85,6 @@ struct EnergyCoefficients
     double llcLeakageW = 0.30;
     double dramStaticW = 0.45;
     /** @} */
-
-    double clockGhz = 3.2;
-    int robEntries = 192;
 };
 
 /** Energy broken down by component, in joules. */

@@ -53,6 +53,7 @@
 #include "backend/core.hh"
 #include "common/hash.hh"
 #include "common/logging.hh"
+#include "core/config_fields.hh"
 #include "core/simulation.hh"
 #include "snapshot/archive.hh"
 
@@ -932,210 +933,27 @@ readSection(SnapshotReader &r, std::uint32_t tag, Fn body)
     }
 }
 
-void
-appendKv(std::string &s, const char *key, std::uint64_t value)
+/** Digest of the config fields tagged at most @p widest
+ *  (core/config_fields.hh): kMachine for the warmup digest, kVariant
+ *  for the exact one. Each field is hashed as its dotted path and its
+ *  value in the archive encoding, after the schema name. */
+std::uint64_t
+configDigest(const SimConfig &c, FieldTag widest)
 {
-    s += strprintf("%s=%llu\n", key, (unsigned long long)value);
-}
-
-void
-appendKvS(std::string &s, const char *key, const std::string &value)
-{
-    s += key;
-    s += '=';
-    s += value;
-    s += '\n';
-}
-
-void
-appendKvD(std::string &s, const char *key, double value)
-{
-    s += strprintf("%s=%.17g\n", key, value);
-}
-
-/** Canonical string of every config field that shapes warmup state:
- *  memory hierarchy, prefetcher, core structure, workload budget and
- *  fault schedule — nothing variant-specific. Shared by both digests
- *  (the exact digest appends the variant fields). A field the model
- *  reads belongs here or in exactCanonical, or an image could restore
- *  into a machine it does not describe; test_snapshot's
- *  DigestsCoverEveryModelledField pins the split. */
-std::string
-warmupCanonical(const SimConfig &c)
-{
-    std::string s = "schema=rab-snapshot-warmup-v1\n";
-    appendKv(s, "prefetch", c.prefetch ? 1 : 0);
-    appendKv(s, "warmup_instructions", c.warmupInstructions);
-    appendKv(s, "num_cores", static_cast<std::uint64_t>(c.numCores));
-    appendKv(s, "check_level", static_cast<std::uint64_t>(c.checkLevel));
-    appendKv(s, "check_policy",
-             static_cast<std::uint64_t>(c.checkPolicy));
-
-    const MemSysConfig &m = c.mem;
-    const auto cache = [&](const char *pfx, const CacheConfig &cc) {
-        s += strprintf("%s=%llu/%d/%d/%d\n", pfx,
-                       (unsigned long long)cc.sizeBytes,
-                       cc.associativity, cc.lineBytes, cc.latency);
-    };
-    cache("l1i", m.l1i);
-    cache("l1d", m.l1d);
-    cache("llc", m.llc);
-    appendKvD(s, "dram_core_ghz", m.dram.coreClockGhz);
-    appendKvD(s, "dram_bus_mhz", m.dram.busClockMhz);
-    appendKv(s, "dram_channels",
-             static_cast<std::uint64_t>(m.dram.channels));
-    appendKv(s, "dram_banks",
-             static_cast<std::uint64_t>(m.dram.banksPerChannel));
-    appendKv(s, "dram_row_bytes", m.dram.rowBytes);
-    appendKv(s, "dram_line_bytes",
-             static_cast<std::uint64_t>(m.dram.lineBytes));
-    appendKvD(s, "dram_cas_ns", m.dram.casNs);
-    appendKvD(s, "dram_trcd_ns", m.dram.tRcdNs);
-    appendKvD(s, "dram_trp_ns", m.dram.tRpNs);
-    appendKv(s, "mem_queue_entries",
-             static_cast<std::uint64_t>(m.memQueueEntries));
-    appendKv(s, "runahead_queue_reserve",
-             static_cast<std::uint64_t>(m.runaheadQueueReserve));
-    appendKv(s, "mem_retry_limit",
-             static_cast<std::uint64_t>(m.memRetryLimit));
-    appendKv(s, "mem_timeout_cycles", m.memTimeoutCycles);
-    appendKv(s, "mem_retry_backoff_cycles", m.memRetryBackoffCycles);
-    appendKv(s, "pf_enabled", m.prefetcher.enabled ? 1 : 0);
-    appendKv(s, "pf_streams",
-             static_cast<std::uint64_t>(m.prefetcher.streams));
-    appendKv(s, "pf_distance",
-             static_cast<std::uint64_t>(m.prefetcher.distance));
-    appendKv(s, "pf_degree",
-             static_cast<std::uint64_t>(m.prefetcher.degree));
-    appendKv(s, "pf_fdp", m.prefetcher.fdpThrottle ? 1 : 0);
-    appendKv(s, "pf_fdp_interval",
-             static_cast<std::uint64_t>(m.prefetcher.fdpInterval));
-    appendKvD(s, "pf_fdp_high", m.prefetcher.fdpHighAccuracy);
-    appendKvD(s, "pf_fdp_low", m.prefetcher.fdpLowAccuracy);
-
-    const CoreConfig &k = c.core;
-    appendKv(s, "fetch_width",
-             static_cast<std::uint64_t>(k.frontend.fetchWidth));
-    appendKv(s, "rename_width",
-             static_cast<std::uint64_t>(k.renameWidth));
-    appendKv(s, "issue_width", static_cast<std::uint64_t>(k.issueWidth));
-    appendKv(s, "commit_width",
-             static_cast<std::uint64_t>(k.commitWidth));
-    appendKv(s, "rob_entries", static_cast<std::uint64_t>(k.robEntries));
-    appendKv(s, "rs_entries", static_cast<std::uint64_t>(k.rsEntries));
-    appendKv(s, "sq_entries", static_cast<std::uint64_t>(k.sqEntries));
-    appendKv(s, "num_phys_regs",
-             static_cast<std::uint64_t>(k.numPhysRegs));
-    appendKv(s, "mem_ports", static_cast<std::uint64_t>(k.memPorts));
-    appendKv(s, "redirect_penalty",
-             static_cast<std::uint64_t>(k.redirectPenalty));
-    appendKv(s, "exit_penalty",
-             static_cast<std::uint64_t>(k.exitPenalty));
-    appendKv(s, "stall_entry_cycles", k.stallEntryCycles);
-    appendKv(s, "min_runahead_distance",
-             static_cast<std::uint64_t>(k.minRunaheadDistance));
-    appendKv(s, "deadlock_cycles", k.deadlockCycles);
-    appendKv(s, "watchdog_cycles", k.watchdog.cycles);
-    appendKv(s, "watchdog_give_up",
-             static_cast<std::uint64_t>(k.watchdog.giveUpAfter));
-    appendKv(s, "watchdog_max_recoveries",
-             static_cast<std::uint64_t>(k.watchdog.maxRecoveries));
-    appendKv(s, "fe_decode_depth",
-             static_cast<std::uint64_t>(k.frontend.decodeDepth));
-    appendKv(s, "fe_queue_entries",
-             static_cast<std::uint64_t>(k.frontend.fetchQueueEntries));
-    appendKv(s, "fe_uop_bytes",
-             static_cast<std::uint64_t>(k.frontend.uopBytes));
-    appendKv(s, "fe_inst_base", k.frontend.instBase);
-    appendKv(s, "bp_history_bits",
-             static_cast<std::uint64_t>(k.bp.historyBits));
-    appendKv(s, "bp_bimodal",
-             static_cast<std::uint64_t>(k.bp.bimodalEntries));
-    appendKv(s, "bp_gshare",
-             static_cast<std::uint64_t>(k.bp.gshareEntries));
-    appendKv(s, "bp_chooser",
-             static_cast<std::uint64_t>(k.bp.chooserEntries));
-    appendKv(s, "bp_btb", static_cast<std::uint64_t>(k.bp.btbEntries));
-    appendKv(s, "bp_ras", static_cast<std::uint64_t>(k.bp.rasEntries));
-
-    const FaultConfig &f = c.fault;
-    appendKv(s, "fault_enabled", f.enabled ? 1 : 0);
-    appendKv(s, "fault_seed", f.seed);
-    appendKvD(s, "fault_chain_cache_rate", f.chainCacheRate);
-    appendKvD(s, "fault_buffer_uop_rate", f.bufferUopRate);
-    appendKvD(s, "fault_dram_drop_rate", f.dramDropRate);
-    appendKvD(s, "fault_dram_delay_rate", f.dramDelayRate);
-    appendKv(s, "fault_dram_delay_max",
-             static_cast<std::uint64_t>(f.dramDelayMaxCycles));
-    appendKvD(s, "fault_mem_stall_rate", f.memStallRate);
-    appendKv(s, "fault_mem_stall_cycles",
-             static_cast<std::uint64_t>(f.memStallCycles));
-    return s;
-}
-
-/** The exact digest's extra, variant-specific fields. Deliberately
- *  excluded from both digests: `instructions` / `maxCycles` (resuming
- *  with a different measured budget is the point of a snapshot),
- *  `fastForward` (certified behaviour-preserving), the energy
- *  coefficients (they price the counters after the run and shape no
- *  state), `isolateMemory` (a one-core chip is the same either way)
- *  and the policies of cores past 0 (images hold one core). */
-std::string
-exactCanonical(const SimConfig &c)
-{
-    std::string s = warmupCanonical(c);
-    s += "schema2=rab-snapshot-exact-v1\n";
-    appendKvS(s, "runahead", runaheadConfigName(c.runahead));
-    // A non-empty corePolicies overrides `runahead` for core 0 too.
-    appendKvS(s, "core0_policy", runaheadConfigName(c.corePolicy(0)));
-    appendKv(s, "collect_chain_analysis",
-             c.core.collectChainAnalysis ? 1 : 0);
-
-    const RunaheadPolicy &p = c.core.runahead;
-    appendKv(s, "ra_traditional", p.traditionalEnabled ? 1 : 0);
-    appendKv(s, "ra_buffer", p.bufferEnabled ? 1 : 0);
-    appendKv(s, "ra_chain_cache", p.chainCacheEnabled ? 1 : 0);
-    appendKv(s, "ra_hybrid", p.hybrid ? 1 : 0);
-    appendKv(s, "ra_enhancements", p.enhancements ? 1 : 0);
-    appendKv(s, "ra_distance_threshold", p.distanceThreshold);
-    appendKv(s, "ra_chain_cache_entries",
-             static_cast<std::uint64_t>(p.chainCacheEntries));
-    appendKv(s, "ra_max_chain",
-             static_cast<std::uint64_t>(p.chainGen.maxChainLength));
-    appendKv(s, "ra_srsl",
-             static_cast<std::uint64_t>(p.chainGen.srslEntries));
-    appendKv(s, "ra_reg_searches",
-             static_cast<std::uint64_t>(p.chainGen.regSearchesPerCycle));
-    appendKv(s, "ra_readout_width",
-             static_cast<std::uint64_t>(p.chainGen.readoutWidth));
-    appendKv(s, "ra_rc_bytes", p.runaheadCache.sizeBytes);
-    appendKv(s, "ra_rc_assoc",
-             static_cast<std::uint64_t>(p.runaheadCache.associativity));
-    appendKv(s, "ra_rc_line_bytes",
-             static_cast<std::uint64_t>(p.runaheadCache.lineBytes));
-    appendKv(s, "ra_degrade_enabled", p.degrade.enabled ? 1 : 0);
-    appendKv(s, "ra_degrade_threshold",
-             static_cast<std::uint64_t>(p.degrade.faultThreshold));
-    appendKv(s, "ra_degrade_probation", p.degrade.probationCycles);
-    appendKv(s, "engine_enabled", p.engine.enabled ? 1 : 0);
-    appendKv(s, "engine_inert", p.engine.instantiateInert ? 1 : 0);
-    appendKv(s, "engine_slots",
-             static_cast<std::uint64_t>(p.engine.slots));
-    appendKv(s, "engine_store_buf",
-             static_cast<std::uint64_t>(p.engine.storeBufEntries));
-    appendKv(s, "engine_uops_per_cycle",
-             static_cast<std::uint64_t>(p.engine.uopsPerCycle));
-    appendKv(s, "engine_utility_init",
-             static_cast<std::uint64_t>(p.engine.utilityInit));
-    appendKv(s, "engine_utility_max",
-             static_cast<std::uint64_t>(p.engine.utilityMax));
-    appendKv(s, "engine_idle_limit", p.engine.idleIterationLimit);
-    appendKv(s, "engine_recent_entries", p.engine.recentEntries);
-    appendKv(s, "engine_queue_retry",
-             static_cast<std::uint64_t>(p.engine.queueRetryCycles));
-    appendKv(s, "engine_recent_ttl",
-             static_cast<std::uint64_t>(p.engine.recentTtlCycles));
-    return s;
+    SnapshotWriter w;
+    std::string schema = widest == FieldTag::kMachine
+        ? "rab-snapshot-warmup-v2"
+        : "rab-snapshot-exact-v2";
+    field(w, schema);
+    forEachConfigLeaf(c, [&](std::string path, auto value, auto tag) {
+        if constexpr (decltype(tag)::value != FieldTag::kUnhashed) {
+            if (decltype(tag)::value <= widest) {
+                field(w, path);
+                field(w, value);
+            }
+        }
+    });
+    return fnv1a64(w.take());
 }
 
 std::uint64_t
@@ -1253,13 +1071,13 @@ SnapshotError::SnapshotError(SnapshotErrorKind kind,
 std::uint64_t
 snapshotConfigDigest(const SimConfig &config)
 {
-    return fnv1a64(exactCanonical(config));
+    return configDigest(config, FieldTag::kVariant);
 }
 
 std::uint64_t
 snapshotWarmupDigest(const SimConfig &config)
 {
-    return fnv1a64(warmupCanonical(config));
+    return configDigest(config, FieldTag::kMachine);
 }
 
 std::uint64_t

@@ -80,12 +80,12 @@ void restoreSnapshot(Simulation &sim, const std::string &payload,
 /** Parse the META section without touching a simulation. */
 SnapshotMeta peekSnapshotMeta(const std::string &payload);
 
-/** Digest of every behaviour-relevant config field (kExact gate). */
+/** Digest of the machine and variant fields (kExact gate); the field
+ *  list and its tags are core/config_fields.hh's. */
 std::uint64_t snapshotConfigDigest(const SimConfig &config);
 
-/** Digest of the warmup-relevant config subset (kFork gate): memory
- *  hierarchy, prefetcher, core structure, workload/fault knobs —
- *  everything that shapes warmup state, nothing variant-specific. */
+/** Digest of the machine fields only (kFork gate): everything that
+ *  shapes warmup state, nothing variant-specific. */
 std::uint64_t snapshotWarmupDigest(const SimConfig &config);
 
 /** FNV-1a 64 content hash of a snapshot payload (store keys). */

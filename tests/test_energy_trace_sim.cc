@@ -17,6 +17,16 @@ namespace rab
 namespace
 {
 
+/** @p config on mcf, 20k instructions measured after 5k of warmup. */
+SimResult
+runMcf(SimConfig config)
+{
+    config.instructions = 20'000;
+    config.warmupInstructions = 5'000;
+    Simulation sim(config, buildSuiteWorkload("mcf"));
+    return sim.run();
+}
+
 // --------------------------------------------------------------------
 // EnergyModel
 // --------------------------------------------------------------------
@@ -61,6 +71,20 @@ TEST(EnergyModel, TraditionalRunaheadBurnsMoreFrontendEnergy)
     const SimResult ra = simulateWorkload(
         "mcf", RunaheadConfig::kRunahead, false, 20'000, 5'000);
     EXPECT_GT(ra.energy.frontendJ, base.energy.frontendJ * 1.5);
+}
+
+/** Chain-generation CAM searches are priced per entry of the ROB the
+ *  core was built with, so a ROB resized after makeConfig costs the
+ *  same with or without a re-finalize. */
+TEST(EnergyModel, PricesTheConfiguredRob)
+{
+    SimConfig resized = makeConfig(RunaheadConfig::kRunaheadBufferCC, false);
+    resized.core.robEntries = 384;
+    SimConfig refinalized = resized;
+    refinalized.finalize();
+    const SimResult a = runMcf(resized);
+    EXPECT_GT(a.energy.runaheadJ, 0.0);
+    EXPECT_EQ(a.energy.runaheadJ, runMcf(refinalized).energy.runaheadJ);
 }
 
 TEST(EnergyModel, BufferCheaperThanTraditional)
@@ -189,7 +213,6 @@ TEST(SimConfig, FinalizeMapsRunaheadPolicies)
     EXPECT_TRUE(c.core.runahead.hybrid);
     EXPECT_TRUE(c.core.runahead.enhancements);
     EXPECT_TRUE(c.mem.prefetcher.enabled);
-    EXPECT_TRUE(c.core.collectChainAnalysis);
 
     SimConfig b = makeConfig(RunaheadConfig::kRunaheadBuffer, false);
     EXPECT_FALSE(b.core.runahead.traditionalEnabled);
@@ -219,6 +242,20 @@ TEST(Simulation, WarmupExcludedFromMeasurement)
     const SimResult r = sim.run();
     EXPECT_EQ(r.instructions, 10'000u); // not 15'000
     EXPECT_LT(r.cycles, sim.core().cycle());
+}
+
+/** Figures 3-5's chain analysis follows the traditional-runahead
+ *  switch itself: switching it on after makeConfig collects the same
+ *  chains as the Runahead config, with no re-finalize. */
+TEST(Simulation, ChainAnalysisFollowsTraditionalSwitch)
+{
+    SimConfig switched = makeConfig(RunaheadConfig::kBaseline, false);
+    switched.core.runahead.traditionalEnabled = true;
+    const SimResult a = runMcf(switched);
+    EXPECT_GT(a.avgChainLength, 0.0);
+    EXPECT_EQ(a.avgChainLength,
+              runMcf(makeConfig(RunaheadConfig::kRunahead, false))
+                  .avgChainLength);
 }
 
 TEST(Simulation, DeterministicAcrossRuns)

@@ -23,8 +23,10 @@
 #include <fstream>
 #include <map>
 #include <string>
+#include <type_traits>
 #include <vector>
 
+#include "core/config_fields.hh"
 #include "core/simulation.hh"
 #include "reference_interpreter.hh"
 #include "snapshot/snapshot.hh"
@@ -469,162 +471,52 @@ TEST(Snapshot, ForkRestoreRejectsWarmupConfigMismatch)
     }
 }
 
-/** What changing one config field must do to the two digests. */
-enum class DigestEffect
+/** Move @p value off its current value, by type. */
+template <class T>
+void
+perturb(T &value)
 {
-    kBoth,      ///< Machine field: the warmup state depends on it.
-    kExactOnly, ///< Variant field: forks across it must stay legal.
-    kNeither,   ///< Budget or behaviour-preserving knob.
-};
+    if constexpr (std::is_same_v<T, bool>)
+        value = !value;
+    else if constexpr (std::is_enum_v<T>)
+        value = static_cast<T>(static_cast<int>(value) + 1);
+    else if constexpr (std::is_arithmetic_v<T>)
+        value += 1;
+    else if constexpr (std::is_same_v<T, std::string>)
+        value += '+';
+    else if constexpr (std::is_same_v<T, EnergyCoefficients>)
+        value.dramAccessPj += 1.0; // Opaque: one coefficient stands in.
+    else
+        value.push_back(RunaheadConfig::kHybrid); // corePolicies
+}
 
-struct DigestProbe
-{
-    const char *field;
-    DigestEffect effect;
-    void (*perturb)(SimConfig &);
-};
-
-#define DIGEST_PROBE(effect, field, value)                              \
-    DigestProbe{#field, DigestEffect::effect,                           \
-                [](SimConfig &c) { c.field = value; }}
-
-/** Every field either digest lists, each set off its default. Each
- *  machine or variant field changes what a resumed run does (a 128 B
- *  DRAM line moves mcf's cycle count), so a digest that misses one
- *  lets an image restore into a machine it does not describe. */
-const DigestProbe kDigestProbes[] = {
-    DIGEST_PROBE(kBoth, prefetch, true),
-    DIGEST_PROBE(kBoth, warmupInstructions, 7),
-    DIGEST_PROBE(kBoth, numCores, 2),
-    DIGEST_PROBE(kBoth, checkLevel, CheckLevel::kCheap),
-    DIGEST_PROBE(kBoth, checkPolicy, CheckPolicy::kDegrade),
-    DIGEST_PROBE(kBoth, mem.l1i.sizeBytes, 16 * 1024),
-    DIGEST_PROBE(kBoth, mem.l1i.associativity, 4),
-    DIGEST_PROBE(kBoth, mem.l1i.lineBytes, 128),
-    DIGEST_PROBE(kBoth, mem.l1i.latency, 5),
-    DIGEST_PROBE(kBoth, mem.l1d.sizeBytes, 16 * 1024),
-    DIGEST_PROBE(kBoth, mem.l1d.associativity, 4),
-    DIGEST_PROBE(kBoth, mem.l1d.lineBytes, 128),
-    DIGEST_PROBE(kBoth, mem.l1d.latency, 5),
-    DIGEST_PROBE(kBoth, mem.llc.sizeBytes, 512 * 1024),
-    DIGEST_PROBE(kBoth, mem.llc.associativity, 16),
-    DIGEST_PROBE(kBoth, mem.llc.lineBytes, 128),
-    DIGEST_PROBE(kBoth, mem.llc.latency, 30),
-    DIGEST_PROBE(kBoth, mem.dram.coreClockGhz, 2.0),
-    DIGEST_PROBE(kBoth, mem.dram.busClockMhz, 1066.0),
-    DIGEST_PROBE(kBoth, mem.dram.channels, 1),
-    DIGEST_PROBE(kBoth, mem.dram.banksPerChannel, 4),
-    DIGEST_PROBE(kBoth, mem.dram.rowBytes, 4 * 1024),
-    DIGEST_PROBE(kBoth, mem.dram.lineBytes, 128),
-    DIGEST_PROBE(kBoth, mem.dram.casNs, 20.0),
-    DIGEST_PROBE(kBoth, mem.dram.tRcdNs, 40.0),
-    DIGEST_PROBE(kBoth, mem.dram.tRpNs, 40.0),
-    DIGEST_PROBE(kBoth, mem.memQueueEntries, 32),
-    DIGEST_PROBE(kBoth, mem.runaheadQueueReserve, 8),
-    DIGEST_PROBE(kBoth, mem.memRetryLimit, 5),
-    DIGEST_PROBE(kBoth, mem.memTimeoutCycles, 500),
-    DIGEST_PROBE(kBoth, mem.memRetryBackoffCycles, 100),
-    DIGEST_PROBE(kBoth, mem.prefetcher.enabled, true),
-    DIGEST_PROBE(kBoth, mem.prefetcher.streams, 16),
-    DIGEST_PROBE(kBoth, mem.prefetcher.distance, 16),
-    DIGEST_PROBE(kBoth, mem.prefetcher.degree, 4),
-    DIGEST_PROBE(kBoth, mem.prefetcher.fdpThrottle, false),
-    DIGEST_PROBE(kBoth, mem.prefetcher.fdpInterval, 1024),
-    DIGEST_PROBE(kBoth, mem.prefetcher.fdpHighAccuracy, 0.9),
-    DIGEST_PROBE(kBoth, mem.prefetcher.fdpLowAccuracy, 0.1),
-    DIGEST_PROBE(kBoth, core.frontend.fetchWidth, 1),
-    DIGEST_PROBE(kBoth, core.renameWidth, 2),
-    DIGEST_PROBE(kBoth, core.issueWidth, 2),
-    DIGEST_PROBE(kBoth, core.commitWidth, 2),
-    DIGEST_PROBE(kBoth, core.robEntries, 96),
-    DIGEST_PROBE(kBoth, core.rsEntries, 48),
-    DIGEST_PROBE(kBoth, core.sqEntries, 24),
-    DIGEST_PROBE(kBoth, core.numPhysRegs, 256),
-    DIGEST_PROBE(kBoth, core.memPorts, 1),
-    DIGEST_PROBE(kBoth, core.redirectPenalty, 5),
-    DIGEST_PROBE(kBoth, core.exitPenalty, 8),
-    DIGEST_PROBE(kBoth, core.stallEntryCycles, 8),
-    DIGEST_PROBE(kBoth, core.minRunaheadDistance, 40),
-    DIGEST_PROBE(kBoth, core.deadlockCycles, 1'000'000),
-    DIGEST_PROBE(kBoth, core.watchdog.cycles, 100'000),
-    DIGEST_PROBE(kBoth, core.watchdog.giveUpAfter, 5),
-    DIGEST_PROBE(kBoth, core.watchdog.maxRecoveries, 10),
-    DIGEST_PROBE(kBoth, core.frontend.decodeDepth, 4),
-    DIGEST_PROBE(kBoth, core.frontend.fetchQueueEntries, 16),
-    DIGEST_PROBE(kBoth, core.frontend.uopBytes, 4),
-    DIGEST_PROBE(kBoth, core.frontend.instBase, 0x8000000),
-    DIGEST_PROBE(kBoth, core.bp.historyBits, 10),
-    DIGEST_PROBE(kBoth, core.bp.bimodalEntries, 2048),
-    DIGEST_PROBE(kBoth, core.bp.gshareEntries, 2048),
-    DIGEST_PROBE(kBoth, core.bp.chooserEntries, 2048),
-    DIGEST_PROBE(kBoth, core.bp.btbEntries, 512),
-    DIGEST_PROBE(kBoth, core.bp.rasEntries, 8),
-    DIGEST_PROBE(kBoth, fault.enabled, true),
-    DIGEST_PROBE(kBoth, fault.seed, 2),
-    DIGEST_PROBE(kBoth, fault.chainCacheRate, 0.5),
-    DIGEST_PROBE(kBoth, fault.bufferUopRate, 0.5),
-    DIGEST_PROBE(kBoth, fault.dramDropRate, 0.5),
-    DIGEST_PROBE(kBoth, fault.dramDelayRate, 0.5),
-    DIGEST_PROBE(kBoth, fault.dramDelayMaxCycles, 100),
-    DIGEST_PROBE(kBoth, fault.memStallRate, 0.5),
-    DIGEST_PROBE(kBoth, fault.memStallCycles, 100),
-
-    DIGEST_PROBE(kExactOnly, runahead, RunaheadConfig::kHybrid),
-    DIGEST_PROBE(kExactOnly, corePolicies, {RunaheadConfig::kHybrid}),
-    DIGEST_PROBE(kExactOnly, core.collectChainAnalysis, true),
-    DIGEST_PROBE(kExactOnly, core.runahead.traditionalEnabled, true),
-    DIGEST_PROBE(kExactOnly, core.runahead.bufferEnabled, true),
-    DIGEST_PROBE(kExactOnly, core.runahead.chainCacheEnabled, true),
-    DIGEST_PROBE(kExactOnly, core.runahead.hybrid, true),
-    DIGEST_PROBE(kExactOnly, core.runahead.enhancements, true),
-    DIGEST_PROBE(kExactOnly, core.runahead.distanceThreshold, 100),
-    DIGEST_PROBE(kExactOnly, core.runahead.chainCacheEntries, 4),
-    DIGEST_PROBE(kExactOnly, core.runahead.chainGen.maxChainLength, 16),
-    DIGEST_PROBE(kExactOnly, core.runahead.chainGen.regSearchesPerCycle, 1),
-    DIGEST_PROBE(kExactOnly, core.runahead.chainGen.readoutWidth, 2),
-    DIGEST_PROBE(kExactOnly, core.runahead.chainGen.srslEntries, 8),
-    DIGEST_PROBE(kExactOnly, core.runahead.runaheadCache.sizeBytes, 1024),
-    DIGEST_PROBE(kExactOnly, core.runahead.runaheadCache.associativity, 2),
-    DIGEST_PROBE(kExactOnly, core.runahead.runaheadCache.lineBytes, 16),
-    DIGEST_PROBE(kExactOnly, core.runahead.degrade.enabled, false),
-    DIGEST_PROBE(kExactOnly, core.runahead.degrade.faultThreshold, 8),
-    DIGEST_PROBE(kExactOnly, core.runahead.degrade.probationCycles, 1000),
-    DIGEST_PROBE(kExactOnly, core.runahead.engine.enabled, true),
-    DIGEST_PROBE(kExactOnly, core.runahead.engine.instantiateInert, true),
-    DIGEST_PROBE(kExactOnly, core.runahead.engine.slots, 4),
-    DIGEST_PROBE(kExactOnly, core.runahead.engine.storeBufEntries, 8),
-    DIGEST_PROBE(kExactOnly, core.runahead.engine.uopsPerCycle, 2),
-    DIGEST_PROBE(kExactOnly, core.runahead.engine.utilityInit, 2),
-    DIGEST_PROBE(kExactOnly, core.runahead.engine.utilityMax, 15),
-    DIGEST_PROBE(kExactOnly, core.runahead.engine.idleIterationLimit, 32),
-    DIGEST_PROBE(kExactOnly, core.runahead.engine.recentEntries, 8),
-    DIGEST_PROBE(kExactOnly, core.runahead.engine.queueRetryCycles, 16),
-    DIGEST_PROBE(kExactOnly, core.runahead.engine.recentTtlCycles, 4096),
-
-    DIGEST_PROBE(kNeither, instructions, 1),
-    DIGEST_PROBE(kNeither, maxCycles, 1),
-    DIGEST_PROBE(kNeither, fastForward, false),
-    DIGEST_PROBE(kNeither, isolateMemory, true),
-    DIGEST_PROBE(kNeither, energy.dramAccessPj, 1.0),
-};
-
-#undef DIGEST_PROBE
-
+/** Every leaf of the config field list, set off its default one at a
+ *  time, moves exactly the digests its tag names: a machine field
+ *  both, a variant field the exact one only (so forks across variants
+ *  stay legal), an unhashed one neither. Each machine or variant field
+ *  changes what a resumed run does (a 128 B DRAM line moves mcf's
+ *  cycle count), so a digest that missed one would let an image
+ *  restore into a machine it does not describe. */
 TEST(Snapshot, DigestsCoverEveryModelledField)
 {
-    const SimConfig base = makeConfig(RunaheadConfig::kBaseline, false);
-    const std::uint64_t warm = snapshotWarmupDigest(base);
-    const std::uint64_t exact = snapshotConfigDigest(base);
-    for (const DigestProbe &probe : kDigestProbes) {
-        SimConfig config = base;
-        probe.perturb(config);
-        const bool warm_moved = snapshotWarmupDigest(config) != warm;
-        const bool exact_moved = snapshotConfigDigest(config) != exact;
-        EXPECT_EQ(warm_moved, probe.effect == DigestEffect::kBoth)
-            << "warmup digest vs " << probe.field;
-        EXPECT_EQ(exact_moved, probe.effect != DigestEffect::kNeither)
-            << "exact digest vs " << probe.field;
-    }
+    SimConfig config = makeConfig(RunaheadConfig::kBaseline, false);
+    const std::uint64_t warm = snapshotWarmupDigest(config);
+    const std::uint64_t exact = snapshotConfigDigest(config);
+    std::size_t leaves = 0;
+    forEachConfigLeaf(config, [&](const std::string &path, auto &value,
+                                  auto tag) {
+        const auto saved = value;
+        perturb(value);
+        EXPECT_EQ(snapshotWarmupDigest(config) != warm,
+                  tag == FieldTag::kMachine)
+            << "warmup digest vs " << path;
+        EXPECT_EQ(snapshotConfigDigest(config) != exact,
+                  tag != FieldTag::kUnhashed)
+            << "exact digest vs " << path;
+        value = saved;
+        ++leaves;
+    });
+    EXPECT_GT(leaves, 100u);
 }
 
 // --------------------------------------------------------------------
