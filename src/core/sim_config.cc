@@ -23,35 +23,43 @@ runaheadConfigName(RunaheadConfig config)
     return "?";
 }
 
+namespace
+{
+
+RunaheadPolicy
+policyPreset(RunaheadConfig config)
+{
+    switch (config) {
+      case RunaheadConfig::kBaseline: return policyNone();
+      case RunaheadConfig::kRunahead: return policyTraditional();
+      case RunaheadConfig::kRunaheadEnhanced:
+        return policyTraditionalEnhanced();
+      case RunaheadConfig::kRunaheadBuffer: return policyBuffer();
+      case RunaheadConfig::kRunaheadBufferCC:
+        return policyBufferChainCache();
+      case RunaheadConfig::kHybrid: return policyHybrid();
+      case RunaheadConfig::kCRE: return policyCre();
+      case RunaheadConfig::kCREHybrid: return policyCreHybrid();
+    }
+    return policyNone();
+}
+
+} // namespace
+
 void
 SimConfig::finalize()
 {
-    switch (runahead) {
-      case RunaheadConfig::kBaseline:
-        core.runahead = policyNone();
-        break;
-      case RunaheadConfig::kRunahead:
-        core.runahead = policyTraditional();
-        break;
-      case RunaheadConfig::kRunaheadEnhanced:
-        core.runahead = policyTraditionalEnhanced();
-        break;
-      case RunaheadConfig::kRunaheadBuffer:
-        core.runahead = policyBuffer();
-        break;
-      case RunaheadConfig::kRunaheadBufferCC:
-        core.runahead = policyBufferChainCache();
-        break;
-      case RunaheadConfig::kHybrid:
-        core.runahead = policyHybrid();
-        break;
-      case RunaheadConfig::kCRE:
-        core.runahead = policyCre();
-        break;
-      case RunaheadConfig::kCREHybrid:
-        core.runahead = policyCreHybrid();
-        break;
-    }
+    // The preset picks the mechanisms; every sizing field (buffer and
+    // chain cache, runahead cache, ladder, engine) keeps the caller's
+    // value, so a re-finalize under another policy keeps overrides.
+    const RunaheadPolicy preset = policyPreset(runahead);
+    RunaheadPolicy &p = core.runahead;
+    p.traditionalEnabled = preset.traditionalEnabled;
+    p.bufferEnabled = preset.bufferEnabled;
+    p.chainCacheEnabled = preset.chainCacheEnabled;
+    p.hybrid = preset.hybrid;
+    p.enhancements = preset.enhancements;
+    p.engine.enabled = preset.engine.enabled;
     mem.prefetcher.enabled = prefetch;
     core.fastForward = fastForward;
     core.checkLevel = checkLevel;

@@ -92,7 +92,10 @@ struct SimConfig
     }
 
     /** Propagate the runahead/prefetch selections into the component
-     *  configs. Call before constructing a Simulation. */
+     *  configs: `runahead` sets core.runahead's six mechanism switches
+     *  (every sizing field keeps its value), `prefetch`, `fastForward`,
+     *  `checkLevel` and `checkPolicy` their core/memory copies. Call
+     *  before constructing a Simulation. */
     void finalize();
 
     /** Human-readable Table 1-style configuration summary. */

@@ -221,6 +221,23 @@ TEST(SimConfig, FinalizeMapsRunaheadPolicies)
     EXPECT_FALSE(b.mem.prefetcher.enabled);
 }
 
+/** finalize() sets only the policy's mechanism switches: sizes set
+ *  before it survive, so a re-finalize never undoes an override. */
+TEST(SimConfig, FinalizeKeepsRunaheadSizes)
+{
+    SimConfig c = makeConfig(RunaheadConfig::kBaseline, false);
+    c.core.runahead.chainGen.maxChainLength = 8;
+    c.core.runahead.degrade.faultThreshold = 1;
+    c.core.runahead.engine.slots = 4;
+    c.runahead = RunaheadConfig::kCRE;
+    c.finalize();
+    EXPECT_TRUE(c.core.runahead.bufferEnabled);
+    EXPECT_TRUE(c.core.runahead.engine.enabled);
+    EXPECT_EQ(c.core.runahead.chainGen.maxChainLength, 8);
+    EXPECT_EQ(c.core.runahead.degrade.faultThreshold, 1);
+    EXPECT_EQ(c.core.runahead.engine.slots, 4);
+}
+
 TEST(SimConfig, Table1StringMentionsKeyParameters)
 {
     const SimConfig c = makeConfig(RunaheadConfig::kHybrid, true);

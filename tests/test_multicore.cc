@@ -40,6 +40,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hh"
@@ -649,6 +650,34 @@ TEST(MultiCore, PerCorePoliciesApplyIndependently)
     EXPECT_EQ(result.cores[1].config, RunaheadConfig::kBaseline);
     EXPECT_GT(result.cores[0].runaheadIntervals, 0u);
     EXPECT_EQ(result.cores[1].runaheadIntervals, 0u);
+}
+
+/** A core whose policy differs from `runahead` is re-finalized under
+ *  its own: that sets the policy's mechanism switches and keeps the
+ *  sizes set after makeConfig (rabsim's --buffer and --chain-cache). */
+TEST(MultiCore, PerCorePoliciesKeepSizingOverrides)
+{
+    SimConfig config = makeConfig(RunaheadConfig::kBaseline, false);
+    config.numCores = 2;
+    config.corePolicies = {RunaheadConfig::kBaseline,
+                           RunaheadConfig::kRunaheadBufferCC};
+    config.core.runahead.chainGen.maxChainLength = 8;
+    config.core.runahead.chainCacheEntries = 1;
+    std::vector<Program> programs;
+    programs.push_back(buildSuiteWorkload("mcf"));
+    programs.push_back(buildSuiteWorkload("mcf"));
+    Simulation sim(config, std::move(programs));
+
+    const RunaheadPolicy &policy = sim.core(1).config().runahead;
+    EXPECT_EQ(policy.chainGen.maxChainLength, 8);
+    EXPECT_EQ(policy.chainCacheEntries, 1);
+    const RunaheadPolicy preset = policyBufferChainCache();
+    EXPECT_EQ(policy.traditionalEnabled, preset.traditionalEnabled);
+    EXPECT_EQ(policy.bufferEnabled, preset.bufferEnabled);
+    EXPECT_EQ(policy.chainCacheEnabled, preset.chainCacheEnabled);
+    EXPECT_EQ(policy.hybrid, preset.hybrid);
+    EXPECT_EQ(policy.enhancements, preset.enhancements);
+    EXPECT_EQ(policy.engine.enabled, preset.engine.enabled);
 }
 
 } // namespace
