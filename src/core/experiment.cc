@@ -84,10 +84,28 @@ selectWorkloads(const std::vector<WorkloadSpec> &base,
 {
     if (filter.empty())
         return base;
+    std::vector<std::string> wanted;
+    std::string outside;
+    for (const std::string &name : filter) {
+        const WorkloadSpec *spec = findWorkload(name);
+        if (!spec)
+            fatal("RAB_WORKLOADS='%s' is not a workload", name.c_str());
+        const std::string &suite_name = spec->params.name;
+        wanted.push_back(suite_name);
+        if (std::none_of(base.begin(), base.end(),
+                         [&](const WorkloadSpec &s) {
+                             return s.params.name == suite_name;
+                         })) {
+            outside += " " + suite_name;
+        }
+    }
+    if (!outside.empty())
+        warn("RAB_WORKLOADS: not in this figure, skipped:%s",
+             outside.c_str());
     std::vector<WorkloadSpec> selected;
     for (const WorkloadSpec &spec : base) {
-        if (std::find(filter.begin(), filter.end(), spec.params.name)
-                != filter.end()) {
+        if (std::find(wanted.begin(), wanted.end(), spec.params.name)
+                != wanted.end()) {
             selected.push_back(spec);
         }
     }

@@ -50,7 +50,11 @@ struct BenchOptions
                                 std::uint64_t default_warmup = 15'000);
 };
 
-/** Apply the name filter (empty filter keeps everything). */
+/** The workloads of @p base that @p filter names, in @p base's order;
+ *  an empty filter keeps everything. Names resolve through
+ *  findWorkload, so the suite's aliases (libquantum) work. A name that
+ *  is no workload is fatal() (exit 1); one outside @p base is skipped
+ *  with a warning. */
 std::vector<WorkloadSpec>
 selectWorkloads(const std::vector<WorkloadSpec> &base,
                 const std::vector<std::string> &filter);

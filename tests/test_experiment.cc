@@ -134,10 +134,28 @@ TEST(SelectWorkloads, FiltersByName)
 {
     const auto &all = spec06Suite();
     EXPECT_EQ(selectWorkloads(all, {}).size(), all.size());
-    const auto some = selectWorkloads(all, {"mcf", "libq", "bogus"});
+    const auto some = selectWorkloads(all, {"mcf", "libq"});
     ASSERT_EQ(some.size(), 2u);
     EXPECT_EQ(some[0].params.name, "libq"); // suite order preserved
     EXPECT_EQ(some[1].params.name, "mcf");
+}
+
+/** A typo must not run an empty figure and exit 0. */
+TEST(SelectWorkloads, UnknownNameIsFatal)
+{
+    EXPECT_EXIT(selectWorkloads(spec06Suite(), {"mcf", "bogus"}),
+                ::testing::ExitedWithCode(1), "'bogus' is not a workload");
+}
+
+/** The suite's full SPEC names select their abbreviated workloads, as
+ *  they do in rabsim and rabsweep. */
+TEST(SelectWorkloads, AcceptsSuiteAliases)
+{
+    const auto some =
+        selectWorkloads(spec06Suite(), {"libquantum", "cactusADM"});
+    ASSERT_EQ(some.size(), 2u);
+    EXPECT_EQ(some[0].params.name, "cactus");
+    EXPECT_EQ(some[1].params.name, "libq");
 }
 
 TEST(RunCell, ProducesResult)
