@@ -203,24 +203,40 @@ buildPointWorkload(const std::string &name, std::uint64_t seed)
 }
 
 /**
- * Config a warmup image for @p point's group is captured under: the
- * baseline policy (so the image is fork-safe — warmup never enters a
- * runahead interval) with the point's prefetch setting and every
- * spec-level knob that shapes warmup state. Variant-specific policy
- * is deliberately absent: it is exactly what each fork re-derives.
+ * The config @p point runs under with runahead policy @p runahead:
+ * the point's prefetch setting and mix shape plus every spec-level
+ * knob. The one place a CampaignSpec becomes a SimConfig, so a point
+ * and the warmup image it forks from differ in policy only: runPoint
+ * passes the point's own, warmupImageConfig the baseline.
  */
 SimConfig
-warmupImageConfig(const CampaignSpec &spec, const SweepPoint &point)
+pointConfig(const CampaignSpec &spec, const SweepPoint &point,
+            RunaheadConfig runahead)
 {
-    SimConfig config =
-        makeConfig(RunaheadConfig::kBaseline, point.prefetch);
+    SimConfig config = makeConfig(runahead, point.prefetch);
     config.instructions = spec.instructions;
     config.warmupInstructions = spec.warmup;
     config.checkLevel = spec.checkLevel;
     config.checkPolicy = spec.checkPolicy;
     config.fastForward = spec.fastForward;
+    if (point.isMix()) {
+        config.numCores = static_cast<int>(point.mixWorkloads.size());
+        config.corePolicies = point.corePolicies;
+    }
     config.finalize();
     return config;
+}
+
+/**
+ * Config a warmup image for @p point's group is captured under: the
+ * baseline policy, so the image is fork-safe (warmup never enters a
+ * runahead interval). Variant-specific policy is deliberately absent:
+ * it is exactly what each fork re-derives.
+ */
+SimConfig
+warmupImageConfig(const CampaignSpec &spec, const SweepPoint &point)
+{
+    return pointConfig(spec, point, RunaheadConfig::kBaseline);
 }
 
 } // namespace
@@ -252,18 +268,7 @@ runPoint(const CampaignSpec &spec, const SweepPoint &point,
     // wallSeconds never feeds simulated state or manifest ordering)
     const auto start = std::chrono::steady_clock::now();
     try {
-        SimConfig config = makeConfig(point.runahead, point.prefetch);
-        config.instructions = spec.instructions;
-        config.warmupInstructions = spec.warmup;
-        config.checkLevel = spec.checkLevel;
-        config.checkPolicy = spec.checkPolicy;
-        config.fastForward = spec.fastForward;
-        if (point.isMix()) {
-            config.numCores =
-                static_cast<int>(point.mixWorkloads.size());
-            config.corePolicies = point.corePolicies;
-        }
-        config.finalize();
+        SimConfig config = pointConfig(spec, point, point.runahead);
         if (spec.configHook)
             spec.configHook(point.index, config);
 
