@@ -33,9 +33,9 @@ struct DramConfig
     int banksPerChannel = 8;
     std::uint64_t rowBytes = 8 * 1024;
     int lineBytes = 64;
-    double casNs = 13.75;  ///< CAS latency (also used for tRCD and tRP).
-    double tRcdNs = 13.75;
-    double tRpNs = 13.75;
+    double casNs = 13.75;  ///< CAS latency (tCL).
+    double tRcdNs = 13.75; ///< Activate to read (row open).
+    double tRpNs = 13.75;  ///< Precharge (row close).
 };
 
 /** One scheduled DRAM access. */
