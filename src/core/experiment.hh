@@ -45,6 +45,7 @@ struct BenchOptions
      * defaults (threads: all hardware threads). A numeric variable
      * that is set but not one plain integer (RAB_THREADS at most
      * INT_MAX) is fatal(): "200k", "1e5" and "-3" exit 1.
+     * selectWorkloads checks the RAB_WORKLOADS names.
      */
     static BenchOptions fromEnv(std::uint64_t default_instructions = 60'000,
                                 std::uint64_t default_warmup = 15'000);
