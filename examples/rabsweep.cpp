@@ -72,8 +72,6 @@ struct Options
     bool fastForward = true;
     bool snapshotWarmup = false; ///< Shared checkpointed warmup.
     std::string storeDir; ///< Result-store root ("" = no store).
-    int retryLimit = 2;
-    int retryBackoffMs = 20;
 };
 
 /** SIGINT latch: workers stop claiming new points. */
@@ -130,9 +128,7 @@ usage()
         "  --list-presets      describe the presets and exit\n"
         "  --store DIR         crash-safe result store: cached points\n"
         "                      are reused, fresh ones persisted, so a\n"
-        "                      killed campaign resumes on re-run\n"
-        "  --retry-limit N     per-point fault retries (default 2)\n"
-        "  --retry-backoff MS  base retry backoff, doubling (def 20)\n",
+        "                      killed campaign resumes on re-run\n",
         stdout);
     std::exit(0);
 }
@@ -401,10 +397,6 @@ parseArgs(int argc, char **argv)
             opts.listPresets = true;
         else if (arg == "--store")
             opts.storeDir = next(i);
-        else if (arg == "--retry-limit")
-            opts.retryLimit = number(i, 0, kIntMax);
-        else if (arg == "--retry-backoff")
-            opts.retryBackoffMs = number(i, 0, kIntMax);
         else if (arg == "--help" || arg == "-h")
             usage();
         else
@@ -451,8 +443,6 @@ buildSpec(const Options &opts)
         spec.warmup = opts.warmup;
     spec.fastForward = opts.fastForward;
     spec.snapshotWarmup = opts.snapshotWarmup;
-    spec.retryLimit = opts.retryLimit;
-    spec.retryBackoffMs = opts.retryBackoffMs;
     if ((spec.workloads.empty() && spec.mixes.empty())
         || spec.variants.empty())
         usageError("empty grid: give --preset, --workloads or --mix "
@@ -471,8 +461,6 @@ printSummary(const CampaignResult &campaign)
             status = p.cached ? "cached" : "ok";
         else if (!p.ran)
             status = "skipped";
-        else if (p.quarantined)
-            status = "QUARANTINED";
         table.addRow({std::to_string(p.point.index), p.point.workload,
                       p.point.variant, std::to_string(p.point.seed),
                       status,

@@ -200,17 +200,6 @@ TextTable::print() const
     std::fputs(toString().c_str(), stdout);
 }
 
-SimResult
-runCell(const WorkloadSpec &spec, RunaheadConfig config, bool prefetch,
-        const BenchOptions &options)
-{
-    SimConfig sim_config = makeConfig(config, prefetch);
-    sim_config.instructions = options.instructions;
-    sim_config.warmupInstructions = options.warmup;
-    Simulation sim(sim_config, buildWorkload(spec.params));
-    return sim.run();
-}
-
 std::string
 CellRunner::cellKey(const std::string &workload, RunaheadConfig config,
                     bool prefetch)
@@ -224,13 +213,9 @@ CellRunner::get(const WorkloadSpec &spec, RunaheadConfig config,
                 bool prefetch)
 {
     const std::string key = cellKey(spec.params.name, config, prefetch);
-    auto it = cache_.find(key);
-    if (it == cache_.end()) {
-        it = cache_.emplace(key,
-                            runCell(spec, config, prefetch, options_))
-                 .first;
-    }
-    return it->second;
+    if (cache_.count(key) == 0)
+        prefill({spec}, {{config, prefetch}});
+    return cache_.at(key);
 }
 
 void
@@ -263,11 +248,8 @@ CellRunner::prefill(const std::vector<WorkloadSpec> &specs,
         runCampaign(spec, options_.threads);
     for (const PointResult &p : campaign.points) {
         if (!p.ok) {
-            warn("prefill: point %s/%s failed (%s); figures will "
-                 "re-run it serially",
-                 p.point.workload.c_str(), p.point.variant.c_str(),
-                 p.error.c_str());
-            continue;
+            fatal("bench point %s/%s failed: %s", p.point.workload.c_str(),
+                  p.point.variant.c_str(), p.error.c_str());
         }
         cache_.emplace(cellKey(p.point.workload, p.point.runahead,
                                p.point.prefetch),

@@ -84,10 +84,6 @@ class TextTable
     std::vector<std::vector<std::string>> rows_;
 };
 
-/** Run one (workload, config, prefetch) cell with bench sizing. */
-SimResult runCell(const WorkloadSpec &spec, RunaheadConfig config,
-                  bool prefetch, const BenchOptions &options);
-
 /** A (config, prefetch) column of a figure grid. */
 using CellVariant = std::pair<RunaheadConfig, bool>;
 
@@ -95,11 +91,12 @@ using CellVariant = std::pair<RunaheadConfig, bool>;
  * Runs (workload x config) cells once each and caches the results, so
  * several figures computed by one binary don't re-simulate.
  *
- * prefill() is the fast path: it hands the whole workload x variant
- * grid to the sweep engine (src/sweep), which executes the cells on
- * options.threads worker threads; the figure loops below then hit the
- * cache. get() on a missing cell still simulates serially, so callers
- * never have to prefill exactly.
+ * Every cell runs through the sweep engine (src/sweep), the path
+ * rabsweep points take: prefill() hands it the whole workload x variant
+ * grid, which it executes on options.threads worker threads, and get()
+ * on a missing cell hands it that one cell, so callers never have to
+ * prefill exactly. A cell that fails is fatal(), naming the point and
+ * its error: a figure never prints a row it could not simulate.
  */
 class CellRunner
 {

@@ -66,8 +66,9 @@ enum class SnapshotErrorKind
 
 const char *snapshotErrorKindName(SnapshotErrorKind kind);
 
-/** Structured snapshot failure: every reject path throws this, so
- *  callers can always fall back to a straight-line warmup. */
+/** Structured snapshot failure: every reject path throws this, so a
+ *  caller handles a bad image in one place (rabsim falls back to a
+ *  straight-line warmup, a campaign fails the point). */
 class SnapshotError : public std::runtime_error
 {
   public:

@@ -6,7 +6,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -15,7 +14,6 @@
 #include "checker/invariant_checker.hh"
 #include "common/hash.hh"
 #include "common/logging.hh"
-#include "fault/watchdog.hh"
 #include "snapshot/snapshot.hh"
 #include "sweep/report.hh"
 #include "sweep/store/result_store.hh"
@@ -268,47 +266,23 @@ runPoint(const CampaignSpec &spec, const SweepPoint &point,
     // wallSeconds never feeds simulated state or manifest ordering)
     const auto start = std::chrono::steady_clock::now();
     try {
-        SimConfig config = pointConfig(spec, point, point.runahead);
-        if (spec.configHook)
-            spec.configHook(point.index, config);
-
         // One program per core: the mix's workloads, or the point's.
         const std::vector<std::string> single = {point.workload};
-        const std::vector<std::string> &names =
-            point.isMix() ? point.mixWorkloads : single;
-        const auto programs = [&] {
-            std::vector<Program> out;
-            out.reserve(names.size());
-            for (const std::string &name : names)
-                out.push_back(buildPointWorkload(name, point.seed));
-            return out;
-        };
+        std::vector<Program> programs;
+        for (const std::string &name :
+             point.isMix() ? point.mixWorkloads : single)
+            programs.push_back(buildPointWorkload(name, point.seed));
 
-        std::optional<Simulation> sim;
-        sim.emplace(config, programs());
-        if (warmup_image && !spec.configHook) {
-            try {
-                restoreSnapshot(*sim, *warmup_image,
-                                SnapshotRestoreMode::kFork);
-                pr.snapshotWarmed = true;
-            } catch (const SnapshotError &e) {
-                // Straight-line fallback: a bad image costs one inline
-                // warmup, never a failed point. The sim may be
-                // partially overwritten — rebuild it.
-                warn("sweep: snapshot restore failed for point %zu "
-                     "(%s): falling back to inline warmup",
-                     point.index, e.what());
-                sim.emplace(config, programs());
-            }
+        Simulation sim(pointConfig(spec, point, point.runahead),
+                       std::move(programs));
+        if (warmup_image) {
+            restoreSnapshot(sim, *warmup_image,
+                            SnapshotRestoreMode::kFork);
+            pr.snapshotWarmed = true;
         }
-        pr.result = pr.snapshotWarmed ? sim->runMeasured() : sim->run();
-        pr.stats = sim->statPayload();
+        pr.result = warmup_image ? sim.runMeasured() : sim.run();
+        pr.stats = sim.statPayload();
         pr.ok = true;
-    } catch (const WatchdogTimeout &e) {
-        pr.error = strprintf(
-            "WatchdogTimeout: forward progress lost at cycle %llu "
-            "after %d recoveries",
-            (unsigned long long)e.cycle(), e.recoveries());
     } catch (const InvariantViolation &e) {
         pr.error = strprintf("InvariantViolation in '%s': %s",
                              e.module().c_str(), e.what());
@@ -323,63 +297,28 @@ runPoint(const CampaignSpec &spec, const SweepPoint &point,
     return pr;
 }
 
-bool
-isRetryableFailure(const std::string &error)
-{
-    // Fault-classified failures only: a watchdog giving up is the
-    // "machine hiccup" class the degradation ladder exists for, and
-    // the one that must not poison a whole campaign. Spec errors
-    // (unknown workload) and invariant violations are deterministic
-    // bugs — retrying them just burns time.
-    return error.rfind("WatchdogTimeout", 0) == 0;
-}
-
 namespace
 {
 
 /**
- * runPoint plus the spec's bounded-backoff retry and quarantine
- * policy: the pool's per-point worker.
- */
-PointResult
-runPointWithRecovery(const CampaignSpec &spec, const SweepPoint &point,
-                     const std::string *warmup_image)
-{
-    PointResult pr = runPoint(spec, point, warmup_image);
-    int attempt = 0;
-    while (!pr.ok && isRetryableFailure(pr.error)
-           && attempt < spec.retryLimit) {
-        // Bounded exponential backoff, the MemorySystem retry idiom
-        // lifted to point granularity. The sleep is wall time, not
-        // simulated time: it never touches simulator state.
-        std::this_thread::sleep_for(std::chrono::milliseconds(
-            spec.retryBackoffMs > 0 ? spec.retryBackoffMs << attempt
-                                    : 0));
-        ++attempt;
-        const std::string first_error = pr.error;
-        pr = runPoint(spec, point, warmup_image);
-        pr.retries = attempt;
-        if (!pr.ok)
-            pr.error += strprintf(" (retry %d of %d; first: %s)",
-                                  attempt, spec.retryLimit,
-                                  first_error.c_str());
-    }
-    if (!pr.ok && isRetryableFailure(pr.error))
-        pr.quarantined = true;
-    return pr;
-}
-
-/**
  * Thread-safe cache of shared warmup images, one per (workload, seed,
- * prefetch) group: the engine behind CampaignSpec::snapshotWarmup.
- * The first worker to reach a group builds its image — consulting /
- * feeding the result store's snapshot records when one is attached —
- * while the group's other points block on the warmup they are about
- * to reuse.
+ * prefetch) group of single-core points: the engine behind
+ * CampaignSpec::snapshotWarmup. The first worker to reach a group
+ * builds its image — consulting / feeding the result store's snapshot
+ * records when one is attached — while the group's other points block
+ * on the warmup they are about to reuse.
  */
 class WarmupImageCache
 {
   public:
+    /** A group's image, or why it could not be built. */
+    struct Image
+    {
+        std::string payload; ///< captureSnapshot image.
+        std::string id;      ///< warmupSnapshotId(payload).
+        std::string error;   ///< Build failure; "" when built.
+    };
+
     /** @p store (may be null) caches images across processes under
      *  code identity @p git_sha. */
     WarmupImageCache(ResultStore *store, std::string git_sha)
@@ -388,25 +327,19 @@ class WarmupImageCache
     }
 
     /**
-     * The shared image for @p point's group under @p spec, building
-     * it on first request. Returns nullptr — the caller warms inline
-     * — for mix points and after a failed build (a group fails once,
-     * not per point); otherwise the payload, with its store id left
-     * in @p snapshot_id. The pointer stays valid for the cache's
-     * lifetime.
+     * The image for @p point's group under @p spec, building it on
+     * first request. A failed build is tried once per group: its
+     * error stays in the image and fails every point of the group.
+     * The reference stays valid for the cache's lifetime.
      */
-    const std::string *get(const CampaignSpec &spec,
-                           const SweepPoint &point,
-                           std::string &snapshot_id);
+    const Image &get(const CampaignSpec &spec, const SweepPoint &point);
 
   private:
     struct Group
     {
         std::mutex mutex;
         bool built = false;
-        bool failed = false;
-        std::string payload; ///< captureSnapshot image.
-        std::string id;      ///< warmupSnapshotId(payload).
+        Image image;
     };
 
     ResultStore *store_;
@@ -417,13 +350,9 @@ class WarmupImageCache
         groups_;
 };
 
-const std::string *
-WarmupImageCache::get(const CampaignSpec &spec, const SweepPoint &point,
-                      std::string &snapshot_id)
+const WarmupImageCache::Image &
+WarmupImageCache::get(const CampaignSpec &spec, const SweepPoint &point)
 {
-    if (point.isMix())
-        return nullptr; // Mix points always warm inline.
-
     Group *g = nullptr;
     {
         std::lock_guard<std::mutex> lock(mutex_);
@@ -435,6 +364,7 @@ WarmupImageCache::get(const CampaignSpec &spec, const SweepPoint &point,
     }
 
     std::lock_guard<std::mutex> lock(g->mutex);
+    Image &image = g->image;
     if (!g->built) {
         g->built = true;
         try {
@@ -449,29 +379,25 @@ WarmupImageCache::get(const CampaignSpec &spec, const SweepPoint &point,
                 skey.warmupInstructions = spec.warmup;
                 skey.formatVersion = kSnapshotFormatVersion;
                 if (auto payload = store_->lookupSnapshot(skey)) {
-                    g->payload = std::move(*payload);
+                    image.payload = std::move(*payload);
                     from_store = true;
                 }
             }
             if (!from_store) {
-                g->payload = buildWarmupImage(spec, point);
+                image.payload = buildWarmupImage(spec, point);
                 if (store_)
-                    store_->putSnapshot(skey, g->payload);
+                    store_->putSnapshot(skey, image.payload);
             }
-            g->id = warmupSnapshotId(g->payload);
+            image.id = warmupSnapshotId(image.payload);
         } catch (const std::exception &e) {
-            g->failed = true;
-            g->payload.clear();
-            warn("sweep: warmup image build failed for '%s' seed "
-                 "%llu (%s): group warms inline",
-                 point.workload.c_str(),
-                 (unsigned long long)point.seed, e.what());
+            image.payload.clear();
+            image.error = strprintf(
+                "error: warmup image build failed for '%s' seed %llu: %s",
+                point.workload.c_str(), (unsigned long long)point.seed,
+                e.what());
         }
     }
-    if (g->failed)
-        return nullptr;
-    snapshot_id = g->id;
-    return &g->payload;
+    return image;
 }
 
 /**
@@ -557,16 +483,7 @@ runCampaign(const CampaignSpec &spec, int threads,
     campaign.threads = threads < 1 ? 1 : threads;
     campaign.points.resize(grid.size());
 
-    // A configHook mutates configs invisibly to the config hash, so
-    // cached results could silently disagree with what the hook would
-    // have produced — bypass the store entirely in that case.
-    ResultStore *store =
-        spec.configHook ? nullptr : options.store;
-    if (options.store && !store) {
-        warn("sweep: result store bypassed: spec '%s' has a "
-             "configHook the config hash cannot see",
-             spec.name.c_str());
-    }
+    ResultStore *store = options.store;
     const std::string git_sha = store ? currentGitSha() : "";
     const std::uint64_t hits0 = store ? store->hits() : 0;
     const std::uint64_t misses0 = store ? store->misses() : 0;
@@ -574,16 +491,6 @@ runCampaign(const CampaignSpec &spec, int threads,
     const std::uint64_t snap_hits0 = store ? store->snapshotHits() : 0;
     const std::uint64_t snap_misses0 =
         store ? store->snapshotMisses() : 0;
-
-    // Snapshotted warmup follows the store's configHook rule for the
-    // same reason: the hook's config mutations are invisible to the
-    // warmup image, so a fork from it would resume the wrong machine.
-    const bool snapshot_mode = spec.snapshotWarmup && !spec.configHook;
-    if (spec.snapshotWarmup && !snapshot_mode) {
-        warn("sweep: snapshot warmup bypassed: spec '%s' has a "
-             "configHook the warmup image cannot see",
-             spec.name.c_str());
-    }
 
     // One shared warmup image per (workload, seed, prefetch) group of
     // single-core points; built lazily by whichever worker reaches
@@ -600,35 +507,31 @@ runCampaign(const CampaignSpec &spec, int threads,
     // point that was already reported.
     const auto run_index = [&](std::size_t index) {
         const SweepPoint &point = grid[index];
-
-        const std::string *image = nullptr;
-        std::string snapshot_id;
-        if (snapshot_mode)
-            image = warmup_cache.get(spec, point, snapshot_id);
+        const WarmupImageCache::Image *image =
+            spec.snapshotWarmup && !point.isMix()
+            ? &warmup_cache.get(spec, point)
+            : nullptr;
 
         PointResult pr;
-        if (store) {
-            const StoreKey key = makeStoreKey(
-                spec, point, git_sha, image ? snapshot_id : "");
+        if (image && !image->error.empty()) {
+            pr.point = point;
+            pr.error = image->error;
+            pr.ran = true;
+        } else if (store) {
+            const StoreKey key = makeStoreKey(spec, point, git_sha,
+                                              image ? image->id : "");
             if (auto cached = store->lookup(key)) {
                 pr = std::move(*cached);
                 pr.point = point; // re-anchor to this grid's index
                 pr.snapshotWarmed = image != nullptr;
             } else {
-                pr = runPointWithRecovery(spec, point, image);
-                if (pr.ok) {
-                    // A point that fell back to inline warmup during
-                    // restore lives in the inline-key universe, not
-                    // the snapshot one it was aimed at.
-                    if (image && !pr.snapshotWarmed)
-                        store->put(makeStoreKey(spec, point, git_sha),
-                                   pr);
-                    else
-                        store->put(key, pr);
-                }
+                pr = runPoint(spec, point,
+                              image ? &image->payload : nullptr);
+                if (pr.ok)
+                    store->put(key, pr);
             }
         } else {
-            pr = runPointWithRecovery(spec, point, image);
+            pr = runPoint(spec, point, image ? &image->payload : nullptr);
         }
         if (options.onPoint) {
             std::lock_guard<std::mutex> lock(stream_mutex);

@@ -11,15 +11,19 @@
  * regardless of completion order. The merged output is certified
  * byte-identical across thread counts by tests/test_sweep.cc.
  *
- * Failure isolation: each point runs under its own try/catch, so one
- * point that dies (WatchdogTimeout under fault injection, an escaped
- * InvariantViolation, a bad spec entry) is marked failed with a
- * diagnostic string while the rest of the campaign completes.
+ * One path per point: runCampaign calls runPoint once per point, and
+ * runPoint builds the point's config from (spec, point) alone, so the
+ * store key and the warmup digest describe every run exactly. The
+ * simulator is deterministic, so nothing is retried: each point runs
+ * under its own try/catch, and one that dies (an escaped
+ * InvariantViolation, a bad spec entry, a warmup image that cannot be
+ * built or restored) is marked failed with a diagnostic string while
+ * the rest of the campaign completes.
  *
  * Thread safety: a Simulation is self-contained (per-instance RNGs,
  * freshly constructed components, stat groups asserted un-aliased via
  * StatGroup::claimExclusive), so points share nothing but read-only
- * spec data. The optional configHook must itself be thread-safe.
+ * spec data.
  */
 
 #ifndef RAB_SWEEP_CAMPAIGN_HH
@@ -119,31 +123,12 @@ struct CampaignSpec
      * Snapshot-warmed results are a distinct result universe from
      * inline-warmed ones (the warmup ran under the baseline policy,
      * not the variant's own), so the store keys them separately
-     * (config-key v4 warmup_mode/snapshot fields). Multi-core mix
-     * points always warm inline; a configHook disables snapshotting
-     * the same way it disables the store.
+     * (config-key v4 warmup_mode/snapshot fields). A point whose
+     * group image cannot be built or restored fails; it never warms
+     * inline instead, which would move it into the other universe.
+     * Multi-core mix points always warm inline.
      */
     bool snapshotWarmup = false;
-
-    /**
-     * @{ Bounded-retry recovery for fault-classified point failures
-     * (WatchdogTimeout), the same idiom MemorySystem uses for dropped
-     * DRAM responses: up to retryLimit re-runs with exponential
-     * backoff (retryBackoffMs, doubling per attempt). A point that
-     * exhausts its retries is quarantined — marked failed so the rest
-     * of the campaign completes — instead of wedging the run.
-     */
-    int retryLimit = 2;
-    int retryBackoffMs = 20;
-    /** @} */
-
-    /**
-     * Optional per-point SimConfig override, applied after the
-     * variant's base config is built and finalized. Runs on worker
-     * threads: must be thread-safe (pure index-based decisions are).
-     */
-    std::function<void(std::size_t point_index, SimConfig &config)>
-        configHook;
 
     std::size_t pointCount() const;
 };
@@ -188,12 +173,9 @@ struct PointResult
     double wallSeconds = 0;
     bool ran = false;    ///< False: interrupted before this point ran.
     bool cached = false; ///< Served from the result store.
-    /** Resumed from a warmup snapshot (false: warmed inline, either
-     *  by spec or because snapshot build/restore fell back). */
+    /** Resumed from a warmup snapshot (false: the spec warms inline,
+     *  or the point is a mix point). */
     bool snapshotWarmed = false;
-    int retries = 0;     ///< Fault-classified re-runs performed.
-    /** Failed every retry; isolated so the campaign completes. */
-    bool quarantined = false;
 };
 
 /** A finished campaign: points in grid order, always complete. */
@@ -230,9 +212,7 @@ struct CampaignRunOptions
     /**
      * Consult this store before simulating each point and persist
      * fresh ok results into it — the mechanism that makes campaigns
-     * resumable (the store is the checkpoint). Ignored when the spec
-     * has a configHook: the hook's effect is invisible to the config
-     * hash, so cached results could silently lie.
+     * resumable (the store is the checkpoint).
      */
     ResultStore *store = nullptr;
 
@@ -265,25 +245,22 @@ CampaignResult runCampaign(const CampaignSpec &spec, int threads,
                            const CampaignRunOptions &options);
 
 /**
- * Run one point in isolation, without retries (runCampaign adds the
- * spec's bounded-backoff retry and quarantine policy). When
+ * Run one point under the config (spec, point) names. When
  * @p warmup_image is non-null (a captureSnapshot payload of a warmed
  * baseline-policy simulation of the point's workload/seed/prefetch
  * group), the point's simulation fork-restores from it and runs only
- * the measured region; on any SnapshotError it falls back to inline
- * warmup on a fresh simulation (snapshotWarmed stays false).
+ * the measured region; a SnapshotError fails the point with the
+ * error's text (snapshotWarmed stays false).
  */
 PointResult runPoint(const CampaignSpec &spec, const SweepPoint &point,
                      const std::string *warmup_image = nullptr);
-
-/** Is @p error a fault-classified failure worth retrying? */
-bool isRetryableFailure(const std::string &error);
 
 /**
  * Warm one baseline-policy simulation of @p point's (workload, seed,
  * prefetch) group under @p spec's budgets and capture it — the image
  * every variant of the group forks from. Throws on any build, run or
- * capture failure. runCampaign shares one image per group.
+ * capture failure. runCampaign shares one image per group, and a
+ * group whose build throws fails all its points.
  */
 std::string buildWarmupImage(const CampaignSpec &spec,
                              const SweepPoint &point);

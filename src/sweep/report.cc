@@ -204,10 +204,6 @@ campaignManifest(const CampaignResult &campaign, bool canonical)
         entry["ok"] = p.ok;
         if (!p.ok) {
             entry["error"] = p.error;
-            // Quarantine is a deterministic verdict (the same fault
-            // fails the same retries), so it may live in the
-            // canonical document.
-            entry["quarantined"] = p.quarantined;
         } else {
             entry["metrics"] = simResultJson(p.result);
             Json stats = Json::object();
@@ -218,7 +214,6 @@ campaignManifest(const CampaignResult &campaign, bool canonical)
         if (!canonical) {
             entry["wall_seconds"] = p.wallSeconds;
             entry["cached"] = p.cached;
-            entry["retries"] = p.retries;
             // Shared-image and per-point-image arms produce the same
             // canonical document; which points actually forked is
             // execution provenance, like `cached`.

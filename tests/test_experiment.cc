@@ -158,17 +158,20 @@ TEST(SelectWorkloads, AcceptsSuiteAliases)
     EXPECT_EQ(some[1].params.name, "libq");
 }
 
-TEST(RunCell, ProducesResult)
+/** get() on an empty cache runs the cell through the sweep engine,
+ *  then serves it from the cache. */
+TEST(CellRunner, GetRunsAMissingCell)
 {
     BenchOptions options;
     options.instructions = 2'000;
     options.warmup = 500;
+    CellRunner runner(options);
     const WorkloadSpec *spec = findWorkload("mcf");
     ASSERT_NE(spec, nullptr);
-    const SimResult r =
-        runCell(*spec, RunaheadConfig::kBaseline, false, options);
+    const SimResult &r = runner.get(*spec, RunaheadConfig::kBaseline, false);
     EXPECT_GE(r.instructions, 2'000u);
     EXPECT_EQ(r.workload, "mcf");
+    EXPECT_EQ(&runner.get(*spec, RunaheadConfig::kBaseline, false), &r);
 }
 
 } // namespace

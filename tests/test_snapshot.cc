@@ -13,7 +13,8 @@
  * wrong-magic and wrong-version files are rejected with the right
  * structured SnapshotErrorKind, and mode gates (config digest, workload
  * identity, fork safety) refuse mismatched restores instead of
- * silently diverging.
+ * silently diverging, and a campaign point whose image is corrupt or
+ * cannot be built fails instead of warming inline.
  */
 
 #include <gtest/gtest.h>
@@ -717,6 +718,58 @@ TEST(SnapshotCampaign, SharedAndPerPointImagesAreByteIdentical)
 
     EXPECT_EQ(campaignManifest(shared, /*canonical=*/true).dump(),
               campaignManifest(private_images, /*canonical=*/true).dump());
+}
+
+TEST(SnapshotCampaign, CorruptImageFailsThePoint)
+{
+    // A snapshot-warmed point forks from its image or fails: warming
+    // inline instead would move it into the other result universe
+    // without a trace in the manifest.
+    const CampaignSpec spec = campaignSpec();
+    const SweepPoint point = expandGrid(spec).at(1); // mcf, Hybrid
+    std::string image = buildWarmupImage(spec, point);
+    image[0] = 'X'; // Payload magic.
+    std::string expected;
+    try {
+        peekSnapshotMeta(image);
+    } catch (const SnapshotError &e) {
+        expected = e.what();
+    }
+    ASSERT_FALSE(expected.empty());
+
+    const PointResult pr = runPoint(spec, point, &image);
+    EXPECT_TRUE(pr.ran);
+    EXPECT_FALSE(pr.ok);
+    EXPECT_FALSE(pr.snapshotWarmed);
+    EXPECT_NE(pr.error.find(expected), std::string::npos) << pr.error;
+}
+
+TEST(SnapshotCampaign, UnbuildableImageFailsItsGroup)
+{
+    // The image is built once per group. When that build fails, every
+    // point of the group fails with the build's error; the other
+    // groups fork as usual.
+    CampaignSpec spec = campaignSpec();
+    spec.workloads = {"mcf", "does-not-exist"};
+    for (const int threads : {1, 2}) {
+        const CampaignResult campaign = runCampaign(spec, threads);
+        EXPECT_EQ(campaign.failedCount(), spec.variants.size());
+        for (const PointResult &p : campaign.points) {
+            if (p.point.workload == "mcf") {
+                EXPECT_TRUE(p.ok) << p.error;
+                EXPECT_TRUE(p.snapshotWarmed);
+                continue;
+            }
+            EXPECT_TRUE(p.ran);
+            EXPECT_FALSE(p.ok);
+            EXPECT_FALSE(p.snapshotWarmed);
+            EXPECT_NE(p.error.find("warmup image build failed for "
+                                   "'does-not-exist' seed 0: unknown "
+                                   "workload 'does-not-exist'"),
+                      std::string::npos)
+                << p.error;
+        }
+    }
 }
 
 TEST(SnapshotCampaign, SnapshotAndInlineWarmupAreDistinctUniverses)

@@ -627,71 +627,9 @@ TEST(ResultStore, InterruptedCampaignResumesWhereItDied)
     EXPECT_EQ(campaignManifest(full, true).dump(), reference);
 }
 
-TEST(ResultStore, ConfigHookBypassesTheStore)
-{
-    CampaignSpec spec = storeSpec();
-    spec.workloads = {"mcf"};
-    spec.variants = {makeVariant(RunaheadConfig::kBaseline, false)};
-    // A hook's effect is invisible to the config hash: caching would
-    // return results the hook never saw.
-    spec.configHook = [](std::size_t, SimConfig &) {};
-
-    ResultStore store(storeRoot("hook"));
-    ASSERT_TRUE(store.ok()) << store.error();
-    CampaignRunOptions options;
-    options.store = &store;
-    const CampaignResult campaign = runCampaign(spec, 1, options);
-    EXPECT_EQ(campaign.failedCount(), 0u);
-    EXPECT_EQ(store.stored(), 0u);
-    EXPECT_EQ(store.hits() + store.misses(), 0u);
-}
-
 // ---------------------------------------------------------------------
-// Retry / quarantine
+// Interruption
 // ---------------------------------------------------------------------
-
-TEST(Recovery, RetryableFailureClassification)
-{
-    EXPECT_TRUE(isRetryableFailure(
-        "WatchdogTimeout: forward progress lost at cycle 10"));
-    EXPECT_FALSE(isRetryableFailure("InvariantViolation in 'rob'"));
-    EXPECT_FALSE(isRetryableFailure("error: unknown workload"));
-    EXPECT_FALSE(isRetryableFailure(""));
-}
-
-TEST(Recovery, DeterministicFaultIsQuarantined)
-{
-    CampaignSpec spec;
-    spec.name = "quarantine";
-    spec.workloads = {"mcf"};
-    spec.variants = {makeVariant(RunaheadConfig::kHybrid, false)};
-    spec.instructions = 5'000;
-    spec.warmup = 1'000;
-    spec.retryLimit = 1;
-    spec.retryBackoffMs = 0; // No real sleeping in unit tests.
-    // Every DRAM response dropped: the watchdog gives up identically
-    // on every attempt, so retries must exhaust and quarantine.
-    spec.configHook = [](std::size_t, SimConfig &config) {
-        config.fault.enabled = true;
-        config.fault.dramDropRate = 1.0;
-        config.core.watchdog.cycles = 2'000;
-    };
-
-    const CampaignResult campaign = runCampaign(spec, 1);
-    ASSERT_EQ(campaign.points.size(), 1u);
-    const PointResult &pr = campaign.points[0];
-    EXPECT_FALSE(pr.ok);
-    EXPECT_TRUE(pr.quarantined);
-    EXPECT_EQ(pr.retries, 1);
-    EXPECT_NE(pr.error.find("WatchdogTimeout"), std::string::npos);
-    EXPECT_NE(pr.error.find("retry 1 of 1"), std::string::npos)
-        << pr.error;
-
-    // The quarantine verdict is part of the canonical manifest.
-    const Json manifest = campaignManifest(campaign, true);
-    EXPECT_TRUE(
-        manifest.at("points").at(0).at("quarantined").asBool());
-}
 
 TEST(Recovery, StopFlagSkipsUnrunPoints)
 {
