@@ -791,6 +791,26 @@ SnapshotAccess::io(Ar &ar, Core &v)
     io(ar, v.rob_);
     io(ar, v.rs_);
     io(ar, v.sq_);
+    if constexpr (Ar::kIsLoad) {
+        // RS and SQ entries name ROB slots of the capturing machine. A
+        // smaller ROB can pass the head and size checks yet not hold
+        // them live, and issue would then read a dead slot.
+        const auto require_live = [&](int slot, SeqNum seq) {
+            if (!v.rob_.validSlot(slot, seq)) {
+                throw SnapshotError(
+                    SnapshotErrorKind::kFormat,
+                    strprintf("uop %llu names ROB slot %d, which does "
+                              "not hold it",
+                              (unsigned long long)seq, slot));
+            }
+        };
+        for (const auto &e : v.rs_.entries_) {
+            if (e.valid)
+                require_live(e.robSlot, e.seq);
+        }
+        for (const auto &e : v.sq_.entries_)
+            require_live(e.robSlot, e.seq);
+    }
     io(ar, v.wbq_);
     io(ar, v.ports_);
     io(ar, v.watchdog_);

@@ -349,6 +349,26 @@ TEST(Snapshot, SmallerTablesRejectLargerImage)
               SnapshotErrorKind::kFormat);
 }
 
+TEST(Snapshot, SmallerRobRejectsDeadSlotReferences)
+{
+    // This hybrid image's ROB head and size fit a 96- and a 128-entry
+    // ROB, but its reservation-station and store-queue entries name
+    // slots of the 192-entry ring that the smaller ROB does not hold
+    // live. The restore must refuse the image as kFormat instead of
+    // leaving issue to read a dead slot.
+    SimConfig config = makeConfig(RunaheadConfig::kHybrid, false);
+    config.instructions = 20'000;
+    config.warmupInstructions = 50'000;
+    const RobImage mcf = captureRobImage(config, "mcf");
+    for (const int entries : {96, 128}) {
+        SimConfig small = config;
+        small.core.robEntries = entries;
+        EXPECT_EQ(restoreForged(mcf, "mcf", small),
+                  SnapshotErrorKind::kFormat)
+            << entries << " ROB entries";
+    }
+}
+
 TEST(Snapshot, MetaDescribesCapturePoint)
 {
     const SimConfig config =
