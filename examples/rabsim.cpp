@@ -163,22 +163,10 @@ usageError(const std::string &reason)
 RunaheadConfig
 parseConfig(const char *flag, const std::string &name)
 {
-    if (name == "baseline")
-        return RunaheadConfig::kBaseline;
-    if (name == "runahead")
-        return RunaheadConfig::kRunahead;
-    if (name == "runahead-enhanced")
-        return RunaheadConfig::kRunaheadEnhanced;
-    if (name == "buffer")
-        return RunaheadConfig::kRunaheadBuffer;
-    if (name == "buffer-cc")
-        return RunaheadConfig::kRunaheadBufferCC;
-    if (name == "hybrid")
-        return RunaheadConfig::kHybrid;
-    if (name == "cre")
-        return RunaheadConfig::kCRE;
-    if (name == "cre-hybrid")
-        return RunaheadConfig::kCREHybrid;
+    // Plain names only: --prefetch and --policies cover rabsweep's
+    // "+pf" suffix and '|' labels.
+    if (const auto config = parseRunaheadConfig(name))
+        return *config;
     usageError(strprintf("unknown %s '%s' (try --help)", flag, name.c_str()));
 }
 

@@ -10,17 +10,21 @@ namespace rab
 const char *
 runaheadConfigName(RunaheadConfig config)
 {
-    switch (config) {
-      case RunaheadConfig::kBaseline: return "Baseline";
-      case RunaheadConfig::kRunahead: return "Runahead";
-      case RunaheadConfig::kRunaheadEnhanced: return "Runahead-Enhanced";
-      case RunaheadConfig::kRunaheadBuffer: return "Runahead-Buffer";
-      case RunaheadConfig::kRunaheadBufferCC: return "RA-Buffer+CC";
-      case RunaheadConfig::kHybrid: return "Hybrid";
-      case RunaheadConfig::kCRE: return "CRE";
-      case RunaheadConfig::kCREHybrid: return "CRE+Hybrid";
+    for (const RunaheadConfigName &names : kRunaheadConfigNames) {
+        if (names.config == config)
+            return names.display;
     }
     return "?";
+}
+
+std::optional<RunaheadConfig>
+parseRunaheadConfig(std::string_view name)
+{
+    for (const RunaheadConfigName &names : kRunaheadConfigNames) {
+        if (name == names.cli)
+            return names.config;
+    }
+    return std::nullopt;
 }
 
 namespace

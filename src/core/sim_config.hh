@@ -8,7 +8,9 @@
 #define RAB_CORE_SIM_CONFIG_HH
 
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "backend/core.hh"
@@ -33,7 +35,34 @@ enum class RunaheadConfig
     kCREHybrid,        ///< Hybrid policy + continuous engine.
 };
 
+/** A runahead config's two names: `cli` is what rabsim's --config and
+ *  --policies and rabsweep's --configs accept, `display` what tables,
+ *  manifests and store keys print. */
+struct RunaheadConfigName
+{
+    RunaheadConfig config;
+    const char *cli;
+    const char *display;
+};
+
+/** Every RunaheadConfig once: the one list both CLIs parse. */
+inline constexpr RunaheadConfigName kRunaheadConfigNames[] = {
+    {RunaheadConfig::kBaseline, "baseline", "Baseline"},
+    {RunaheadConfig::kRunahead, "runahead", "Runahead"},
+    {RunaheadConfig::kRunaheadEnhanced, "runahead-enhanced",
+     "Runahead-Enhanced"},
+    {RunaheadConfig::kRunaheadBuffer, "buffer", "Runahead-Buffer"},
+    {RunaheadConfig::kRunaheadBufferCC, "buffer-cc", "RA-Buffer+CC"},
+    {RunaheadConfig::kHybrid, "hybrid", "Hybrid"},
+    {RunaheadConfig::kCRE, "cre", "CRE"},
+    {RunaheadConfig::kCREHybrid, "cre-hybrid", "CRE+Hybrid"},
+};
+
+/** Display name of @p config. */
 const char *runaheadConfigName(RunaheadConfig config);
+
+/** The config whose CLI name is @p name; nullopt for none. */
+std::optional<RunaheadConfig> parseRunaheadConfig(std::string_view name);
 
 /** Complete simulation configuration. */
 struct SimConfig

@@ -6,6 +6,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -61,26 +62,10 @@ parseVariantLabel(const std::string &label)
         prefetch = true;
         name.resize(suffix);
     }
-    RunaheadConfig config = RunaheadConfig::kBaseline;
-    if (name == "baseline")
-        config = RunaheadConfig::kBaseline;
-    else if (name == "runahead")
-        config = RunaheadConfig::kRunahead;
-    else if (name == "runahead-enhanced")
-        config = RunaheadConfig::kRunaheadEnhanced;
-    else if (name == "buffer")
-        config = RunaheadConfig::kRunaheadBuffer;
-    else if (name == "buffer-cc")
-        config = RunaheadConfig::kRunaheadBufferCC;
-    else if (name == "hybrid")
-        config = RunaheadConfig::kHybrid;
-    else if (name == "cre")
-        config = RunaheadConfig::kCRE;
-    else if (name == "cre-hybrid")
-        config = RunaheadConfig::kCREHybrid;
-    else
+    const std::optional<RunaheadConfig> config = parseRunaheadConfig(name);
+    if (!config)
         throw std::runtime_error("unknown config '" + label + "'");
-    return makeVariant(config, prefetch);
+    return makeVariant(*config, prefetch);
 }
 
 CoreMixSpec

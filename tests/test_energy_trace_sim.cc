@@ -250,6 +250,29 @@ TEST(SimConfig, Table1StringMentionsKeyParameters)
     EXPECT_NE(s.find("32 streams"), std::string::npos);
 }
 
+/** The one name table lists every RunaheadConfig exactly once, and
+ *  each CLI name parses back to its config. */
+TEST(SimConfig, NameTableListsEveryConfigOnce)
+{
+    constexpr int kConfigs = static_cast<int>(RunaheadConfig::kCREHybrid) + 1;
+    EXPECT_EQ(std::size(kRunaheadConfigNames), std::size_t{kConfigs});
+    for (int i = 0; i < kConfigs; ++i) {
+        const auto config = static_cast<RunaheadConfig>(i);
+        int rows = 0;
+        for (const RunaheadConfigName &names : kRunaheadConfigNames) {
+            if (names.config != config)
+                continue;
+            ++rows;
+            EXPECT_EQ(parseRunaheadConfig(names.cli), config) << names.cli;
+            EXPECT_STREQ(runaheadConfigName(config), names.display);
+        }
+        EXPECT_EQ(rows, 1) << "config " << i;
+    }
+    // Display names and rabsweep's suffixed labels are not CLI names.
+    EXPECT_EQ(parseRunaheadConfig("Hybrid"), std::nullopt);
+    EXPECT_EQ(parseRunaheadConfig("hybrid+pf"), std::nullopt);
+}
+
 TEST(Simulation, WarmupExcludedFromMeasurement)
 {
     SimConfig config = makeConfig(RunaheadConfig::kBaseline, false);
