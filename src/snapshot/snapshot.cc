@@ -40,17 +40,16 @@
 
 #include "snapshot/snapshot.hh"
 
-#include <fcntl.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <bit>
-#include <cerrno>
 #include <cstring>
 #include <fstream>
 #include <limits>
 
 #include "backend/core.hh"
+#include "common/durable_file.hh"
 #include "common/hash.hh"
 #include "common/logging.hh"
 #include "core/config_fields.hh"
@@ -1289,45 +1288,11 @@ writeSnapshotFile(const std::string &path, const std::string &payload)
     std::string framed = w.take();
     framed += payload;
 
-    const std::string tmp =
-        strprintf("%s.%d.tmp", path.c_str(), (int)::getpid());
-    const int fd =
-        ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_EXCL, 0644);
-    if (fd < 0) {
-        throw SnapshotError(SnapshotErrorKind::kIo,
-                            strprintf("open %s: %s", tmp.c_str(),
-                                      std::strerror(errno)));
-    }
-    std::size_t off = 0;
-    while (off < framed.size()) {
-        const ssize_t n =
-            ::write(fd, framed.data() + off, framed.size() - off);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            const int err = errno;
-            ::close(fd);
-            ::unlink(tmp.c_str());
-            throw SnapshotError(SnapshotErrorKind::kIo,
-                                strprintf("write %s: %s", tmp.c_str(),
-                                          std::strerror(err)));
-        }
-        off += static_cast<std::size_t>(n);
-    }
-    if (::fsync(fd) != 0 || ::close(fd) != 0) {
-        ::unlink(tmp.c_str());
-        throw SnapshotError(SnapshotErrorKind::kIo,
-                            strprintf("fsync %s: %s", tmp.c_str(),
-                                      std::strerror(errno)));
-    }
-    if (::rename(tmp.c_str(), path.c_str()) != 0) {
-        const int err = errno;
-        ::unlink(tmp.c_str());
-        throw SnapshotError(SnapshotErrorKind::kIo,
-                            strprintf("rename %s -> %s: %s",
-                                      tmp.c_str(), path.c_str(),
-                                      std::strerror(err)));
-    }
+    const std::string error = writeFileDurably(
+        strprintf("%s.%d.tmp", path.c_str(), (int)::getpid()), path,
+        framed);
+    if (!error.empty())
+        throw SnapshotError(SnapshotErrorKind::kIo, error);
 }
 
 std::string

@@ -92,7 +92,8 @@ std::uint64_t snapshotWarmupDigest(const SimConfig &config);
 std::uint64_t snapshotContentHash(const std::string &payload);
 
 /** Write `payload` to @p path inside the CRC file frame, atomically
- *  (tmp + fsync + rename). Throws SnapshotError(kIo) on failure. */
+ *  and durably (writeFileDurably). Throws SnapshotError(kIo) on
+ *  failure. */
 void writeSnapshotFile(const std::string &path,
                        const std::string &payload);
 

@@ -6,9 +6,7 @@
 #include <sstream>
 #include <thread>
 
-#ifdef __unix__
 #include <unistd.h>
-#endif
 
 #include "common/logging.hh"
 
@@ -23,7 +21,6 @@ currentGitSha()
         if (sha && *sha)
             return sha;
     }
-#ifdef __unix__
     FILE *pipe = ::popen("git rev-parse HEAD 2>/dev/null", "r");
     if (pipe) {
         char buf[128] = {};
@@ -36,18 +33,15 @@ currentGitSha()
         if (!sha.empty())
             return sha;
     }
-#endif
     return "unknown";
 }
 
 std::string
 currentHostname()
 {
-#ifdef __unix__
     char buf[256] = {};
     if (::gethostname(buf, sizeof(buf) - 1) == 0 && buf[0])
         return buf;
-#endif
     return "unknown";
 }
 

@@ -7,11 +7,9 @@
 #include <fstream>
 #include <sstream>
 
-#ifdef __unix__
-#include <fcntl.h>
 #include <unistd.h>
-#endif
 
+#include "common/durable_file.hh"
 #include "common/logging.hh"
 #include "stats/json.hh"
 #include "sweep/report.hh"
@@ -380,70 +378,9 @@ ResultStore::writeBlobAtomic(const std::string &final_path,
     // Unique temp name: pid + an in-process sequence number, so
     // concurrent writers (threads or processes) never collide.
     const std::string tmp_path = root_ + "/tmp/" + stem + "."
-        + std::to_string(
-#ifdef __unix__
-            static_cast<unsigned long>(::getpid())
-#else
-            0ul
-#endif
-                )
-        + "." + std::to_string(tempSeq_.fetch_add(1)) + ".tmp";
-
-#ifdef __unix__
-    const int fd =
-        ::open(tmp_path.c_str(), O_WRONLY | O_CREAT | O_EXCL, 0644);
-    if (fd < 0)
-        return false;
-    std::size_t written = 0;
-    while (written < blob.size()) {
-        const ssize_t n = ::write(fd, blob.data() + written,
-                                  blob.size() - written);
-        if (n <= 0) {
-            ::close(fd);
-            ::unlink(tmp_path.c_str());
-            return false;
-        }
-        written += static_cast<std::size_t>(n);
-    }
-    // fsync before rename: the record must be durable before it
-    // becomes visible, else a crash could leave a valid-looking name
-    // with garbage content.
-    if (::fsync(fd) != 0) {
-        ::close(fd);
-        ::unlink(tmp_path.c_str());
-        return false;
-    }
-    ::close(fd);
-    if (std::rename(tmp_path.c_str(), final_path.c_str()) != 0) {
-        ::unlink(tmp_path.c_str());
-        return false;
-    }
-    // Durable directory entry: fsync the containing directory.
-    const int dirfd = ::open(
-        fs::path(final_path).parent_path().c_str(), O_RDONLY);
-    if (dirfd >= 0) {
-        ::fsync(dirfd);
-        ::close(dirfd);
-    }
-#else
-    {
-        std::ofstream out(tmp_path, std::ios::binary);
-        if (!out)
-            return false;
-        out.write(blob.data(),
-                  static_cast<std::streamsize>(blob.size()));
-        if (!out) {
-            fs::remove(tmp_path, ec);
-            return false;
-        }
-    }
-    fs::rename(tmp_path, final_path, ec);
-    if (ec) {
-        fs::remove(tmp_path, ec);
-        return false;
-    }
-#endif
-    return true;
+        + std::to_string(::getpid()) + "."
+        + std::to_string(tempSeq_.fetch_add(1)) + ".tmp";
+    return writeFileDurably(tmp_path, final_path, blob).empty();
 }
 
 } // namespace rab
