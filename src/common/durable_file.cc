@@ -16,8 +16,8 @@ std::string
 writeFileDurably(const std::string &tmp_path, const std::string &path,
                  std::string_view bytes)
 {
-    // The reason for errno's failure of @p what on @p name, after
-    // removing the temp file this call created.
+    // Why step @p what failed on @p name (from errno); removes the
+    // temp file this call created.
     const auto fail = [&](const char *what, const std::string &name) {
         const std::string reason = strprintf("%s %s: %s", what, name.c_str(),
                                              std::strerror(errno));
