@@ -96,9 +96,10 @@ usage()
         "\n"
         "  --workload NAME     suite workload (default mcf)\n"
         "  --all               run the whole suite (single-core)\n"
-        "  --config NAME       baseline | runahead | runahead-enhanced |\n"
-        "                      buffer | buffer-cc | hybrid | cre |\n"
-        "                      cre-hybrid\n"
+        "  --config NAME       ",
+        stdout);
+    std::fputs(runaheadConfigCliList(22, 64).c_str(), stdout);
+    std::fputs(
         "                      (multi-core default: sweep the six\n"
         "                      paper configs)\n"
         "  --cores N           simulate N >= 1 cores sharing the LLC,\n"

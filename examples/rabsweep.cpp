@@ -33,6 +33,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iostream>
 #include <limits>
 #include <memory>
 #include <string>
@@ -94,13 +95,15 @@ usage()
         "  --preset NAME       fig9 | fig10 | fig17 | smoke | active |\n"
         "                      cre | mix4 | interference\n"
         "  --workloads A,B     explicit workload axis (suite names)\n"
-        "  --configs A,B       config axis: baseline | runahead |\n"
-        "                      runahead-enhanced | buffer | buffer-cc |\n"
-        "                      hybrid | cre | cre-hybrid, each\n"
-        "                      optionally with a +pf\n"
-        "                      suffix (e.g. hybrid+pf); '|'-joined\n"
-        "                      labels (hybrid|baseline) set one policy\n"
-        "                      per core of a --mix point\n"
+        "  --configs A,B       config axis, each one of\n"
+        "                      ",
+        stdout);
+    std::fputs(runaheadConfigCliList(22, 64).c_str(), stdout);
+    std::fputs(
+        "                      optionally with a +pf suffix (e.g.\n"
+        "                      hybrid+pf); '|'-joined labels\n"
+        "                      (hybrid|baseline) set one policy per\n"
+        "                      core of a --mix point\n"
         "  --mix [LABEL=]A,B   multi-core mix axis entry: one point per\n"
         "                      variant with one core per workload, all\n"
         "                      sharing the LLC, MSHRs and DRAM\n"
@@ -469,12 +472,12 @@ printSummary(const CampaignResult &campaign)
     }
     table.print();
     std::printf("\n%zu point(s), %zu failed, %zu skipped; "
-                "%d thread(s); wall %.2f s; %.3g simulated cycles/s\n",
+                "%d thread(s); wall %.2f s; %.3g instructions/s\n",
                 campaign.points.size(),
                 campaign.failedCount() - campaign.skippedCount(),
                 campaign.skippedCount(), campaign.threads,
                 campaign.wallSeconds,
-                campaignCyclesPerSecond(campaign));
+                campaignInstructionsPerSecond(campaign));
     if (campaign.storeHits + campaign.storeMisses > 0) {
         std::printf("store: %llu hit(s), %llu miss(es), %llu corrupt "
                     "record(s) discarded\n",
@@ -554,8 +557,8 @@ main(int argc, char **argv)
                            makeBaseline(campaign))) {
             fatal("cannot write '%s'", opts.baselineOutPath.c_str());
         }
-        std::printf("baseline (%.3g simulated cycles/s) -> %s\n",
-                    campaignCyclesPerSecond(campaign),
+        std::printf("baseline (%.3g instructions/s) -> %s\n",
+                    campaignInstructionsPerSecond(campaign),
                     opts.baselineOutPath.c_str());
         return 0;
     }
@@ -569,7 +572,7 @@ main(int argc, char **argv)
             chainGenMicrobenchJson(runChainGenMicrobench(192, 2000));
     }
     if (opts.toStdout) {
-        std::fputs(manifest.dump().c_str(), stdout);
+        manifest.write(std::cout);
     } else {
         if (!writeJsonFile(opts.outPath, manifest))
             fatal("cannot write '%s'", opts.outPath.c_str());

@@ -27,6 +27,30 @@ parseRunaheadConfig(std::string_view name)
     return std::nullopt;
 }
 
+std::string
+runaheadConfigCliList(std::size_t indent, std::size_t width)
+{
+    std::string out;
+    std::size_t column = indent;
+    for (const RunaheadConfigName &names : kRunaheadConfigNames) {
+        const std::string_view name = names.cli;
+        if (!out.empty()) {
+            if (column + 3 + name.size() > width) {
+                out += " |\n";
+                out.append(indent, ' ');
+                column = indent;
+            } else {
+                out += " | ";
+                column += 3;
+            }
+        }
+        out += name;
+        column += name.size();
+    }
+    out += '\n';
+    return out;
+}
+
 namespace
 {
 

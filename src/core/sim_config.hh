@@ -64,6 +64,12 @@ const char *runaheadConfigName(RunaheadConfig config);
 /** The config whose CLI name is @p name; nullopt for none. */
 std::optional<RunaheadConfig> parseRunaheadConfig(std::string_view name);
 
+/** Every CLI name of kRunaheadConfigNames, in table order, joined by
+ *  " | " for a --help text: broken into lines of at most @p width
+ *  columns for a list that starts at column @p indent, each line
+ *  after the first indented to it, newline-terminated. */
+std::string runaheadConfigCliList(std::size_t indent, std::size_t width);
+
 /** Complete simulation configuration. */
 struct SimConfig
 {

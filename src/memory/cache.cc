@@ -1,7 +1,7 @@
 #include "memory/cache.hh"
 
+#include <algorithm>
 #include <bit>
-#include <limits>
 
 #include "common/logging.hh"
 
@@ -37,13 +37,8 @@ Cache::Cache(const CacheConfig &config)
     log2Exact(numSets_, "set count");
     lines_.assign(lines, Line{});
     mruWay_.assign(numSets_, -1);
-    validMask_.assign(numSets_, 0);
-    wideSets_ = config_.associativity > 64;
-    if (!wideSets_) {
-        fullMask_ = config_.associativity == 64
-            ? ~std::uint64_t(0)
-            : (std::uint64_t(1) << config_.associativity) - 1;
-    }
+    maskWords_ = (config_.associativity + 63) / 64;
+    validMask_.assign(static_cast<std::size_t>(numSets_) * maskWords_, 0);
 }
 
 int
@@ -51,20 +46,16 @@ Cache::findWay(const Line *base, std::size_t set, Addr tag) const
 {
     // MRU fast path: most references re-touch the way hit last.
     const int mru = mruWay_[set];
-    if (mru >= 0 && base[mru].valid && base[mru].tag == tag)
+    if (mru >= 0 && base[mru].tag == tag)
         return mru;
-    if (wideSets_) {
-        for (int way = 0; way < config_.associativity; ++way) {
-            if (base[way].valid && base[way].tag == tag)
+    // Visit only the valid ways.
+    const std::uint64_t *mask = setMask(set);
+    for (int word = 0; word < maskWords_; ++word) {
+        for (std::uint64_t m = mask[word]; m != 0; m &= m - 1) {
+            const int way = word * 64 + std::countr_zero(m);
+            if (base[way].tag == tag)
                 return way;
         }
-        return -1;
-    }
-    // Visit only the valid ways.
-    for (std::uint64_t m = validMask_[set]; m != 0; m &= m - 1) {
-        const int way = std::countr_zero(m);
-        if (base[way].tag == tag)
-            return way;
     }
     return -1;
 }
@@ -135,38 +126,36 @@ Cache::insert(Addr addr, bool is_write, bool is_prefetch)
 
     // Pick an invalid way (lowest-numbered, as the full scan would),
     // else the LRU way.
-    int victim = 0;
-    if (!wideSets_ && validMask_[set] != fullMask_) {
-        victim = std::countr_zero(~validMask_[set]);
-    } else {
-        std::uint64_t oldest = std::numeric_limits<std::uint64_t>::max();
-        for (int way = 0; way < config_.associativity; ++way) {
-            if (!base[way].valid) {
+    std::uint64_t *mask = setMask(set);
+    int victim = -1;
+    for (int word = 0; word < maskWords_ && victim < 0; ++word) {
+        const int ways = std::min(config_.associativity - word * 64, 64);
+        const std::uint64_t free = ways == 64
+            ? ~mask[word]
+            : ~mask[word] & ((std::uint64_t(1) << ways) - 1);
+        if (free != 0)
+            victim = word * 64 + std::countr_zero(free);
+    }
+    Eviction ev;
+    if (victim < 0) {
+        victim = 0;
+        for (int way = 1; way < config_.associativity; ++way) {
+            if (base[way].lruStamp < base[victim].lruStamp)
                 victim = way;
-                break;
-            }
-            if (base[way].lruStamp < oldest) {
-                oldest = base[way].lruStamp;
-                victim = way;
-            }
         }
+        const Line &old = base[victim];
+        ev.valid = true;
+        ev.dirty = old.dirty;
+        ev.lineAddr = old.tag << lineShift_;
+        ev.prefetchUnused = old.prefetched;
     }
 
-    Eviction ev;
     Line &line = base[victim];
-    if (line.valid) {
-        ev.valid = true;
-        ev.dirty = line.dirty;
-        ev.lineAddr = line.tag << lineShift_;
-        ev.prefetchUnused = line.prefetched;
-    }
-    line.valid = true;
     line.dirty = is_write;
     line.prefetched = is_prefetch;
     line.tag = tag;
     line.lruStamp = ++lruCounter_;
-    if (!wideSets_)
-        validMask_[set] |= std::uint64_t(1) << victim;
+    mask[victim / 64] |= std::uint64_t(1) << (victim % 64);
     mruWay_[set] = victim;
     return ev;
 }
@@ -179,23 +168,18 @@ Cache::invalidate(Addr addr)
     const int way = findWay(base, set, tagOf(addr));
     if (way < 0)
         return false;
-    Line &line = base[way];
-    line.valid = false;
-    if (!wideSets_)
-        validMask_[set] &= ~(std::uint64_t(1) << way);
+    setMask(set)[way / 64] &= ~(std::uint64_t(1) << (way % 64));
     if (mruWay_[set] == way)
         mruWay_[set] = -1;
-    return line.dirty;
+    return base[way].dirty;
 }
 
 std::uint64_t
 Cache::occupancy() const
 {
     std::uint64_t count = 0;
-    for (const Line &line : lines_) {
-        if (line.valid)
-            ++count;
-    }
+    for (const std::uint64_t word : validMask_)
+        count += static_cast<std::uint64_t>(std::popcount(word));
     return count;
 }
 
@@ -204,9 +188,13 @@ Cache::validLines() const
 {
     std::vector<Addr> lines;
     lines.reserve(occupancy());
-    for (const Line &line : lines_) {
-        if (line.valid)
-            lines.push_back(line.tag << lineShift_);
+    const auto ways = static_cast<std::size_t>(config_.associativity);
+    for (std::size_t set = 0; set < static_cast<std::size_t>(numSets_);
+         ++set) {
+        for (int way = 0; way < config_.associativity; ++way) {
+            if (wayValid(set, way))
+                lines.push_back(lines_[set * ways + way].tag << lineShift_);
+        }
     }
     return lines;
 }
@@ -216,7 +204,7 @@ Cache::flush()
 {
     lines_.assign(lines_.size(), Line{});
     mruWay_.assign(numSets_, -1);
-    validMask_.assign(numSets_, 0);
+    std::fill(validMask_.begin(), validMask_.end(), 0);
 }
 
 void

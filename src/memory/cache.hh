@@ -100,17 +100,37 @@ class Cache
     void regStats(StatGroup *parent);
 
   private:
+    /** LRU stamps fit in 62 bits (a line packs its two flags into the
+     *  stamp's word); a run would need 2^62 accesses to reach it. */
+    static constexpr std::uint64_t kMaxLruStamp =
+        (std::uint64_t{1} << 62) - 1;
+
+    /** 16 bytes. Whether a way holds a line is its validMask_ bit. */
     struct Line
     {
-        bool valid = false;
-        bool dirty = false;
-        bool prefetched = false;
         Addr tag = 0;
-        std::uint64_t lruStamp = 0;
+        std::uint64_t lruStamp : 62 = 0;
+        std::uint64_t dirty : 1 = 0;
+        std::uint64_t prefetched : 1 = 0;
     };
+    static_assert(sizeof(Line) == 16);
 
     std::size_t setIndex(Addr addr) const;
     Addr tagOf(Addr addr) const;
+
+    /** First of @p set's maskWords_ valid-way words. */
+    std::uint64_t *setMask(std::size_t set)
+    {
+        return &validMask_[set * static_cast<std::size_t>(maskWords_)];
+    }
+    const std::uint64_t *setMask(std::size_t set) const
+    {
+        return &validMask_[set * static_cast<std::size_t>(maskWords_)];
+    }
+    bool wayValid(std::size_t set, int way) const
+    {
+        return (setMask(set)[way / 64] >> (way % 64)) & 1;
+    }
 
     CacheConfig config_;
     int numSets_;
@@ -118,18 +138,19 @@ class Cache
     std::vector<Line> lines_; // numSets_ * associativity, row-major
     std::uint64_t lruCounter_ = 0;
 
-    /** @{ Set-lookup fast paths (pure acceleration; replacement and
-     *  statistics behaviour is identical to the full way scan). The
-     *  MRU way resolves the common re-reference without touching the
-     *  other ways; the valid-way bitmask narrows scans and insertions
-     *  to occupied (or the first free) ways. */
-    int findWay(const Line *base, std::size_t set, Addr tag) const;
+    /** Valid-way bits: maskWords_ words per set, way w at bit w % 64
+     *  of word w / 64. The only record of which ways hold a line; it
+     *  also narrows scans and insertions to occupied (or the first
+     *  free) ways. */
+    std::vector<std::uint64_t> validMask_;
+    int maskWords_ = 1;
 
-    std::vector<int> mruWay_;            ///< Last way hit per set.
-    std::vector<std::uint64_t> validMask_; ///< Valid-way bits per set.
-    std::uint64_t fullMask_ = 0;  ///< Mask value with every way valid.
-    bool wideSets_ = false; ///< associativity > 64: bitmask disabled.
-    /** @} */
+    /** MRU fast path (pure acceleration; replacement and statistics
+     *  behaviour is identical to the full way scan): the way hit last
+     *  per set, or -1. It always names a valid way: invalidate() and
+     *  flush() clear it with the line. */
+    int findWay(const Line *base, std::size_t set, Addr tag) const;
+    std::vector<int> mruWay_;
     StatGroup statGroup_;
 };
 

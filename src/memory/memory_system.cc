@@ -1,6 +1,7 @@
 #include "memory/memory_system.hh"
 
 #include <algorithm>
+#include <functional>
 
 #include "common/logging.hh"
 #include "common/profiler.hh"
@@ -133,11 +134,7 @@ MemorySystem::access(AccessType type, Addr addr, Cycle now,
     }
     addr = rebase(addr);
     Cache &l1 = type == AccessType::kInstFetch ? l1i_ : l1d_;
-    PendingMap &l1_pending =
-        type == AccessType::kInstFetch ? l1iPending_ : l1dPending_;
-    Cycle &l1_pending_max = type == AccessType::kInstFetch
-        ? l1iPendingMax_
-        : l1dPendingMax_;
+    L1Fills &fills = type == AccessType::kInstFetch ? l1iFills_ : l1dFills_;
     const Addr line_addr = l1.lineAddr(addr);
 
     if (type == AccessType::kLoad)
@@ -158,8 +155,8 @@ MemorySystem::access(AccessType type, Addr addr, Cycle now,
         // the hash find off the steady-state hit path (one find per
         // fetched uop otherwise).
         PendingMap::const_iterator it;
-        if (l1_pending_max > now
-            && (it = l1_pending.find(line_addr)) != l1_pending.end()
+        if (fills.max > now
+            && (it = fills.ready.find(line_addr)) != fills.ready.end()
             && it->second > now) {
             ++mshrMerges;
             result.l1Miss = true;
@@ -200,14 +197,50 @@ MemorySystem::access(AccessType type, Addr addr, Cycle now,
         // Write the victim back into the (inclusive) LLC.
         shared_->llc_.access(ev.lineAddr, /*is_write=*/true);
     }
-    l1_pending[line_addr] = ready;
-    if (ready > l1_pending_max)
-        l1_pending_max = ready;
-    SharedMemory::prunePending(l1_pending, now);
+    fills.expire(now);
+    fills.add(line_addr, ready);
     result.readyCycle = ready;
 
     shared_->issuePrefetches(*this, now);
     return result;
+}
+
+void
+MemorySystem::L1Fills::add(Addr line, Cycle cycle)
+{
+    ready[line] = cycle;
+    heap.emplace_back(cycle, line);
+    std::push_heap(heap.begin(), heap.end(), std::greater<>());
+    if (cycle > max)
+        max = cycle;
+}
+
+void
+MemorySystem::L1Fills::expire(Cycle now)
+{
+    while (!heap.empty() && heap.front().first <= now) {
+        const Addr line = heap.front().second;
+        std::pop_heap(heap.begin(), heap.end(), std::greater<>());
+        heap.pop_back();
+        // A refilled line keeps its later cycle until its own entry
+        // expires.
+        const auto it = ready.find(line);
+        if (it != ready.end() && it->second <= now)
+            ready.erase(it);
+    }
+}
+
+void
+MemorySystem::L1Fills::rebuildHeap()
+{
+    heap.clear();
+    heap.reserve(ready.size());
+    // rablint: order-independent (the heap orders its entries by
+    // cycle; equal cycles expire at the same access whatever their
+    // order)
+    for (const auto &[line, cycle] : ready)
+        heap.emplace_back(cycle, line);
+    std::make_heap(heap.begin(), heap.end(), std::greater<>());
 }
 
 std::uint64_t

@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "memory/cache.hh"
@@ -206,6 +207,34 @@ class MemorySystem
     /** Per-level in-flight fill tracking. */
     using PendingMap = std::unordered_map<Addr, Cycle>;
 
+    /**
+     * One L1's in-flight fills. Only access() reads them, at its
+     * core's cycle, which never goes back, so a fill whose cycle has
+     * passed can never merge again: expire() drops those, earliest
+     * first, off a min-heap of fill cycles. (The LLC's map keeps its
+     * lazy prune: the chain engine reads it at older cycles.)
+     */
+    struct L1Fills
+    {
+        /** Line -> fill cycle, for fills not yet expired. */
+        PendingMap ready;
+        /** (fill cycle, line) of every fill added since it last
+         *  expired, as a min-heap; an entry whose line was refilled
+         *  since is stale and erases nothing. */
+        std::vector<std::pair<Cycle, Addr>> heap;
+        /** Watermark: the latest fill cycle ever added. Once `now`
+         *  passes it no fill is in flight, so the hit path can skip
+         *  the hash find. */
+        Cycle max = 0;
+
+        void add(Addr line, Cycle cycle);
+        /** Drop every fill whose cycle is <= @p now. */
+        void expire(Cycle now);
+        /** Rebuild heap from ready (a restored snapshot holds only
+         *  the map). */
+        void rebuildHeap();
+    };
+
     /** Counter, L1 and (one-core chip) shared-component
      *  registration. */
     void regStats();
@@ -222,16 +251,8 @@ class MemorySystem
      *  namespacing-boundary masking are live. */
     bool multiCore_ = false;
 
-    PendingMap l1iPending_;
-    PendingMap l1dPending_;
-    /** @{ Watermarks: the latest fill cycle ever inserted into the
-     *  matching pending map. Once `now` passes a watermark, no entry
-     *  can still be in flight, so the hit path can skip the hash find
-     *  entirely (the maps are pruned lazily and stay populated with
-     *  stale entries long after the fills land). */
-    Cycle l1iPendingMax_ = 0;
-    Cycle l1dPendingMax_ = 0;
-    /** @} */
+    L1Fills l1iFills_;
+    L1Fills l1dFills_;
 
     FaultInjector *faults_ = nullptr;
     StatGroup statGroup_;

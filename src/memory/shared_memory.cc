@@ -118,7 +118,11 @@ SharedMemory::pruneOutstanding(Cycle now)
 void
 SharedMemory::prunePending(PendingMap &pending, Cycle now)
 {
-    // Lazy cleanup: bound the map size without per-cycle sweeps.
+    // Lazy cleanup: bound the map size without per-cycle sweeps. A
+    // landed fill is not dead here, unlike an L1's (see
+    // MemorySystem::L1Fills): the chain engine looks fills up at
+    // cycles older than the core's, so when the map sheds them is
+    // part of what the engine sees, and the 4,096-entry bound stays.
     if (pending.size() < 4096)
         return;
     // rablint: order-independent (erase-only sweep; which entries

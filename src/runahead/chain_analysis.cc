@@ -53,11 +53,15 @@ ChainAnalysis::recordExec(const DynUop &uop)
     if (!inInterval_)
         return;
     ++intervalExecuted_;
+    // Bound the array at a window and a quarter: order it and drop the
+    // records that left the window. It never holds more, so its growth
+    // stops at the bound instead of doubling past it.
+    const std::size_t bound = window_ + window_ / 4;
+    if (history_.size() == history_.capacity())
+        history_.reserve(std::min(bound, 2 * history_.size() + 1));
     history_.push_back(Rec{uop.seq, uop.pc, uop.sop.dest, uop.sop.src1,
                            uop.sop.src2});
-    // Bound the array at a window and a quarter: order it and drop the
-    // records that left the window.
-    if (history_.size() >= window_ + window_ / 4) {
+    if (history_.size() >= bound) {
         order();
         history_.erase(history_.begin(),
                        history_.begin()

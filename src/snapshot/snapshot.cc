@@ -413,45 +413,52 @@ SnapshotAccess::io(Ar &ar, Cache &v)
 {
     // Valid lines only. insert() rewrites every field of the line it
     // fills, and no lookup reads an invalid line, so invalid lines are
-    // dead state; validMask_ is a function of the valid bits, and
+    // dead state; validMask_ is rebuilt from the lines restored, and
     // mruWay_ only picks which way findWay() tries first (tags are
     // unique within a set, so any order finds the same way).
     const auto ways = static_cast<std::size_t>(v.config_.associativity);
+    const auto words = static_cast<std::size_t>(v.maskWords_);
     const auto each_valid = [&](auto fn) {
-        if (v.wideSets_) {
-            for (std::size_t i = 0; i < v.lines_.size(); ++i) {
-                if (v.lines_[i].valid)
-                    fn(i);
-            }
-            return;
-        }
-        for (std::size_t set = 0; set < v.validMask_.size(); ++set) {
-            for (std::uint64_t m = v.validMask_[set]; m != 0; m &= m - 1) {
-                const auto way = static_cast<std::size_t>(std::countr_zero(m));
-                fn(set * ways + way);
+        for (std::size_t w = 0; w < v.validMask_.size(); ++w) {
+            for (std::uint64_t m = v.validMask_[w]; m != 0; m &= m - 1) {
+                const auto bit = static_cast<std::size_t>(std::countr_zero(m));
+                fn(w / words * ways + w % words * 64 + bit);
             }
         }
     };
     if constexpr (Ar::kIsLoad) {
-        each_valid([&](std::size_t i) { v.lines_[i].valid = false; });
         std::fill(v.validMask_.begin(), v.validMask_.end(), 0);
         std::fill(v.mruWay_.begin(), v.mruWay_.end(), -1);
     }
     fieldSparse(ar, "cache", v.lines_.size(), each_valid,
                 [&](Ar &a, std::size_t i) {
                     Cache::Line &l = v.lines_[i];
-                    field(a, l.dirty);
-                    field(a, l.prefetched);
+                    bool dirty = l.dirty;
+                    bool prefetched = l.prefetched;
+                    std::uint64_t stamp = l.lruStamp;
+                    field(a, dirty);
+                    field(a, prefetched);
                     field(a, l.tag);
-                    field(a, l.lruStamp);
+                    field(a, stamp);
                     if constexpr (Ar::kIsLoad) {
-                        l.valid = true;
-                        if (!v.wideSets_)
-                            v.validMask_[i / ways] |= std::uint64_t(1)
-                                << (i % ways);
+                        if (stamp > Cache::kMaxLruStamp) {
+                            throw SnapshotError(SnapshotErrorKind::kFormat,
+                                                "cache LRU stamp exceeds "
+                                                "62 bits");
+                        }
+                        l.dirty = dirty;
+                        l.prefetched = prefetched;
+                        l.lruStamp = stamp;
+                        const std::size_t way = i % ways;
+                        v.setMask(i / ways)[way / 64] |= std::uint64_t(1)
+                            << (way % 64);
                     }
                 });
     field(ar, v.lruCounter_);
+    if (Ar::kIsLoad && v.lruCounter_ > Cache::kMaxLruStamp) {
+        throw SnapshotError(SnapshotErrorKind::kFormat,
+                            "cache LRU counter exceeds 62 bits");
+    }
     io(ar, v.hits);
     io(ar, v.misses);
 }
@@ -524,10 +531,14 @@ SnapshotAccess::io(Ar &ar, MemorySystem &v)
 {
     io(ar, v.l1i_);
     io(ar, v.l1d_);
-    field(ar, v.l1iPending_);
-    field(ar, v.l1dPending_);
-    field(ar, v.l1iPendingMax_);
-    field(ar, v.l1dPendingMax_);
+    field(ar, v.l1iFills_.ready);
+    field(ar, v.l1dFills_.ready);
+    field(ar, v.l1iFills_.max);
+    field(ar, v.l1dFills_.max);
+    if constexpr (Ar::kIsLoad) {
+        v.l1iFills_.rebuildHeap();
+        v.l1dFills_.rebuildHeap();
+    }
     io(ar, v.demandLoads);
     io(ar, v.demandStores);
     io(ar, v.llcDemandMisses);

@@ -5,14 +5,86 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <ostream>
 
 namespace rab
 {
+
+Json::Json(const Json &other) : type_(other.type_), v_(other.v_)
+{
+    switch (type_) {
+      case Type::kString:
+        v_.string = new std::string(*other.v_.string);
+        break;
+      case Type::kArray:
+        v_.elements = new std::vector<Json>(*other.v_.elements);
+        break;
+      case Type::kObject:
+        v_.members = new Members(*other.v_.members);
+        break;
+      default:
+        break;
+    }
+}
+
+Json::Json(Json &&other) noexcept : type_(other.type_), v_(other.v_)
+{
+    other.type_ = Type::kNull;
+}
+
+Json &
+Json::operator=(const Json &other)
+{
+    if (this != &other)
+        *this = Json(other);
+    return *this;
+}
+
+Json &
+Json::operator=(Json &&other) noexcept
+{
+    if (this != &other) {
+        // Take other's payload before freeing ours: other may be one
+        // of our own members or elements.
+        const Type type = other.type_;
+        const Payload v = other.v_;
+        other.type_ = Type::kNull;
+        reset();
+        type_ = type;
+        v_ = v;
+    }
+    return *this;
+}
+
+Json::~Json()
+{
+    reset();
+}
+
+void
+Json::reset() noexcept
+{
+    switch (type_) {
+      case Type::kString:
+        delete v_.string;
+        break;
+      case Type::kArray:
+        delete v_.elements;
+        break;
+      case Type::kObject:
+        delete v_.members;
+        break;
+      default:
+        break;
+    }
+    type_ = Type::kNull;
+}
 
 Json
 Json::object()
 {
     Json j;
+    j.v_.members = new Members();
     j.type_ = Type::kObject;
     return j;
 }
@@ -21,6 +93,7 @@ Json
 Json::array()
 {
     Json j;
+    j.v_.elements = new std::vector<Json>();
     j.type_ = Type::kArray;
     return j;
 }
@@ -29,9 +102,9 @@ std::size_t
 Json::size() const
 {
     if (type_ == Type::kArray)
-        return elements_.size();
+        return v_.elements->size();
     if (type_ == Type::kObject)
-        return members_.size();
+        return v_.members->size();
     return 0;
 }
 
@@ -40,7 +113,7 @@ Json::asBool() const
 {
     if (type_ != Type::kBool)
         throw JsonError("Json: not a bool");
-    return bool_;
+    return v_.boolean;
 }
 
 double
@@ -48,7 +121,7 @@ Json::asDouble() const
 {
     if (type_ != Type::kNumber)
         throw JsonError("Json: not a number");
-    return number_;
+    return v_.number;
 }
 
 std::uint64_t
@@ -65,22 +138,29 @@ Json::asString() const
 {
     if (type_ != Type::kString)
         throw JsonError("Json: not a string");
-    return string_;
+    return *v_.string;
+}
+
+Json::Members &
+Json::objectMembers(const char *what)
+{
+    if (type_ == Type::kNull)
+        *this = object();
+    if (type_ != Type::kObject)
+        throw JsonError(std::string("Json: ") + what + " on a non-object");
+    return *v_.members;
 }
 
 Json &
 Json::operator[](const std::string &key)
 {
-    if (type_ == Type::kNull)
-        type_ = Type::kObject;
-    if (type_ != Type::kObject)
-        throw JsonError("Json: operator[] on a non-object");
-    for (auto &[name, value] : members_) {
+    Members &members = objectMembers("operator[]");
+    for (auto &[name, value] : members) {
         if (name == key)
             return value;
     }
-    members_.emplace_back(key, Json());
-    return members_.back().second;
+    members.emplace_back(key, Json());
+    return members.back().second;
 }
 
 const Json *
@@ -88,7 +168,7 @@ Json::find(const std::string &key) const
 {
     if (type_ != Type::kObject)
         return nullptr;
-    for (const auto &[name, value] : members_) {
+    for (const auto &[name, value] : *v_.members) {
         if (name == key)
             return &value;
     }
@@ -107,27 +187,44 @@ Json::at(const std::string &key) const
 const Json &
 Json::at(std::size_t index) const
 {
-    if (type_ != Type::kArray || index >= elements_.size())
+    if (type_ != Type::kArray || index >= v_.elements->size())
         throw JsonError("Json: array index out of range");
-    return elements_[index];
+    return (*v_.elements)[index];
 }
 
 void
 Json::push(Json value)
 {
     if (type_ == Type::kNull)
-        type_ = Type::kArray;
+        *this = array();
     if (type_ != Type::kArray)
         throw JsonError("Json: push on a non-array");
-    elements_.push_back(std::move(value));
+    v_.elements->push_back(std::move(value));
 }
 
-const std::vector<std::pair<std::string, Json>> &
+void
+Json::append(std::string key, Json value)
+{
+    objectMembers("append").emplace_back(std::move(key), std::move(value));
+}
+
+void
+Json::reserve(std::size_t n)
+{
+    if (type_ == Type::kArray)
+        v_.elements->reserve(n);
+    else if (type_ == Type::kObject)
+        v_.members->reserve(n);
+    else
+        throw JsonError("Json: reserve on a scalar");
+}
+
+const Json::Members &
 Json::members() const
 {
     if (type_ != Type::kObject)
         throw JsonError("Json: members() on a non-object");
-    return members_;
+    return *v_.members;
 }
 
 const std::vector<Json> &
@@ -135,11 +232,16 @@ Json::elements() const
 {
     if (type_ != Type::kArray)
         throw JsonError("Json: elements() on a non-array");
-    return elements_;
+    return *v_.elements;
 }
 
 namespace
 {
+
+/** write() hands its buffer to the stream whenever it holds this
+ *  much; the buffer is reserved at twice that once, since between two
+ *  checks it grows by one member line at most. */
+constexpr std::size_t kWriteChunk = 32 * 1024;
 
 void
 appendEscaped(std::string &out, const std::string &s)
@@ -192,56 +294,70 @@ appendNumber(std::string &out, double v)
 } // namespace
 
 void
-Json::dumpTo(std::string &out, int depth) const
+Json::dumpTo(std::string &out, int depth, std::ostream *os) const
 {
-    const std::string pad(static_cast<std::size_t>(depth) * 2, ' ');
-    const std::string pad_in(static_cast<std::size_t>(depth + 1) * 2,
-                             ' ');
+    const auto indent = [&](int level) {
+        out.append(static_cast<std::size_t>(level) * 2, ' ');
+    };
+    const auto spill = [&] {
+        if (os && out.size() >= kWriteChunk) {
+            os->write(out.data(), static_cast<std::streamsize>(out.size()));
+            out.clear();
+        }
+    };
     switch (type_) {
       case Type::kNull:
         out += "null";
         break;
       case Type::kBool:
-        out += bool_ ? "true" : "false";
+        out += v_.boolean ? "true" : "false";
         break;
       case Type::kNumber:
-        appendNumber(out, number_);
+        appendNumber(out, v_.number);
         break;
       case Type::kString:
-        appendEscaped(out, string_);
+        appendEscaped(out, *v_.string);
         break;
-      case Type::kArray:
-        if (elements_.empty()) {
+      case Type::kArray: {
+        const std::vector<Json> &elements = *v_.elements;
+        if (elements.empty()) {
             out += "[]";
             break;
         }
         out += "[\n";
-        for (std::size_t i = 0; i < elements_.size(); ++i) {
-            out += pad_in;
-            elements_[i].dumpTo(out, depth + 1);
-            if (i + 1 < elements_.size())
+        for (std::size_t i = 0; i < elements.size(); ++i) {
+            indent(depth + 1);
+            elements[i].dumpTo(out, depth + 1, os);
+            if (i + 1 < elements.size())
                 out += ',';
             out += '\n';
+            spill();
         }
-        out += pad + "]";
+        indent(depth);
+        out += ']';
         break;
-      case Type::kObject:
-        if (members_.empty()) {
+      }
+      case Type::kObject: {
+        const Members &members = *v_.members;
+        if (members.empty()) {
             out += "{}";
             break;
         }
         out += "{\n";
-        for (std::size_t i = 0; i < members_.size(); ++i) {
-            out += pad_in;
-            appendEscaped(out, members_[i].first);
+        for (std::size_t i = 0; i < members.size(); ++i) {
+            indent(depth + 1);
+            appendEscaped(out, members[i].first);
             out += ": ";
-            members_[i].second.dumpTo(out, depth + 1);
-            if (i + 1 < members_.size())
+            members[i].second.dumpTo(out, depth + 1, os);
+            if (i + 1 < members.size())
                 out += ',';
             out += '\n';
+            spill();
         }
-        out += pad + "}";
+        indent(depth);
+        out += '}';
         break;
+      }
     }
 }
 
@@ -249,9 +365,19 @@ std::string
 Json::dump() const
 {
     std::string out;
-    dumpTo(out, 0);
+    dumpTo(out, 0, nullptr);
     out += '\n';
     return out;
+}
+
+void
+Json::write(std::ostream &os) const
+{
+    std::string out;
+    out.reserve(2 * kWriteChunk);
+    dumpTo(out, 0, &os);
+    out += '\n';
+    os.write(out.data(), static_cast<std::streamsize>(out.size()));
 }
 
 namespace

@@ -13,12 +13,18 @@
  * parse() inverts dump() exactly: parse(dump(v)).dump() == dump(v).
  * Errors throw JsonError rather than panic() so a malformed baseline
  * file fails a perf gate gracefully instead of aborting the driver.
+ *
+ * A value is 16 bytes: the type tag and one word holding a bool, a
+ * number or a pointer to the string, array or member list. A
+ * campaign manifest holds one object member per stat per point, so
+ * the member size is most of the document's size.
  */
 
 #ifndef RAB_STATS_JSON_HH
 #define RAB_STATS_JSON_HH
 
 #include <cstdint>
+#include <iosfwd>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -50,16 +56,25 @@ class Json
         kObject,
     };
 
+    using Members = std::vector<std::pair<std::string, Json>>;
+
     Json() = default; ///< null
-    Json(bool value) : type_(Type::kBool), bool_(value) {}
-    Json(double value) : type_(Type::kNumber), number_(value) {}
+    Json(bool value) : type_(Type::kBool), v_{.boolean = value} {}
+    Json(double value) : type_(Type::kNumber), v_{.number = value} {}
     Json(int value) : Json(static_cast<double>(value)) {}
     Json(std::uint64_t value) : Json(static_cast<double>(value)) {}
     Json(std::string value)
-        : type_(Type::kString), string_(std::move(value))
+        : type_(Type::kString),
+          v_{.string = new std::string(std::move(value))}
     {
     }
     Json(const char *value) : Json(std::string(value)) {}
+
+    Json(const Json &other);
+    Json(Json &&other) noexcept;
+    Json &operator=(const Json &other);
+    Json &operator=(Json &&other) noexcept;
+    ~Json();
 
     static Json object();
     static Json array();
@@ -95,8 +110,17 @@ class Json
     /** Append to an array. Converts a null value into an array. */
     void push(Json value);
 
+    /** Append member @p key without looking for it first: O(1) where
+     *  operator[] is O(members). The caller's keys must be unique.
+     *  Converts a null value into an object. */
+    void append(std::string key, Json value);
+
+    /** Room for @p n members (object) or elements (array), so a
+     *  document built to a known size allocates once. */
+    void reserve(std::size_t n);
+
     /** Members in insertion order (object only). */
-    const std::vector<std::pair<std::string, Json>> &members() const;
+    const Members &members() const;
 
     /** Elements (array only). */
     const std::vector<Json> &elements() const;
@@ -105,19 +129,38 @@ class Json
      *  numbers, 2-space indentation. */
     std::string dump() const;
 
+    /** dump() to @p os through a bounded buffer: the same bytes,
+     *  without the whole text in memory. */
+    void write(std::ostream &os) const;
+
     /** Parse a document; throws JsonError with an offset on error. */
     static Json parse(const std::string &text);
 
   private:
-    void dumpTo(std::string &out, int depth) const;
+    /** Append the text to @p out; with @p os, hand out's bytes to it
+     *  whenever they pass a chunk. */
+    void dumpTo(std::string &out, int depth, std::ostream *os) const;
+
+    /** Free the string, array or members and become null. */
+    void reset() noexcept;
+    /** Become an empty object (from null) or throw @p what. */
+    Members &objectMembers(const char *what);
+
+    /** The value of type_: owned pointers for the heap types. */
+    union Payload
+    {
+        bool boolean;
+        double number;
+        std::string *string;
+        std::vector<Json> *elements;
+        Members *members;
+    };
 
     Type type_ = Type::kNull;
-    bool bool_ = false;
-    double number_ = 0.0;
-    std::string string_;
-    std::vector<Json> elements_;
-    std::vector<std::pair<std::string, Json>> members_;
+    Payload v_{.number = 0.0};
 };
+
+static_assert(sizeof(Json) == 16);
 
 } // namespace rab
 

@@ -159,14 +159,14 @@ CampaignResult::skippedCount() const
 }
 
 std::uint64_t
-CampaignResult::simulatedCycles() const
+CampaignResult::committedInstructions() const
 {
-    std::uint64_t cycles = 0;
+    std::uint64_t instructions = 0;
     for (const PointResult &p : points) {
         if (p.ok)
-            cycles += p.result.cycles;
+            instructions += p.result.instructions;
     }
-    return cycles;
+    return instructions;
 }
 
 namespace

@@ -199,8 +199,8 @@ struct CampaignResult
     std::size_t failedCount() const;
     /** Points never executed because the campaign was interrupted. */
     std::size_t skippedCount() const;
-    /** Sum of simulated cycles over successful points. */
-    std::uint64_t simulatedCycles() const;
+    /** Sum of committed instructions over successful points. */
+    std::uint64_t committedInstructions() const;
 };
 
 /**

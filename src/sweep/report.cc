@@ -107,11 +107,11 @@ simResultFromJson(const Json &json)
 }
 
 double
-campaignCyclesPerSecond(const CampaignResult &campaign)
+campaignInstructionsPerSecond(const CampaignResult &campaign)
 {
     if (campaign.wallSeconds <= 0)
         return 0.0;
-    return static_cast<double>(campaign.simulatedCycles())
+    return static_cast<double>(campaign.committedInstructions())
         / campaign.wallSeconds;
 }
 
@@ -166,9 +166,9 @@ campaignManifest(const CampaignResult &campaign, bool canonical)
             static_cast<std::uint64_t>(std::thread::hardware_concurrency());
         env["threads"] = campaign.threads;
         env["wall_seconds"] = campaign.wallSeconds;
-        env["simulated_cycles"] = campaign.simulatedCycles();
-        env["cycles_per_wall_second"] =
-            campaignCyclesPerSecond(campaign);
+        env["committed_instructions"] = campaign.committedInstructions();
+        env["instructions_per_wall_second"] =
+            campaignInstructionsPerSecond(campaign);
         // Result-store traffic: which points were cache hits varies
         // between a straight-line run and a resumed one, so all of it
         // stays out of the canonical byte-diff surface.
@@ -181,6 +181,7 @@ campaignManifest(const CampaignResult &campaign, bool canonical)
     }
 
     Json points = Json::array();
+    points.reserve(campaign.points.size());
     for (const PointResult &p : campaign.points) {
         Json entry = Json::object();
         entry["index"] = p.point.index;
@@ -200,9 +201,12 @@ campaignManifest(const CampaignResult &campaign, bool canonical)
             entry["error"] = p.error;
         } else {
             entry["metrics"] = simResultJson(p.result);
+            // One member per stat: append at the final size instead
+            // of operator[]'s search, which is O(stats^2) per point.
             Json stats = Json::object();
+            stats.reserve(p.stats.size());
             for (const auto &[name, value] : p.stats)
-                stats[name] = value;
+                stats.append(name, value);
             entry["stats"] = std::move(stats);
         }
         if (!canonical) {
@@ -225,8 +229,8 @@ makeBaseline(const CampaignResult &campaign)
     Json baseline = Json::object();
     baseline["schema"] = kSweepBaselineSchema;
     baseline["campaign"] = campaign.spec.name;
-    baseline["cycles_per_wall_second"] =
-        campaignCyclesPerSecond(campaign);
+    baseline["instructions_per_wall_second"] =
+        campaignInstructionsPerSecond(campaign);
     baseline["threads"] = campaign.threads;
     baseline["git_sha"] = currentGitSha();
     baseline["hostname"] = currentHostname();
@@ -245,7 +249,7 @@ perfGate(const CampaignResult &campaign, const Json &baseline,
          double max_drop)
 {
     GateResult gate;
-    gate.measured = campaignCyclesPerSecond(campaign);
+    gate.measured = campaignInstructionsPerSecond(campaign);
     try {
         if (baseline.at("schema").asString() != kSweepBaselineSchema) {
             gate.message = "baseline has unknown schema '"
@@ -253,7 +257,7 @@ perfGate(const CampaignResult &campaign, const Json &baseline,
             return gate;
         }
         gate.baseline =
-            baseline.at("cycles_per_wall_second").asDouble();
+            baseline.at("instructions_per_wall_second").asDouble();
     } catch (const JsonError &e) {
         gate.message = std::string("malformed baseline: ") + e.what();
         return gate;
@@ -270,7 +274,7 @@ perfGate(const CampaignResult &campaign, const Json &baseline,
     gate.drop = 1.0 - gate.measured / gate.baseline;
     gate.pass = gate.drop <= max_drop;
     gate.message = strprintf(
-        "throughput %.3g simulated cycles/s vs baseline %.3g "
+        "throughput %.3g committed instructions/s vs baseline %.3g "
         "(%+.1f%%; gate fails below -%.0f%%)",
         gate.measured, gate.baseline, -gate.drop * 100.0,
         max_drop * 100.0);
@@ -296,7 +300,7 @@ writeJsonFile(const std::string &path, const Json &document)
     std::ofstream out(path, std::ios::binary);
     if (!out)
         return false;
-    out << document.dump();
+    document.write(out);
     return static_cast<bool>(out);
 }
 

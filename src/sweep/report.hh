@@ -6,7 +6,7 @@
  * rab-sweep-manifest-v1 JSON document (BENCH_sweep.json): the grid
  * declaration, per-point metrics + flattened StatGroup payloads, and
  * an environment section (git SHA, host, threads, wall time,
- * simulated-cycles-per-wall-second throughput).
+ * committed-instructions-per-wall-second throughput).
  *
  * Canonical mode omits every volatile field (the environment section
  * and per-point wall times), leaving a document that is byte-identical
@@ -14,7 +14,7 @@
  * compares and what diffs cleanly in CI.
  *
  * The perf gate compares a manifest's throughput against a checked-in
- * baseline (bench/baseline.json, rab-sweep-baseline-v1) and fails on a
+ * baseline (bench/baseline.json, rab-sweep-baseline-v2) and fails on a
  * configurable relative drop; see DESIGN.md §9.
  */
 
@@ -33,7 +33,7 @@ namespace rab
 inline constexpr const char *kSweepManifestSchema =
     "rab-sweep-manifest-v1";
 inline constexpr const char *kSweepBaselineSchema =
-    "rab-sweep-baseline-v1";
+    "rab-sweep-baseline-v2";
 
 /** Current git SHA: $RAB_GIT_SHA / $GITHUB_SHA, else `git rev-parse`,
  *  else "unknown". */
@@ -57,8 +57,10 @@ SimResult simResultFromJson(const Json &json);
 Json campaignManifest(const CampaignResult &campaign,
                       bool canonical = false);
 
-/** Aggregate throughput: simulated cycles (ok points) per wall s. */
-double campaignCyclesPerSecond(const CampaignResult &campaign);
+/** Aggregate throughput: committed instructions (ok points) per wall
+ *  second. Not simulated cycles: fast-forward skips cycles without
+ *  ticking them, so a config that stalls more would look faster. */
+double campaignInstructionsPerSecond(const CampaignResult &campaign);
 
 /** Baseline document for the perf gate. */
 Json makeBaseline(const CampaignResult &campaign);
@@ -67,8 +69,8 @@ Json makeBaseline(const CampaignResult &campaign);
 struct GateResult
 {
     bool pass = false;
-    double measured = 0;  ///< cycles/wall-second this run.
-    double baseline = 0;  ///< cycles/wall-second in the baseline.
+    double measured = 0;  ///< instructions/wall-second this run.
+    double baseline = 0;  ///< instructions/wall-second in the baseline.
     double drop = 0;      ///< Relative drop (negative = faster).
     std::string message;  ///< One-line human summary.
 };

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "common/rng.hh"
 #include "memory/cache.hh"
 
@@ -122,6 +125,58 @@ TEST(Cache, FlushEmptiesEverything)
     EXPECT_FALSE(cache.probe(0x0000));
 }
 
+TEST(Cache, WideSetsKeepTrueLru)
+{
+    // One 96-way set: two valid-mask words, the second partly used.
+    // A reference list (most recent last) must name every victim and
+    // its dirty bit.
+    struct Ref
+    {
+        Addr line;
+        bool dirty;
+    };
+    Cache cache(CacheConfig{"t", 96 * 64, 96, 64, 3});
+    std::vector<Ref> lru;
+    Rng rng(96);
+    for (int i = 0; i < 20000; ++i) {
+        const Addr line = rng.range(160) * 64;
+        const bool write = rng.chance(0.3);
+        auto it = std::find_if(lru.begin(), lru.end(),
+                               [&](const Ref &r) { return r.line == line; });
+        if (rng.chance(0.05)) {
+            ASSERT_EQ(cache.invalidate(line),
+                      it != lru.end() && it->dirty) << i;
+            ASSERT_FALSE(cache.probe(line)) << i;
+            if (it != lru.end())
+                lru.erase(it);
+            continue;
+        }
+        ASSERT_EQ(cache.access(line, write).hit, it != lru.end()) << i;
+        if (it != lru.end()) {
+            const Ref hit{line, it->dirty || write};
+            lru.erase(it);
+            lru.push_back(hit);
+            continue;
+        }
+        const Eviction ev = cache.insert(line, write);
+        ASSERT_EQ(ev.valid, lru.size() == 96) << i;
+        if (ev.valid) {
+            ASSERT_EQ(ev.lineAddr, lru.front().line) << i;
+            ASSERT_EQ(ev.dirty, lru.front().dirty) << i;
+            lru.erase(lru.begin());
+        }
+        lru.push_back(Ref{line, write});
+    }
+    EXPECT_EQ(cache.occupancy(), lru.size());
+    std::vector<Addr> resident = cache.validLines();
+    std::vector<Addr> expected;
+    for (const Ref &r : lru)
+        expected.push_back(r.line);
+    std::sort(resident.begin(), resident.end());
+    std::sort(expected.begin(), expected.end());
+    EXPECT_EQ(resident, expected);
+}
+
 TEST(Cache, BadGeometryFatal)
 {
     EXPECT_DEATH(Cache(CacheConfig{"t", 1000, 2, 64, 3}),
@@ -172,7 +227,8 @@ INSTANTIATE_TEST_SUITE_P(
     Geometries, CacheGeometry,
     ::testing::Values(std::make_tuple(1, 1), std::make_tuple(4, 2),
                       std::make_tuple(32, 8), std::make_tuple(64, 4),
-                      std::make_tuple(1024, 8)));
+                      std::make_tuple(1024, 8), std::make_tuple(12, 96),
+                      std::make_tuple(16, 128)));
 
 } // namespace
 } // namespace rab

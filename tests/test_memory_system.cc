@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <unordered_map>
+
+#include "common/rng.hh"
 #include "memory/memory_system.hh"
 
 namespace rab
@@ -196,6 +199,97 @@ TEST(MemorySystem, PrefetcherFillsAhead)
     const AccessResult demand = mem.access(AccessType::kLoad, line12, now);
     EXPECT_EQ(mem.mshrMerges.value(), merges + 1);
     EXPECT_GT(demand.readyCycle, now + cfg.l1d.latency + cfg.llc.latency);
+}
+
+/**
+ * Test-local reference for one L1's fill table: every fill the L1
+ * ever received, never dropped, and the rule access() applies on an
+ * L1 tag hit — a fill still in flight at `now` is an MSHR merge that
+ * waits for it, anything else hits at L1 latency.
+ */
+struct NeverPrunedFills
+{
+    std::unordered_map<Addr, Cycle> fills;
+    std::uint64_t tagHits = 0;
+    std::uint64_t tagMisses = 0;
+};
+
+TEST(MemorySystem, ExpiredL1FillsAreDead)
+{
+    // One random stream two ways: the chip's L1 tables drop fills
+    // whose cycle has passed, the reference keeps them all. Every
+    // L1 tag hit must come out as the reference predicts, result and
+    // merge count alike; an L1 miss goes to the LLC, which neither
+    // table is part of. Steps are mostly short (merges into fills in
+    // flight) with jumps past whole fills; 96 KB of data lines
+    // overflow the 32 KB L1D but not the LLC.
+    MemSysConfig cfg = config();
+    cfg.prefetcher.enabled = true;
+    OneCore chip(cfg);
+    MemorySystem &mem = chip.mem;
+    NeverPrunedFills ref_i;
+    NeverPrunedFills ref_d;
+    Rng rng(25);
+    Cycle now = 0;
+    std::uint64_t merges = 0;
+    Addr recent[8] = {};
+    for (int i = 0; i < 200'000; ++i) {
+        now += rng.chance(0.05) ? rng.range(400) : rng.range(3);
+        AccessType type = AccessType::kLoad;
+        if (rng.chance(0.1))
+            type = AccessType::kInstFetch;
+        else if (rng.chance(0.3))
+            type = AccessType::kStore;
+        const bool fetch = type == AccessType::kInstFetch;
+        // Half the data accesses revisit one of the last eight lines.
+        Addr &slot = recent[rng.range(8)];
+        if (!fetch && (slot == 0 || rng.chance(0.5)))
+            slot = 0x10000000 + rng.range(1536) * 64;
+        const Addr addr = fetch ? 0x400000 + rng.range(256) * 64
+                                : slot + rng.range(8) * 8;
+        Cache &l1 = fetch ? mem.l1i() : mem.l1d();
+        NeverPrunedFills &ref = fetch ? ref_i : ref_d;
+        const Addr line = l1.lineAddr(addr);
+
+        const bool tag_hit = l1.probe(addr);
+        const bool llc_in_flight = mem.missInFlight(addr, now);
+        const std::uint64_t merges_before = mem.mshrMerges.value();
+        const AccessResult got = mem.access(type, addr, now);
+        if (!tag_hit) {
+            ++ref.tagMisses;
+            ASSERT_TRUE(got.l1Miss) << "access " << i;
+            merges += mem.mshrMerges.value() - merges_before;
+            if (!got.rejected)
+                ref.fills[line] = got.readyCycle;
+            continue;
+        }
+        ++ref.tagHits;
+        AccessResult want;
+        const auto it = ref.fills.find(line);
+        if (it != ref.fills.end() && it->second > now) {
+            want.l1Miss = true;
+            want.readyCycle = it->second;
+            want.pendingMiss = llc_in_flight;
+            ++merges;
+        } else {
+            want.readyCycle = now + l1.config().latency;
+        }
+        ASSERT_EQ(got.l1Miss, want.l1Miss) << "access " << i;
+        ASSERT_EQ(got.readyCycle, want.readyCycle) << "access " << i;
+        ASSERT_EQ(got.pendingMiss, want.pendingMiss) << "access " << i;
+        ASSERT_FALSE(got.rejected) << "access " << i;
+        ASSERT_FALSE(got.llcMiss) << "access " << i;
+        ASSERT_EQ(mem.mshrMerges.value(), merges) << "access " << i;
+    }
+    EXPECT_EQ(mem.mshrMerges.value(), merges);
+    EXPECT_EQ(mem.l1i().hits.value(), ref_i.tagHits);
+    EXPECT_EQ(mem.l1i().misses.value(), ref_i.tagMisses);
+    EXPECT_EQ(mem.l1d().hits.value(), ref_d.tagHits);
+    EXPECT_EQ(mem.l1d().misses.value(), ref_d.tagMisses);
+    // The stream exercised both sides of the rule.
+    EXPECT_GT(mem.mshrMerges.value(), 1'000u);
+    EXPECT_GT(ref_d.tagHits, 10'000u);
+    EXPECT_GT(ref_d.fills.size(), 1'000u);
 }
 
 } // namespace

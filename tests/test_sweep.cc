@@ -14,6 +14,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <iterator>
+#include <sstream>
+
 #include "sweep/campaign.hh"
 #include "sweep/report.hh"
 
@@ -131,6 +136,15 @@ TEST(Manifest, SchemaRoundTrip)
     const Json &env = reparsed.at("environment");
     EXPECT_GT(env.at("wall_seconds").asDouble(), 0.0);
     EXPECT_FALSE(env.at("git_sha").asString().empty());
+    // Throughput counts committed instructions, never fast-forwarded
+    // cycles.
+    std::uint64_t instructions = 0;
+    for (const PointResult &p : campaign.points)
+        instructions += p.result.instructions;
+    EXPECT_EQ(env.at("committed_instructions").asU64(), instructions);
+    EXPECT_DOUBLE_EQ(env.at("instructions_per_wall_second").asDouble(),
+                     campaignInstructionsPerSecond(campaign));
+    EXPECT_EQ(env.find("cycles_per_wall_second"), nullptr);
     const Json &points = reparsed.at("points");
     ASSERT_EQ(points.size(), campaign.points.size());
     for (std::size_t i = 0; i < points.size(); ++i) {
@@ -197,11 +211,53 @@ TEST(Json, KeyOrderIsInsertionOrder)
     EXPECT_LT(text.find("zebra"), text.find("alpha"));
 }
 
+TEST(Json, AppendBuildsWhatOperatorIndexBuilds)
+{
+    Json indexed = Json::object();
+    Json appended = Json::object();
+    appended.reserve(3);
+    for (const char *key : {"b", "a", "c"}) {
+        indexed[key] = key;
+        appended.append(key, key);
+    }
+    EXPECT_EQ(appended.dump(), indexed.dump());
+    Json from_null;
+    from_null.append("k", 1);
+    EXPECT_TRUE(from_null.isObject());
+    Json number = 1;
+    EXPECT_THROW(number.append("k", 1), JsonError);
+    EXPECT_THROW(number.reserve(1), JsonError);
+}
+
+TEST(Json, CopiesAreDeepAndMovesLeaveNull)
+{
+    Json obj = Json::object();
+    obj["s"] = "text";
+    obj["a"] = Json::array();
+    obj["a"].push(1);
+    Json copy = obj;
+    copy["s"] = "changed";
+    copy["a"].push(2);
+    EXPECT_EQ(obj.at("s").asString(), "text");
+    EXPECT_EQ(obj.at("a").size(), 1u);
+    Json moved = std::move(copy);
+    EXPECT_TRUE(copy.isNull()); // NOLINT(bugprone-use-after-move)
+    EXPECT_EQ(moved.at("a").size(), 2u);
+    // Assigning a member to its own parent keeps the member's value.
+    moved = moved.at("a");
+    EXPECT_EQ(moved.size(), 2u);
+    Json nested = Json::object();
+    nested["inner"]["x"] = 3;
+    Json &inner = nested["inner"];
+    nested = std::move(inner);
+    EXPECT_EQ(nested.at("x").asU64(), 3u);
+}
+
 TEST(PerfGate, PassesAndFails)
 {
     const CampaignResult campaign = runCampaign(smallSpec(), 2);
     ASSERT_EQ(campaign.failedCount(), 0u);
-    const double measured = campaignCyclesPerSecond(campaign);
+    const double measured = campaignInstructionsPerSecond(campaign);
     ASSERT_GT(measured, 0.0);
 
     Json baseline = makeBaseline(campaign);
@@ -211,17 +267,56 @@ TEST(PerfGate, PassesAndFails)
     EXPECT_TRUE(perfGate(campaign, baseline, 0.25).pass);
 
     // Baseline 10x faster than measured: >25% drop, fails.
-    baseline["cycles_per_wall_second"] = measured * 10.0;
+    baseline["instructions_per_wall_second"] = measured * 10.0;
     const GateResult fail = perfGate(campaign, baseline, 0.25);
     EXPECT_FALSE(fail.pass);
     EXPECT_GT(fail.drop, 0.25);
 
     // Baseline slower than measured: improvement, passes.
-    baseline["cycles_per_wall_second"] = measured / 10.0;
+    baseline["instructions_per_wall_second"] = measured / 10.0;
     EXPECT_TRUE(perfGate(campaign, baseline, 0.25).pass);
 
     // Malformed baseline fails closed.
     EXPECT_FALSE(perfGate(campaign, Json::object(), 0.25).pass);
+
+    // A v1 baseline counted simulated cycles/s, another unit: refused.
+    Json v1 = makeBaseline(campaign);
+    v1["schema"] = "rab-sweep-baseline-v1";
+    const GateResult skew = perfGate(campaign, v1, 0.25);
+    EXPECT_FALSE(skew.pass);
+    EXPECT_NE(skew.message.find("unknown schema"), std::string::npos);
+}
+
+TEST(Manifest, StreamedFileEqualsDump)
+{
+    // A failed point, a mix point and enough stats that the file is
+    // written in several buffer-sized pieces.
+    CampaignSpec spec = smallSpec();
+    spec.name = "streamed";
+    spec.workloads = {"mcf", "does-not-exist"};
+    spec.seeds = {1, 2};
+    CoreMixSpec mix;
+    mix.label = "pair";
+    mix.workloads = {"mcf", "libq"};
+    spec.mixes = {mix};
+    const CampaignResult campaign = runCampaign(spec, 2);
+    ASSERT_EQ(campaign.failedCount(), 6u);
+    const std::string path =
+        ::testing::TempDir() + "rab_streamed_manifest.json";
+    for (const bool canonical : {true, false}) {
+        const Json manifest = campaignManifest(campaign, canonical);
+        const std::string text = manifest.dump();
+        EXPECT_GT(text.size(), std::size_t{100'000});
+        ASSERT_TRUE(writeJsonFile(path, manifest));
+        std::ifstream in(path, std::ios::binary);
+        const std::string written((std::istreambuf_iterator<char>(in)),
+                                  std::istreambuf_iterator<char>());
+        EXPECT_EQ(written, text) << "canonical=" << canonical;
+        std::ostringstream os;
+        manifest.write(os);
+        EXPECT_EQ(os.str(), text) << "canonical=" << canonical;
+    }
+    std::remove(path.c_str());
 }
 
 TEST(PerfGate, FailedPointsFailTheGate)
