@@ -35,8 +35,8 @@ num(double v, const char *fmt = "%.2f")
     return strprintf(fmt, v);
 }
 
-// CellRunner (the cached grid executor, now sweep-engine backed) lives
-// in core/experiment.hh so rabsweep and the tests share it.
+// CellRunner (a figure's grid, run once through the sweep engine)
+// lives in core/experiment.hh so the tests share it.
 
 /** Print the standard bench banner. */
 inline void

@@ -20,14 +20,13 @@ main()
     const BenchOptions options = BenchOptions::fromEnv(40'000, 10'000);
     banner("Figure 10", "cache misses per runahead interval", options);
 
-    CellRunner runner(options);
     const std::vector<WorkloadSpec> workloads =
         selectWorkloads(mediumHighSuite(), options.workloadFilter);
-    runner.prefill(workloads,
-                   {{RunaheadConfig::kRunahead, false},
-                    {RunaheadConfig::kRunaheadBufferCC, false},
-                    {RunaheadConfig::kRunahead, true},
-                    {RunaheadConfig::kRunaheadBufferCC, true}});
+    const CellRunner runner(options, workloads,
+                            {{RunaheadConfig::kRunahead, false},
+                             {RunaheadConfig::kRunaheadBufferCC, false},
+                             {RunaheadConfig::kRunahead, true},
+                             {RunaheadConfig::kRunaheadBufferCC, true}});
     TextTable table({"workload", "Runahead", "RA-Buffer", "Runahead+PF",
                      "RA-Buffer+PF"});
     double sums[4] = {};

@@ -17,12 +17,14 @@ main()
     const BenchOptions options = BenchOptions::fromEnv(40'000, 10'000);
     banner("Figure 12", "chain cache hit rate", options);
 
-    CellRunner runner(options);
+    const std::vector<WorkloadSpec> workloads =
+        selectWorkloads(mediumHighSuite(), options.workloadFilter);
+    const CellRunner runner(options, workloads,
+                            {{RunaheadConfig::kRunaheadBufferCC, false}});
     TextTable table({"workload", "hit rate"});
     double sum = 0;
     int count = 0;
-    for (const WorkloadSpec &spec :
-         selectWorkloads(mediumHighSuite(), options.workloadFilter)) {
+    for (const WorkloadSpec &spec : workloads) {
         const SimResult &r =
             runner.get(spec, RunaheadConfig::kRunaheadBufferCC, false);
         table.addRow({spec.params.name, pct(r.chainCacheHitRate)});

@@ -20,12 +20,14 @@ main()
     banner("Figure 13", "chain cache hits matching the ROB chain",
            options);
 
-    CellRunner runner(options);
+    const std::vector<WorkloadSpec> workloads =
+        selectWorkloads(mediumHighSuite(), options.workloadFilter);
+    const CellRunner runner(options, workloads,
+                            {{RunaheadConfig::kRunaheadBufferCC, false}});
     TextTable table({"workload", "exact-match hits"});
     double sum = 0;
     int count = 0;
-    for (const WorkloadSpec &spec :
-         selectWorkloads(mediumHighSuite(), options.workloadFilter)) {
+    for (const WorkloadSpec &spec : workloads) {
         const SimResult &r =
             runner.get(spec, RunaheadConfig::kRunaheadBufferCC, false);
         table.addRow({spec.params.name, pct(r.chainCacheExactRate)});

@@ -19,12 +19,14 @@ main()
     banner("Figure 14", "hybrid policy: buffer share of runahead cycles",
            options);
 
-    CellRunner runner(options);
+    const std::vector<WorkloadSpec> workloads =
+        selectWorkloads(mediumHighSuite(), options.workloadFilter);
+    const CellRunner runner(options, workloads,
+                            {{RunaheadConfig::kHybrid, false}});
     TextTable table({"workload", "buffer share"});
     double sum = 0;
     int count = 0;
-    for (const WorkloadSpec &spec :
-         selectWorkloads(mediumHighSuite(), options.workloadFilter)) {
+    for (const WorkloadSpec &spec : workloads) {
         const SimResult &r =
             runner.get(spec, RunaheadConfig::kHybrid, false);
         table.addRow({spec.params.name, pct(r.hybridBufferFraction)});

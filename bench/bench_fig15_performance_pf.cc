@@ -30,13 +30,12 @@ main()
                                    "RAB+CC+PF", "Hybrid+PF"};
     static const double kPaper[] = {37.5, 48.3, 47.1, 48.2, 51.5};
 
-    CellRunner runner(options);
     const std::vector<WorkloadSpec> workloads =
         selectWorkloads(mediumHighSuite(), options.workloadFilter);
     std::vector<CellVariant> grid{{RunaheadConfig::kBaseline, false}};
     for (const RunaheadConfig config : kConfigs)
         grid.emplace_back(config, true);
-    runner.prefill(workloads, grid);
+    const CellRunner runner(options, workloads, grid);
     TextTable table({"workload", "PF", "Runahead+PF", "RA-Buffer+PF",
                      "RAB+CC+PF", "Hybrid+PF"});
     std::map<int, std::vector<double>> speedups;

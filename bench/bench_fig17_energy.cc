@@ -27,13 +27,12 @@ main()
     };
     static const double kPaper[] = {44.0, 9.0, -4.4, -6.7, -2.3};
 
-    CellRunner runner(options);
     const std::vector<WorkloadSpec> workloads =
         selectWorkloads(mediumHighSuite(), options.workloadFilter);
     std::vector<CellVariant> grid{{RunaheadConfig::kBaseline, false}};
     for (const RunaheadConfig config : kConfigs)
         grid.emplace_back(config, false);
-    runner.prefill(workloads, grid);
+    const CellRunner runner(options, workloads, grid);
     TextTable table({"workload", "Runahead", "RA-Enhanced", "RA-Buffer",
                      "RAB+CC", "Hybrid"});
     std::map<int, std::vector<double>> ratios;

@@ -33,13 +33,12 @@ main()
     static const double kPaper[] = {-19.5, -1.7, -15.4, -20.8, -22.5,
                                     -19.9};
 
-    CellRunner runner(options);
     const std::vector<WorkloadSpec> workloads =
         selectWorkloads(mediumHighSuite(), options.workloadFilter);
     std::vector<CellVariant> grid{{RunaheadConfig::kBaseline, false}};
     for (const RunaheadConfig config : kConfigs)
         grid.emplace_back(config, true);
-    runner.prefill(workloads, grid);
+    const CellRunner runner(options, workloads, grid);
     TextTable table({"workload", "PF", "Runahead+PF", "RA-Enhanced+PF",
                      "RA-Buffer+PF", "RAB+CC+PF", "Hybrid+PF"});
     std::map<int, std::vector<double>> ratios;

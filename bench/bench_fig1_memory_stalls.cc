@@ -20,11 +20,13 @@ main()
     banner("Figure 1", "cycles stalled waiting for memory (baseline)",
            options);
 
-    CellRunner runner(options);
+    const std::vector<WorkloadSpec> workloads =
+        selectWorkloads(spec06Suite(), options.workloadFilter);
+    const CellRunner runner(options, workloads,
+                            {{RunaheadConfig::kBaseline, false}});
     TextTable table({"workload", "class", "stall %", "IPC", "MPKI"});
     double high_stall_min = 1.0;
-    for (const WorkloadSpec &spec :
-         selectWorkloads(spec06Suite(), options.workloadFilter)) {
+    for (const WorkloadSpec &spec : workloads) {
         const SimResult &r =
             runner.get(spec, RunaheadConfig::kBaseline, false);
         if (spec.intensity == MemIntensity::kHigh)

@@ -20,11 +20,13 @@ main()
     banner("Figure 2", "misses with source data available on chip",
            options);
 
-    CellRunner runner(options);
+    const std::vector<WorkloadSpec> workloads =
+        selectWorkloads(spec06Suite(), options.workloadFilter);
+    const CellRunner runner(options, workloads,
+                            {{RunaheadConfig::kBaseline, false}});
     TextTable table({"workload", "class", "on-chip sources"});
     std::vector<double> fractions;
-    for (const WorkloadSpec &spec :
-         selectWorkloads(spec06Suite(), options.workloadFilter)) {
+    for (const WorkloadSpec &spec : workloads) {
         const SimResult &r =
             runner.get(spec, RunaheadConfig::kBaseline, false);
         table.addRow({spec.params.name, intensityName(spec.intensity),

@@ -19,11 +19,13 @@ main()
     const BenchOptions options = BenchOptions::fromEnv(40'000, 10'000);
     banner("Figure 3", "runahead ops on miss dependence chains", options);
 
-    CellRunner runner(options);
+    const std::vector<WorkloadSpec> workloads =
+        selectWorkloads(spec06Suite(), options.workloadFilter);
+    const CellRunner runner(options, workloads,
+                            {{RunaheadConfig::kRunahead, false}});
     TextTable table({"workload", "class", "dependence chain",
                      "other ops"});
-    for (const WorkloadSpec &spec :
-         selectWorkloads(spec06Suite(), options.workloadFilter)) {
+    for (const WorkloadSpec &spec : workloads) {
         const SimResult &r =
             runner.get(spec, RunaheadConfig::kRunahead, false);
         table.addRow({spec.params.name, intensityName(spec.intensity),

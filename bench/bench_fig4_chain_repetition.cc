@@ -20,11 +20,13 @@ main()
     banner("Figure 4", "repeated vs unique miss dependence chains",
            options);
 
-    CellRunner runner(options);
+    const std::vector<WorkloadSpec> workloads =
+        selectWorkloads(spec06Suite(), options.workloadFilter);
+    const CellRunner runner(options, workloads,
+                            {{RunaheadConfig::kRunahead, false}});
     TextTable table({"workload", "class", "repeated", "unique"});
     std::vector<double> repeated;
-    for (const WorkloadSpec &spec :
-         selectWorkloads(spec06Suite(), options.workloadFilter)) {
+    for (const WorkloadSpec &spec : workloads) {
         const SimResult &r =
             runner.get(spec, RunaheadConfig::kRunahead, false);
         table.addRow({spec.params.name, intensityName(spec.intensity),

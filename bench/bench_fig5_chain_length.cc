@@ -19,12 +19,14 @@ main()
     banner("Figure 5", "average miss dependence chain length (uops)",
            options);
 
-    CellRunner runner(options);
+    const std::vector<WorkloadSpec> workloads =
+        selectWorkloads(spec06Suite(), options.workloadFilter);
+    const CellRunner runner(options, workloads,
+                            {{RunaheadConfig::kRunahead, false}});
     TextTable table({"workload", "class", "avg chain length",
                      "< 32 uops"});
     std::vector<double> lengths;
-    for (const WorkloadSpec &spec :
-         selectWorkloads(spec06Suite(), options.workloadFilter)) {
+    for (const WorkloadSpec &spec : workloads) {
         const SimResult &r =
             runner.get(spec, RunaheadConfig::kRunahead, false);
         table.addRow({spec.params.name, intensityName(spec.intensity),

@@ -26,15 +26,14 @@ main()
         RunaheadConfig::kHybrid,
     };
 
-    CellRunner runner(options);
     const std::vector<WorkloadSpec> workloads =
         selectWorkloads(spec06Suite(), options.workloadFilter);
-    runner.prefill(workloads,
-                   {{RunaheadConfig::kBaseline, false},
-                    {RunaheadConfig::kRunahead, false},
-                    {RunaheadConfig::kRunaheadBuffer, false},
-                    {RunaheadConfig::kRunaheadBufferCC, false},
-                    {RunaheadConfig::kHybrid, false}});
+    const CellRunner runner(options, workloads,
+                            {{RunaheadConfig::kBaseline, false},
+                             {RunaheadConfig::kRunahead, false},
+                             {RunaheadConfig::kRunaheadBuffer, false},
+                             {RunaheadConfig::kRunaheadBufferCC, false},
+                             {RunaheadConfig::kHybrid, false}});
     TextTable table({"workload", "class", "Runahead", "RA-Buffer",
                      "RAB+CC", "Hybrid"});
     std::map<RunaheadConfig, std::vector<double>> speedups;

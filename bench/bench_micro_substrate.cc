@@ -7,12 +7,17 @@
 
 #include <benchmark/benchmark.h>
 
+#include <iterator>
+
 #include "backend/core.hh"
+#include "backend/lsq.hh"
+#include "backend/rob.hh"
 #include "common/rng.hh"
 #include "core/simulation.hh"
 #include "frontend/branch_predictor.hh"
 #include "memory/cache.hh"
 #include "memory/dram.hh"
+#include "runahead/chain_generator.hh"
 #include "workloads/suite.hh"
 
 namespace
@@ -58,6 +63,50 @@ BM_BranchPredict(benchmark::State &state)
     }
 }
 BENCHMARK(BM_BranchPredict);
+
+void
+BM_ChainGenerate(benchmark::State &state)
+{
+    // Algorithm 1 over a full Table 1 ROB of one pointer-chasing loop
+    // body: a load feeding address math feeding the next load, a
+    // spill store and the loop branch. Arg(1): the blocking PC's next
+    // instance is one body behind the head; Arg(0): the PC is absent,
+    // so the PC CAM pass spans every entry.
+    struct BodyUop
+    {
+        rab::Pc pc;
+        rab::Opcode op;
+        rab::ArchReg dest, src1, src2;
+    };
+    static const BodyUop kBody[] = {
+        {100, rab::Opcode::kLoad, 1, 1, rab::kNoArchReg},
+        {101, rab::Opcode::kIntAlu, 2, 1, 2},
+        {102, rab::Opcode::kIntAlu, 3, 2, rab::kNoArchReg},
+        {103, rab::Opcode::kLoad, 4, 3, rab::kNoArchReg},
+        {104, rab::Opcode::kIntAlu, 5, 4, 5},
+        {105, rab::Opcode::kStore, rab::kNoArchReg, 3, 5},
+        {106, rab::Opcode::kIntAlu, 6, 6, rab::kNoArchReg},
+        {107, rab::Opcode::kBranch, rab::kNoArchReg, 6, rab::kNoArchReg},
+    };
+    rab::Rob rob(192);
+    for (rab::SeqNum seq = 1; !rob.full(); ++seq) {
+        const BodyUop &b = kBody[(seq - 1) % std::size(kBody)];
+        rab::DynUop u;
+        u.seq = seq;
+        u.pc = b.pc;
+        u.sop.op = b.op;
+        u.sop.dest = b.dest;
+        u.sop.src1 = b.src1;
+        u.sop.src2 = b.src2;
+        rob.push(std::move(u));
+    }
+    const rab::StoreQueue sq(48);
+    rab::ChainGenerator gen{rab::ChainGeneratorConfig{}};
+    const rab::Pc blocking_pc = state.range(0) ? 100 : 99;
+    for (auto _ : state)
+        benchmark::DoNotOptimize(gen.generate(rob, sq, blocking_pc, 1));
+}
+BENCHMARK(BM_ChainGenerate)->Arg(1)->Arg(0);
 
 void
 BM_CoreSimulation(benchmark::State &state)

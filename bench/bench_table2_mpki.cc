@@ -18,13 +18,15 @@ main()
     banner("Table 2", "workload classification by memory intensity",
            options);
 
-    CellRunner runner(options);
+    const std::vector<WorkloadSpec> workloads =
+        selectWorkloads(spec06Suite(), options.workloadFilter);
+    const CellRunner runner(options, workloads,
+                            {{RunaheadConfig::kBaseline, false}});
     TextTable table({"workload", "MPKI", "measured class",
                      "paper class", "match"});
     int matches = 0;
     int total = 0;
-    for (const WorkloadSpec &spec :
-         selectWorkloads(spec06Suite(), options.workloadFilter)) {
+    for (const WorkloadSpec &spec : workloads) {
         const SimResult &r =
             runner.get(spec, RunaheadConfig::kBaseline, false);
         MemIntensity measured = MemIntensity::kLow;

@@ -6,9 +6,6 @@
  * front-end gating, DRAM traffic and energy.
  *
  *   ./build/examples/explore_mechanism [workload] [instructions]
- *
- * Tip: set RAB_DUMP_CHAIN=1 to print the first few dependence chains
- * loaded into the runahead buffer.
  */
 
 #include <cstdio>

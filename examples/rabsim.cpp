@@ -2,10 +2,11 @@
  * @file
  * rabsim — the full-featured command-line simulator driver.
  *
- * Runs any suite workload (or all of them) under any runahead
- * configuration, with Table 1 parameters overridable from the command
- * line, and dumps results as a summary line, a full statistics table,
- * or JSON.
+ * Runs one simulation of a suite workload (or a multi-core mix) under
+ * one runahead configuration, with Table 1 parameters overridable from
+ * the command line, and prints its result as a summary line, plus the
+ * full statistics table, or as one JSON document. Grids of workloads x
+ * configs are rabsweep's job.
  *
  *   rabsim --workload mcf --config hybrid --prefetch \
  *          --instructions 200000 --warmup 50000 --stats
@@ -19,15 +20,15 @@
  *
  * Exit codes: 0 success, 2 usage error, 3 watchdog gave up (forward
  * progress lost), 4 invariant violation escaped (checker in throw
- * policy), 8 snapshot load failed under --snapshot-strict.
+ * policy), 8 snapshot could not be loaded.
  */
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <limits>
-#include <memory>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -36,10 +37,11 @@
 #include "common/hash.hh"
 #include "common/logging.hh"
 #include "common/number.hh"
-#include "common/profiler.hh"
 #include "core/simulation.hh"
 #include "fault/watchdog.hh"
 #include "snapshot/snapshot.hh"
+#include "stats/json.hh"
+#include "sweep/report.hh"
 #include "trace/trace.hh"
 #include "workloads/suite.hh"
 
@@ -51,14 +53,10 @@ namespace
 struct Options
 {
     std::string workload = "mcf";
-    bool allWorkloads = false;
     RunaheadConfig config = RunaheadConfig::kBaseline;
-    bool configSet = false;
     bool prefetch = false;
 
-    /** @{ Core count (--cores / --mix / --policies). With more than
-     *  one core and no explicit --config, a run sweeps all six
-     *  variants. */
+    /** @{ Core count (--cores / --mix / --policies). */
     int cores = 1;
     std::vector<std::string> mixWorkloads;
     std::vector<RunaheadConfig> corePolicies;
@@ -72,7 +70,6 @@ struct Options
     std::string tracePath;
     std::string snapshotOut;
     std::string snapshotIn;
-    bool snapshotStrict = false;
     CheckLevel checkLevel = CheckLevel::kOff;
     CheckPolicy checkPolicy = CheckPolicy::kThrow;
     FaultConfig fault{};
@@ -95,17 +92,15 @@ usage()
         "rabsim - runahead buffer simulator\n"
         "\n"
         "  --workload NAME     suite workload (default mcf)\n"
-        "  --all               run the whole suite (single-core)\n"
         "  --config NAME       ",
         stdout);
     std::fputs(runaheadConfigCliList(22, 64).c_str(), stdout);
     std::fputs(
-        "                      (multi-core default: sweep the six\n"
-        "                      paper configs)\n"
+        "                      (default baseline)\n"
         "  --cores N           simulate N >= 1 cores sharing the LLC,\n"
         "                      MSHR pool and DRAM (default 1; more\n"
-        "                      than one core rejects --all, --trace-out\n"
-        "                      and the --snapshot-* flags)\n"
+        "                      than one core rejects --trace-out and\n"
+        "                      the --snapshot-* flags)\n"
         "  --mix A,B,...       one workload per core (implies --cores\n"
         "                      when unset; --workload replicated\n"
         "                      otherwise)\n"
@@ -114,8 +109,9 @@ usage()
         "  --prefetch          enable the Table 1 stream prefetcher\n"
         "  --instructions N    measured instructions (default 100000)\n"
         "  --warmup N          warmup instructions (default 25000)\n"
-        "  --stats             dump the full statistics table\n"
-        "  --json              dump statistics as JSON\n"
+        "  --stats             print the full statistics table\n"
+        "  --json              print metrics and statistics as one\n"
+        "                      JSON document instead\n"
         "  --trace-out FILE    capture a retirement trace of the\n"
         "                      measured region (.rabt; --trace is an\n"
         "                      alias)\n"
@@ -123,10 +119,8 @@ usage()
         "                      warmup boundary, then run as usual\n"
         "  --snapshot-in FILE  restore the warmup snapshot instead of\n"
         "                      re-running warmup (same --workload,\n"
-        "                      --warmup and config flags required)\n"
-        "  --snapshot-strict   exit 8 when the snapshot cannot be\n"
-        "                      loaded, instead of falling back to a\n"
-        "                      straight-line warmup\n"
+        "                      --warmup and config flags required;\n"
+        "                      exit 8 when it cannot be loaded)\n"
         "  --check LEVEL       invariant checking: off | cheap | full\n"
         "                      (RAB_CHECK_LEVEL overrides)\n"
         "  --check-policy P    violation handling: throw | degrade\n"
@@ -143,8 +137,6 @@ usage()
         "                      cycles (default: auto when faults on)\n"
         "  --no-fast-forward   tick every cycle instead of skipping\n"
         "                      quiescent stall windows (debugging)\n"
-        "  --profile           per-stage wall-time profile at exit\n"
-        "                      (RAB_PROFILE=1 equivalent)\n"
         "  --rob N | --rs N | --buffer N | --chain-cache N |\n"
         "  --mem-queue N | --llc BYTES     Table 1 overrides (>= 1)\n"
         "  --print-config      show the simulated system and exit\n"
@@ -227,12 +219,9 @@ parseArgs(int argc, char **argv)
         const std::string arg = argv[i];
         if (arg == "--workload")
             opts.workload = next(i);
-        else if (arg == "--all")
-            opts.allWorkloads = true;
-        else if (arg == "--config") {
+        else if (arg == "--config")
             opts.config = parseConfig("--config", next(i));
-            opts.configSet = true;
-        } else if (arg == "--cores")
+        else if (arg == "--cores")
             opts.cores = number(i, 1, kIntMax);
         else if (arg == "--mix")
             opts.mixWorkloads = list(i);
@@ -255,8 +244,6 @@ parseArgs(int argc, char **argv)
             opts.snapshotOut = next(i);
         else if (arg == "--snapshot-in")
             opts.snapshotIn = next(i);
-        else if (arg == "--snapshot-strict")
-            opts.snapshotStrict = true;
         else if (arg == "--check") {
             opts.checkLevel = parseChoice("--check", next(i), kCheckLevels,
                                           checkLevelName);
@@ -288,8 +275,6 @@ parseArgs(int argc, char **argv)
             opts.watchdogCycles = number(i, std::uint64_t{0}, kU64Max);
         else if (arg == "--no-fast-forward")
             opts.fastForward = false;
-        else if (arg == "--profile")
-            Profiler::setEnabled(true);
         else if (arg == "--rob")
             opts.robEntries = number(i, 1, kIntMax);
         else if (arg == "--rs")
@@ -314,23 +299,11 @@ parseArgs(int argc, char **argv)
     return opts;
 }
 
-/** Each run's workloads, one per core: every suite workload alone
- *  under --all; otherwise --mix or --workload, with --cores beyond
- *  the list cycling its entries. */
-std::vector<std::vector<std::string>>
-resolveRuns(const Options &opts)
+/** The run's workloads, one per core: --mix or --workload, with
+ *  --cores beyond the list cycling its entries. */
+std::vector<std::string>
+resolveWorkloads(const Options &opts)
 {
-    if (opts.allWorkloads) {
-        if (opts.cores > 1 || !opts.mixWorkloads.empty())
-            usageError("--all runs each suite workload on one core "
-                       "(drop --cores N>1 and --mix)");
-        std::vector<std::vector<std::string>> runs;
-        runs.reserve(spec06Suite().size());
-        for (const WorkloadSpec &spec : spec06Suite())
-            runs.push_back({spec.params.name});
-        return runs;
-    }
-
     const char *flag = opts.mixWorkloads.empty() ? "--workload" : "--mix";
     std::vector<std::string> workloads = opts.mixWorkloads;
     if (workloads.empty())
@@ -350,7 +323,6 @@ resolveRuns(const Options &opts)
         const char *single = !opts.tracePath.empty() ? "--trace-out"
             : !opts.snapshotIn.empty()               ? "--snapshot-in"
             : !opts.snapshotOut.empty()              ? "--snapshot-out"
-            : opts.snapshotStrict                    ? "--snapshot-strict"
                                                      : nullptr;
         if (single) {
             usageError(std::string(single)
@@ -358,16 +330,16 @@ resolveRuns(const Options &opts)
                          "--mix)");
         }
     }
-    return {workloads};
+    return workloads;
 }
 
 SimConfig
-makeSimConfig(const Options &opts, RunaheadConfig variant, int cores)
+makeSimConfig(const Options &opts, int cores)
 {
     // Per-core policies name core 0's as the headline config, as a
     // sweep's '|'-joined labels do.
     SimConfig config = makeConfig(
-        opts.corePolicies.empty() ? variant : opts.corePolicies.front(),
+        opts.corePolicies.empty() ? opts.config : opts.corePolicies.front(),
         opts.prefetch);
     config.numCores = cores;
     config.corePolicies = opts.corePolicies;
@@ -396,96 +368,73 @@ makeSimConfig(const Options &opts, RunaheadConfig variant, int cores)
     return config;
 }
 
-/** Print a multi-core run: per-core results, chip totals and the
- *  contention counters the interference experiment reads. */
+/** Print @p sim's measured region, whose result is @p result: the
+ *  summary, then (--stats) one aligned "name value" row per stat of
+ *  statPayload(), or (--json) instead one document holding the metrics
+ *  and stats a manifest point carries. Stat values print exactly, in
+ *  shortest round-trip form. */
 void
-printChip(const Simulation &sim, const SimResult &chip)
+printResult(const Options &opts, const Simulation &sim,
+            const SimResult &result)
 {
-    const std::vector<SimResult> &cores = sim.coreResults();
-    for (std::size_t i = 0; i < cores.size(); ++i)
-        std::printf("core%zu %s\n", i, cores[i].toString().c_str());
-    std::printf("total: %llu instrs, %llu cycles, throughput %.3f "
-                "uops/cycle\n",
-                (unsigned long long)chip.instructions,
-                (unsigned long long)chip.cycles, chip.ipc);
-
     const std::map<std::string, double> &stats = sim.statPayload();
-    const auto stat = [&](const std::string &name) {
-        const auto it = stats.find(name);
-        return it == stats.end() ? 0.0 : it->second;
-    };
-    std::printf("  shared: cross_core_evictions=%.0f\n",
-                stat("shared.cross_core_evictions"));
-    for (std::size_t i = 0; i < cores.size(); ++i) {
-        const std::string p = "core" + std::to_string(i) + ".mem.";
-        std::printf("  core%zu contention: bank_conflicts=%.0f "
-                    "wait_cycles=%.0f evicted_by_others=%.0f "
-                    "mshr_peers_held=%.0f rejects_contended=%.0f\n",
-                    i, stat(p + "bank_conflicts"),
-                    stat(p + "bank_conflict_wait_cycles"),
-                    stat(p + "llc_evicted_by_others"),
-                    stat(p + "shared_mshr_peers_held"),
-                    stat(p + "queue_rejects_contended"));
+    if (opts.dumpJson) {
+        Json document = Json::object();
+        document["metrics"] = simResultJson(result);
+        document["stats"] = statsJson(stats);
+        document.write(std::cout);
+        return;
+    }
+    // A chip's summary is each core's line plus its totals: the chip
+    // view sums instructions, cycles and energy but leaves per-core
+    // ratios such as MPKI at zero.
+    const std::vector<SimResult> &cores = sim.coreResults();
+    if (cores.size() == 1) {
+        std::printf("%s\n", result.toString().c_str());
+    } else {
+        for (std::size_t i = 0; i < cores.size(); ++i)
+            std::printf("core%zu %s\n", i, cores[i].toString().c_str());
+        std::printf("total: %llu instrs, %llu cycles, throughput %.3f "
+                    "uops/cycle\n",
+                    (unsigned long long)result.instructions,
+                    (unsigned long long)result.cycles, result.ipc);
+    }
+    if (!opts.dumpStats)
+        return;
+    for (const auto &[name, value] : stats) {
+        char text[64];
+        const char *end = std::to_chars(text, text + sizeof(text), value).ptr;
+        std::printf("%-52s %16.*s\n", name.c_str(),
+                    static_cast<int>(end - text), text);
     }
 }
 
-/** One run of @p workloads (one per core) under @p variant. */
+/** Run one simulation of @p workloads (one per core). */
 int
-runOnce(const Options &opts, const std::vector<std::string> &workloads,
-        RunaheadConfig variant)
+runOnce(const Options &opts, const std::vector<std::string> &workloads)
 {
-    const SimConfig config =
-        makeSimConfig(opts, variant, static_cast<int>(workloads.size()));
-    const bool multi = config.numCores > 1;
-    if (multi && opts.corePolicies.empty()) {
-        std::printf("== %s x%d ==\n", runaheadConfigName(variant),
-                    config.numCores);
-    } else if (multi) {
-        std::string names;
-        for (int i = 0; i < config.numCores; ++i) {
-            if (i)
-                names += '|';
-            names += runaheadConfigName(config.corePolicy(i));
-        }
-        std::printf("== %s ==\n", names.c_str());
-    }
-
-    const auto make_sim = [&] {
-        std::vector<Program> programs;
-        programs.reserve(workloads.size());
-        for (const std::string &name : workloads)
-            programs.push_back(buildSuiteWorkload(name));
-        return std::make_unique<Simulation>(config, std::move(programs));
-    };
-    std::unique_ptr<Simulation> sim = make_sim();
+    std::vector<Program> programs;
+    programs.reserve(workloads.size());
+    for (const std::string &name : workloads)
+        programs.push_back(buildSuiteWorkload(name));
+    Simulation sim(makeSimConfig(opts, static_cast<int>(workloads.size())),
+                   std::move(programs));
 
     // Warmup: restored from a snapshot, or run straight-line (and
     // optionally captured). Snapshot diagnostics go to stderr so
     // stdout stays byte-comparable between snapshot and cold runs.
-    bool restored = false;
     if (!opts.snapshotIn.empty()) {
         try {
-            const std::string payload =
-                readSnapshotFile(opts.snapshotIn);
-            restoreSnapshot(*sim, payload,
+            restoreSnapshot(sim, readSnapshotFile(opts.snapshotIn),
                             SnapshotRestoreMode::kExact);
-            restored = true;
         } catch (const SnapshotError &e) {
-            if (opts.snapshotStrict) {
-                std::fprintf(stderr, "rabsim: %s\n", e.what());
-                return 8;
-            }
-            std::fprintf(stderr,
-                         "rabsim: %s; falling back to straight-line "
-                         "warmup\n",
-                         e.what());
-            sim = make_sim(); // A failed restore taints the state.
+            std::fprintf(stderr, "rabsim: %s\n", e.what());
+            return 8;
         }
-    }
-    if (!restored) {
-        sim->runWarmup();
+    } else {
+        sim.runWarmup();
         if (!opts.snapshotOut.empty()) {
-            const std::string payload = captureSnapshot(*sim);
+            const std::string payload = captureSnapshot(sim);
             writeSnapshotFile(opts.snapshotOut, payload);
             std::fprintf(
                 stderr, "rabsim: snapshot %s (%zu bytes) -> %s\n",
@@ -495,51 +444,15 @@ runOnce(const Options &opts, const std::vector<std::string> &workloads,
     }
 
     if (!opts.tracePath.empty())
-        sim->enableTrace(opts.tracePath);
-
-    const SimResult result = sim->runMeasured();
-    if (multi)
-        printChip(*sim, result);
-    else
-        std::printf("%s\n", result.toString().c_str());
-
+        sim.enableTrace(opts.tracePath);
+    const SimResult result = sim.runMeasured();
     if (!opts.tracePath.empty()) {
         std::fprintf(
             stderr, "rabsim: trace %llu records -> %s\n",
             (unsigned long long)summarizeTrace(opts.tracePath).totalUops,
             opts.tracePath.c_str());
     }
-    if (multi) {
-        // The chip payload: each core's groups under core<i>, plus the
-        // chip-wide shared.* subtree.
-        if (opts.dumpStats) {
-            for (const auto &[name, value] : sim->statPayload())
-                std::printf("%-48s %.0f\n", name.c_str(), value);
-        }
-        if (opts.dumpJson) {
-            std::printf("{\n");
-            bool first = true;
-            for (const auto &[name, value] : sim->statPayload()) {
-                std::printf("%s  \"%s\": %.17g", first ? "" : ",\n",
-                            name.c_str(), value);
-                first = false;
-            }
-            std::printf("\n}\n");
-        }
-        return 0;
-    }
-    if (opts.dumpStats) {
-        sim->core().stats().dump(std::cout);
-        sim->memory().stats().dump(std::cout);
-        if (sim->faults())
-            sim->faults()->stats().dump(std::cout);
-    }
-    if (opts.dumpJson) {
-        sim->core().stats().dumpJson(std::cout);
-        sim->memory().stats().dumpJson(std::cout);
-        if (sim->faults())
-            sim->faults()->stats().dumpJson(std::cout);
-    }
+    printResult(opts, sim, result);
     return 0;
 }
 
@@ -559,33 +472,13 @@ main(int argc, char **argv)
         return 0;
     }
     if (opts.printConfig) {
-        std::fputs(makeSimConfig(opts, opts.config, 1).table1String().c_str(),
-                   stdout);
+        std::fputs(makeSimConfig(opts, 1).table1String().c_str(), stdout);
         return 0;
     }
 
-    const std::vector<std::vector<std::string>> runs = resolveRuns(opts);
+    const std::vector<std::string> workloads = resolveWorkloads(opts);
     try {
-        for (const std::vector<std::string> &workloads : runs) {
-            // Explicit --config (or --policies) pins the run; otherwise
-            // a multi-core invocation sweeps all six variants.
-            std::vector<RunaheadConfig> variants = {opts.config};
-            if (workloads.size() > 1 && !opts.configSet
-                && opts.corePolicies.empty()) {
-                variants = {RunaheadConfig::kBaseline,
-                            RunaheadConfig::kRunahead,
-                            RunaheadConfig::kRunaheadEnhanced,
-                            RunaheadConfig::kRunaheadBuffer,
-                            RunaheadConfig::kRunaheadBufferCC,
-                            RunaheadConfig::kHybrid};
-            }
-            for (const RunaheadConfig variant : variants) {
-                const int code = runOnce(opts, workloads, variant);
-                if (code != 0)
-                    return code;
-            }
-        }
-        return 0;
+        return runOnce(opts, workloads);
     } catch (const WatchdogTimeout &e) {
         // Forward progress could not be restored within the recovery
         // budget: one-line diagnosis, distinct exit code.

@@ -42,7 +42,6 @@
 #include "common/logging.hh"
 #include "common/number.hh"
 #include "core/experiment.hh"
-#include "runahead/chain_microbench.hh"
 #include "sweep/campaign.hh"
 #include "sweep/report.hh"
 #include "sweep/store/result_store.hh"
@@ -553,6 +552,13 @@ main(int argc, char **argv)
                          "a campaign with failed points\n");
             return resolveSweepExitCode(false, true, false);
         }
+        if (campaign.committedInstructions() == 0) {
+            std::fprintf(stderr,
+                         "rabsweep: refusing to write a baseline from "
+                         "a campaign that simulated no point (all "
+                         "served from the store)\n");
+            return resolveSweepExitCode(false, true, false);
+        }
         if (!writeJsonFile(opts.baselineOutPath,
                            makeBaseline(campaign))) {
             fatal("cannot write '%s'", opts.baselineOutPath.c_str());
@@ -563,14 +569,7 @@ main(int argc, char **argv)
         return 0;
     }
 
-    Json manifest = campaignManifest(campaign, opts.canonical);
-    if (!opts.canonical) {
-        // Record the chain-generation indexing speedup this binary
-        // achieves on this host (timing data, so omitted from
-        // --canonical manifests like wall times are).
-        manifest["chain_gen_microbench"] =
-            chainGenMicrobenchJson(runChainGenMicrobench(192, 2000));
-    }
+    const Json manifest = campaignManifest(campaign, opts.canonical);
     if (opts.toStdout) {
         manifest.write(std::cout);
     } else {

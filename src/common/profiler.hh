@@ -5,10 +5,10 @@
  * Accumulates wall time and call counts per simulator stage (fetch,
  * rename, issue, writeback, commit, runahead control, chain
  * generation, memory access, fast-forward, checker) and prints a table
- * at process exit. Enabled by the RAB_PROFILE=1 environment variable
- * or a driver's --profile flag; when disabled, the instrumentation is
- * a single predicted branch on a global flag — no clock reads, no
- * stores — so production runs pay effectively nothing.
+ * at process exit. Enabled by the RAB_PROFILE=1 environment variable;
+ * when disabled, the instrumentation is a single predicted branch on a
+ * global flag — no clock reads, no stores — so production runs pay
+ * effectively nothing.
  *
  * Accumulation uses relaxed atomics so the parallel sweep driver's
  * worker threads can share the singleton; the report then aggregates
@@ -58,8 +58,8 @@ class Profiler
      *  from RAB_PROFILE at first use. */
     static bool enabled() { return enabled_.load(std::memory_order_relaxed); }
 
-    /** Turn profiling on/off (drivers' --profile flag). Enabling
-     *  registers the at-exit report once. */
+    /** Turn profiling on/off (RAB_PROFILE at static initialization).
+     *  Enabling registers the at-exit report once. */
     static void setEnabled(bool on);
 
     /** Record @p ns nanoseconds of one call in @p phase. */

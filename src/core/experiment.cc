@@ -208,53 +208,39 @@ CellRunner::cellKey(const std::string &workload, RunaheadConfig config,
         + (prefetch ? "+PF" : "");
 }
 
-const SimResult &
-CellRunner::get(const WorkloadSpec &spec, RunaheadConfig config,
-                bool prefetch)
-{
-    const std::string key = cellKey(spec.params.name, config, prefetch);
-    if (cache_.count(key) == 0)
-        prefill({spec}, {{config, prefetch}});
-    return cache_.at(key);
-}
-
-void
-CellRunner::prefill(const std::vector<WorkloadSpec> &specs,
-                    const std::vector<CellVariant> &variants)
+CellRunner::CellRunner(const BenchOptions &options,
+                       const std::vector<WorkloadSpec> &workloads,
+                       const std::vector<CellVariant> &variants)
 {
     CampaignSpec spec;
-    spec.name = "bench-prefill";
-    spec.instructions = options_.instructions;
-    spec.warmup = options_.warmup;
-    for (const WorkloadSpec &w : specs) {
-        // Keep a workload only if some requested cell is still
-        // missing; repeat prefills (multi-figure binaries) stay cheap.
-        const bool missing = std::any_of(
-            variants.begin(), variants.end(),
-            [&](const CellVariant &v) {
-                return cache_.count(cellKey(w.params.name, v.first,
-                                            v.second))
-                    == 0;
-            });
-        if (missing)
-            spec.workloads.push_back(w.params.name);
-    }
+    spec.name = "bench";
+    spec.instructions = options.instructions;
+    spec.warmup = options.warmup;
+    for (const WorkloadSpec &w : workloads)
+        spec.workloads.push_back(w.params.name);
     for (const CellVariant &v : variants)
         spec.variants.push_back(makeVariant(v.first, v.second));
-    if (spec.workloads.empty() || spec.variants.empty())
-        return;
-
-    const CampaignResult campaign =
-        runCampaign(spec, options_.threads);
+    const CampaignResult campaign = runCampaign(spec, options.threads);
     for (const PointResult &p : campaign.points) {
         if (!p.ok) {
             fatal("bench point %s/%s failed: %s", p.point.workload.c_str(),
                   p.point.variant.c_str(), p.error.c_str());
         }
-        cache_.emplace(cellKey(p.point.workload, p.point.runahead,
+        cells_.emplace(cellKey(p.point.workload, p.point.runahead,
                                p.point.prefetch),
                        p.result);
     }
+}
+
+const SimResult &
+CellRunner::get(const WorkloadSpec &spec, RunaheadConfig config,
+                bool prefetch) const
+{
+    const std::string key = cellKey(spec.params.name, config, prefetch);
+    const auto it = cells_.find(key);
+    if (it == cells_.end())
+        panic("CellRunner: cell %s is outside the grid", key.c_str());
+    return it->second;
 }
 
 } // namespace rab

@@ -3,8 +3,8 @@
  * Experiment harness helpers shared by the bench binaries: environment
  * driven run sizing (RAB_INSTRUCTIONS / RAB_WARMUP / RAB_WORKLOADS /
  * RAB_THREADS), workload selection, geometric means, aligned text
- * tables that print each figure's rows, and the CellRunner cache that
- * executes figure grids through the parallel sweep engine.
+ * tables that print each figure's rows, and the CellRunner that runs
+ * a figure's grid through the parallel sweep engine.
  */
 
 #ifndef RAB_CORE_EXPERIMENT_HH
@@ -88,40 +88,29 @@ class TextTable
 using CellVariant = std::pair<RunaheadConfig, bool>;
 
 /**
- * Runs (workload x config) cells once each and caches the results, so
- * several figures computed by one binary don't re-simulate.
- *
- * Every cell runs through the sweep engine (src/sweep), the path
- * rabsweep points take: prefill() hands it the whole workload x variant
- * grid, which it executes on options.threads worker threads, and get()
- * on a missing cell hands it that one cell, so callers never have to
- * prefill exactly. A cell that fails is fatal(), naming the point and
- * its error: a figure never prints a row it could not simulate.
+ * A figure's workload x (config, prefetch) grid, run once at
+ * construction as one campaign through the sweep engine (src/sweep),
+ * the path rabsweep points take, on options.threads worker threads.
+ * get() reads a cell of that grid. A cell that fails is fatal(),
+ * naming the point and its error: a figure never prints a row it
+ * could not simulate.
  */
 class CellRunner
 {
   public:
-    explicit CellRunner(const BenchOptions &options)
-        : options_(options)
-    {
-    }
+    CellRunner(const BenchOptions &options,
+               const std::vector<WorkloadSpec> &workloads,
+               const std::vector<CellVariant> &variants);
 
-    /** Cached result for one cell; simulates on a miss. */
+    /** One cell's result; panics on a cell outside the grid. */
     const SimResult &get(const WorkloadSpec &spec, RunaheadConfig config,
-                         bool prefetch);
-
-    /** Simulate the whole grid in parallel and fill the cache. */
-    void prefill(const std::vector<WorkloadSpec> &specs,
-                 const std::vector<CellVariant> &variants);
-
-    const BenchOptions &options() const { return options_; }
+                         bool prefetch) const;
 
   private:
     static std::string cellKey(const std::string &workload,
                                RunaheadConfig config, bool prefetch);
 
-    BenchOptions options_;
-    std::map<std::string, SimResult> cache_;
+    std::map<std::string, SimResult> cells_;
 };
 
 } // namespace rab

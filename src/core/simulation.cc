@@ -297,6 +297,8 @@ Simulation::collectCore(std::size_t i, Cycle now)
     if (coreGroups_.empty()) {
         mergeInto(payload_, cores_[i]->stats().collect());
         mergeInto(payload_, mems_[i]->stats().collect());
+        if (faults_[i])
+            mergeInto(payload_, faults_[i]->stats().collect());
     } else {
         mergeInto(payload_, coreGroups_[i]->collect());
     }

@@ -171,8 +171,9 @@ class Simulation
     const std::vector<SimResult> &coreResults() const { return results_; }
 
     /** Flattened stat payload of the last measured region: plain
-     *  core.* / mem.* for one core; core<i>.* (each taken with its
-     *  core's result) plus the chip-wide shared.* for N > 1. */
+     *  core.* / mem.* (and faults.* under injection) for one core;
+     *  core<i>.* (each taken with its core's result) plus the
+     *  chip-wide shared.* for N > 1. */
     const std::map<std::string, double> &statPayload() const
     {
         return payload_;

@@ -1,7 +1,5 @@
 #include "runahead/runahead_buffer.hh"
 
-#include <cstdlib>
-
 #include "common/logging.hh"
 
 namespace rab
@@ -24,16 +22,6 @@ RunaheadBuffer::fill(const DependenceChain &chain)
     iterations_ = 0;
     active_ = true;
     ++fills;
-
-    if (std::getenv("RAB_DUMP_CHAIN") && fills.value() <= 4) {
-        std::fprintf(stderr, "--- runahead buffer fill #%llu (%zu ops)\n",
-                     (unsigned long long)fills.value(), chain_.size());
-        for (const ChainOp &op : chain_) {
-            std::fprintf(stderr, "  pc=%llu %s\n",
-                         (unsigned long long)op.pc,
-                         op.sop.toString().c_str());
-        }
-    }
 }
 
 const ChainOp &

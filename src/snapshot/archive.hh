@@ -67,8 +67,8 @@ enum class SnapshotErrorKind
 const char *snapshotErrorKindName(SnapshotErrorKind kind);
 
 /** Structured snapshot failure: every reject path throws this, so a
- *  caller handles a bad image in one place (rabsim falls back to a
- *  straight-line warmup, a campaign fails the point). */
+ *  caller handles a bad image in one place (rabsim exits 8, a campaign
+ *  fails the point). */
 class SnapshotError : public std::runtime_error
 {
   public:

@@ -1,6 +1,5 @@
 #include "stats/stats.hh"
 
-#include <iomanip>
 #include <limits>
 
 #include "common/logging.hh"
@@ -114,29 +113,6 @@ StatGroup::collect() const
     std::map<std::string, double> out;
     collectInto("", out);
     return out;
-}
-
-void
-StatGroup::dump(std::ostream &os) const
-{
-    for (const auto &[name, value] : collect()) {
-        os << std::left << std::setw(52) << name << " "
-           << std::right << std::setw(16) << value << "\n";
-    }
-}
-
-void
-StatGroup::dumpJson(std::ostream &os) const
-{
-    os << "{";
-    bool first = true;
-    for (const auto &[name, value] : collect()) {
-        if (!first)
-            os << ",";
-        first = false;
-        os << "\n  \"" << name << "\": " << value;
-    }
-    os << "\n}\n";
 }
 
 double

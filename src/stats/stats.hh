@@ -3,10 +3,11 @@
  * Lightweight gem5-flavoured statistics package.
  *
  * Components register named statistics with a StatGroup; groups nest to
- * form a tree that can be dumped as an aligned table or JSON. Three stat
- * kinds cover the simulator's needs:
+ * form a tree that collect() flattens into dotted names (the payload
+ * Simulation::statPayload() reports). Three stat kinds cover the
+ * simulator's needs:
  *   - Counter:      a monotonically increasing scalar event count.
- *   - ScalarValue:  an arbitrary scalar sampled at dump time.
+ *   - ScalarValue:  an arbitrary scalar sampled at collect time.
  *   - Distribution: bucketed samples with mean/min/max.
  */
 
@@ -15,7 +16,6 @@
 
 #include <cstdint>
 #include <map>
-#include <ostream>
 #include <string>
 #include <vector>
 
@@ -75,8 +75,8 @@ class Distribution
 
 /**
  * A named collection of statistics. Values are registered by pointer and
- * read live at dump time, so components keep plain members and register
- * them once in their constructor.
+ * read live at collect time, so components keep plain members and
+ * register them once in their constructor.
  *
  * Reset-or-fresh semantics: a group is either freshly constructed with
  * its owning component (the normal case — every Simulation builds new
@@ -106,12 +106,6 @@ class StatGroup
 
     /** Flatten this group's subtree into dotted-name → value pairs. */
     std::map<std::string, double> collect() const;
-
-    /** Dump an aligned "name value # desc" table. */
-    void dump(std::ostream &os) const;
-
-    /** Dump the subtree as a flat JSON object of dotted names. */
-    void dumpJson(std::ostream &os) const;
 
     /** Look up one stat by dotted path relative to this group. */
     double get(const std::string &dotted_name) const;

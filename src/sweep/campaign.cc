@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -163,7 +162,7 @@ CampaignResult::committedInstructions() const
 {
     std::uint64_t instructions = 0;
     for (const PointResult &p : points) {
-        if (p.ok)
+        if (p.ok && !p.cached)
             instructions += p.result.instructions;
     }
     return instructions;
@@ -385,68 +384,6 @@ WarmupImageCache::get(const CampaignSpec &spec, const SweepPoint &point)
     return image;
 }
 
-/**
- * Lock-per-deque work-stealing queue of point indices. Points are
- * coarse (milliseconds to seconds each), so simple mutexes cost
- * nothing measurable; what matters is that a worker that drains its
- * own deque steals from the tail of its neighbours' instead of going
- * idle while a long workload hogs one lane.
- */
-class WorkStealingQueue
-{
-  public:
-    WorkStealingQueue(std::size_t workers, std::size_t items)
-        : lanes_(workers)
-    {
-        // Round-robin seeding spreads each workload's variants (which
-        // have correlated runtimes) across lanes.
-        for (std::size_t i = 0; i < items; ++i)
-            lanes_[i % workers].items.push_back(i);
-    }
-
-    /** Pop own front, else steal a neighbour's tail. */
-    bool pop(std::size_t worker, std::size_t &out)
-    {
-        if (popFront(worker, out))
-            return true;
-        for (std::size_t k = 1; k < lanes_.size(); ++k) {
-            const std::size_t victim = (worker + k) % lanes_.size();
-            if (stealBack(victim, out))
-                return true;
-        }
-        return false;
-    }
-
-  private:
-    struct Lane
-    {
-        std::mutex mutex;
-        std::deque<std::size_t> items;
-    };
-
-    bool popFront(std::size_t lane, std::size_t &out)
-    {
-        std::lock_guard<std::mutex> lock(lanes_[lane].mutex);
-        if (lanes_[lane].items.empty())
-            return false;
-        out = lanes_[lane].items.front();
-        lanes_[lane].items.pop_front();
-        return true;
-    }
-
-    bool stealBack(std::size_t lane, std::size_t &out)
-    {
-        std::lock_guard<std::mutex> lock(lanes_[lane].mutex);
-        if (lanes_[lane].items.empty())
-            return false;
-        out = lanes_[lane].items.back();
-        lanes_[lane].items.pop_back();
-        return true;
-    }
-
-    std::vector<Lane> lanes_;
-};
-
 } // namespace
 
 CampaignResult
@@ -535,18 +472,23 @@ runCampaign(const CampaignSpec &spec, int threads,
     } else {
         const std::size_t workers =
             std::min<std::size_t>(campaign.threads, grid.size());
-        WorkStealingQueue queue(workers, grid.size());
-        // Each worker writes only campaign.points[index] slots it
-        // popped — disjoint, so the joins below are the only sync.
+        // Workers claim points in grid order from one shared index, so
+        // an idle worker always takes the next unclaimed point. Each
+        // writes only the campaign.points[index] slots it claimed —
+        // disjoint, so the joins below are the only sync.
+        std::atomic<std::size_t> next{0};
         std::vector<std::thread> pool;
         pool.reserve(workers);
         for (std::size_t w = 0; w < workers; ++w) {
-            pool.emplace_back([&, w] {
-                std::size_t index = 0;
+            pool.emplace_back([&] {
                 // The stop flag gates claiming, not completion: an
                 // in-flight point always finishes and is flushed.
-                while (!stopped() && queue.pop(w, index))
+                while (!stopped()) {
+                    const std::size_t index = next.fetch_add(1);
+                    if (index >= grid.size())
+                        break;
                     run_index(index);
+                }
             });
         }
         for (std::thread &t : pool)

@@ -6,9 +6,10 @@
  * seed) simulation points — embarrassingly parallel work the serial
  * bench loops left on the table. A CampaignSpec declares such a grid;
  * runCampaign() expands it in deterministic grid order, executes each
- * point as an isolated Simulation on a fixed-size thread pool with a
- * work-stealing queue, and merges the results back in grid order
- * regardless of completion order. The merged output is certified
+ * point as an isolated Simulation on a fixed-size thread pool whose
+ * workers claim points in grid order from one shared index, and
+ * merges the results back in grid order regardless of completion
+ * order. The merged output is certified
  * byte-identical across thread counts by tests/test_sweep.cc.
  *
  * One path per point: runCampaign calls runPoint once per point, and
@@ -199,7 +200,8 @@ struct CampaignResult
     std::size_t failedCount() const;
     /** Points never executed because the campaign was interrupted. */
     std::size_t skippedCount() const;
-    /** Sum of committed instructions over successful points. */
+    /** Sum of committed instructions over the points this run
+     *  simulated: successful and not served from the store. */
     std::uint64_t committedInstructions() const;
 };
 
@@ -235,8 +237,9 @@ struct CampaignRunOptions
 /**
  * Run every point of @p spec. @p threads <= 1 runs serially on the
  * calling thread (the reference the determinism test compares
- * against); otherwise a pool of min(threads, points) workers drains a
- * work-stealing queue. Results are merged in grid order either way.
+ * against); otherwise a pool of min(threads, points) workers claims
+ * points in grid order from one atomic index. Results are merged in
+ * grid order either way.
  */
 CampaignResult runCampaign(const CampaignSpec &spec, int threads);
 

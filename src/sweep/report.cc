@@ -106,6 +106,18 @@ simResultFromJson(const Json &json)
     return r;
 }
 
+Json
+statsJson(const std::map<std::string, double> &stats)
+{
+    // One member per stat: append at the final size instead of
+    // operator[]'s search, which is O(stats^2).
+    Json json = Json::object();
+    json.reserve(stats.size());
+    for (const auto &[name, value] : stats)
+        json.append(name, value);
+    return json;
+}
+
 double
 campaignInstructionsPerSecond(const CampaignResult &campaign)
 {
@@ -201,13 +213,7 @@ campaignManifest(const CampaignResult &campaign, bool canonical)
             entry["error"] = p.error;
         } else {
             entry["metrics"] = simResultJson(p.result);
-            // One member per stat: append at the final size instead
-            // of operator[]'s search, which is O(stats^2) per point.
-            Json stats = Json::object();
-            stats.reserve(p.stats.size());
-            for (const auto &[name, value] : p.stats)
-                stats.append(name, value);
-            entry["stats"] = std::move(stats);
+            entry["stats"] = statsJson(p.stats);
         }
         if (!canonical) {
             entry["wall_seconds"] = p.wallSeconds;
@@ -269,6 +275,11 @@ perfGate(const CampaignResult &campaign, const Json &baseline,
     if (campaign.failedCount() > 0) {
         gate.message = strprintf("%zu campaign point(s) failed",
                                  campaign.failedCount());
+        return gate;
+    }
+    if (campaign.committedInstructions() == 0) {
+        gate.message = "no point was simulated (all served from the "
+                       "store): no throughput to gate";
         return gate;
     }
     gate.drop = 1.0 - gate.measured / gate.baseline;

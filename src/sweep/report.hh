@@ -21,6 +21,7 @@
 #ifndef RAB_SWEEP_REPORT_HH
 #define RAB_SWEEP_REPORT_HH
 
+#include <map>
 #include <string>
 
 #include "stats/json.hh"
@@ -45,6 +46,10 @@ std::string currentHostname();
 /** SimResult as a flat JSON object of metric fields. */
 Json simResultJson(const SimResult &result);
 
+/** A stat payload (Simulation::statPayload()) as a flat JSON object
+ *  of dotted names in name order: a manifest point's "stats". */
+Json statsJson(const std::map<std::string, double> &stats);
+
 /**
  * Inverse of simResultJson over the fields it serialises (workload /
  * config identity lives on the manifest point entry, not here).
@@ -57,9 +62,12 @@ SimResult simResultFromJson(const Json &json);
 Json campaignManifest(const CampaignResult &campaign,
                       bool canonical = false);
 
-/** Aggregate throughput: committed instructions (ok points) per wall
+/** Aggregate throughput: committed instructions of the points this
+ *  run simulated (CampaignResult::committedInstructions) per wall
  *  second. Not simulated cycles: fast-forward skips cycles without
- *  ticking them, so a config that stalls more would look faster. */
+ *  ticking them, so a config that stalls more would look faster. Store
+ *  hits are not throughput: a run served wholly from the store reads
+ *  0. */
 double campaignInstructionsPerSecond(const CampaignResult &campaign);
 
 /** Baseline document for the perf gate. */
@@ -78,7 +86,9 @@ struct GateResult
 /**
  * Gate @p campaign against a parsed baseline document. Fails when
  * throughput dropped more than @p max_drop (0.25 = 25%) below the
- * baseline, when any point failed, or when the baseline is malformed.
+ * baseline, when any point failed, when the run simulated no point
+ * (every point a store hit: no throughput to gate), or when the
+ * baseline is malformed.
  */
 GateResult perfGate(const CampaignResult &campaign,
                     const Json &baseline, double max_drop);

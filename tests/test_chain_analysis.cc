@@ -10,7 +10,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
-#include <sstream>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -18,7 +17,6 @@
 #include "common/rng.hh"
 #include "isa/functional.hh"
 #include "runahead/chain_analysis.hh"
-#include "stats/stats.hh"
 
 namespace rab
 {
@@ -408,24 +406,6 @@ TEST(ChainAnalysis, FlatWindowMatchesReferenceModelSmallWindow)
     runDifferential(64, 8, 0x5EED);
     runDifferential(1, 4, 0xBEEF);
     runDifferential(0, 64, 0xF00D);
-}
-
-TEST(StatsJson, DumpJsonIsWellFormed)
-{
-    StatGroup root("root");
-    Counter c;
-    c += 5;
-    root.addCounter("events", &c);
-    StatGroup child("child", &root);
-    Counter d;
-    child.addCounter("inner", &d);
-    std::ostringstream os;
-    root.dumpJson(os);
-    const std::string s = os.str();
-    EXPECT_NE(s.find("\"root.events\": 5"), std::string::npos);
-    EXPECT_NE(s.find("\"root.child.inner\": 0"), std::string::npos);
-    EXPECT_EQ(s.front(), '{');
-    EXPECT_EQ(s[s.size() - 2], '}');
 }
 
 } // namespace

@@ -158,20 +158,45 @@ TEST(SelectWorkloads, AcceptsSuiteAliases)
     EXPECT_EQ(some[1].params.name, "libq");
 }
 
-/** get() on an empty cache runs the cell through the sweep engine,
- *  then serves it from the cache. */
-TEST(CellRunner, GetRunsAMissingCell)
+/** The constructor runs the whole grid; get() reads any of its
+ *  cells. */
+TEST(CellRunner, ReadsItsGrid)
 {
     BenchOptions options;
     options.instructions = 2'000;
     options.warmup = 500;
-    CellRunner runner(options);
-    const WorkloadSpec *spec = findWorkload("mcf");
-    ASSERT_NE(spec, nullptr);
-    const SimResult &r = runner.get(*spec, RunaheadConfig::kBaseline, false);
-    EXPECT_GE(r.instructions, 2'000u);
-    EXPECT_EQ(r.workload, "mcf");
-    EXPECT_EQ(&runner.get(*spec, RunaheadConfig::kBaseline, false), &r);
+    options.threads = 2;
+    const std::vector<WorkloadSpec> workloads =
+        selectWorkloads(spec06Suite(), {"mcf", "libq"});
+    const CellRunner runner(options, workloads,
+                            {{RunaheadConfig::kBaseline, false},
+                             {RunaheadConfig::kHybrid, true}});
+    for (const WorkloadSpec &spec : workloads) {
+        const SimResult &base =
+            runner.get(spec, RunaheadConfig::kBaseline, false);
+        EXPECT_EQ(base.workload, spec.params.name);
+        EXPECT_GE(base.instructions, 2'000u);
+        const SimResult &hybrid =
+            runner.get(spec, RunaheadConfig::kHybrid, true);
+        EXPECT_EQ(hybrid.config, RunaheadConfig::kHybrid);
+        EXPECT_TRUE(hybrid.prefetch);
+    }
+}
+
+/** A cell the grid does not hold is a programming error, never a
+ *  silent extra simulation. */
+TEST(CellRunnerDeathTest, CellOutsideTheGridPanics)
+{
+    BenchOptions options;
+    options.instructions = 1'000;
+    options.warmup = 0;
+    const std::vector<WorkloadSpec> workloads =
+        selectWorkloads(spec06Suite(), {"mcf"});
+    const CellRunner runner(options, workloads,
+                            {{RunaheadConfig::kBaseline, false}});
+    EXPECT_DEATH(runner.get(workloads.front(), RunaheadConfig::kHybrid,
+                            false),
+                 "outside the grid");
 }
 
 } // namespace

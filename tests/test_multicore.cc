@@ -158,6 +158,11 @@ runReference(const SimConfig &config, const std::string &workload)
     cap.stats = core.stats().collect();
     const std::map<std::string, double> mem_stats = mem.stats().collect();
     cap.stats.insert(mem_stats.begin(), mem_stats.end());
+    if (faults) {
+        const std::map<std::string, double> fault_stats =
+            faults->stats().collect();
+        cap.stats.insert(fault_stats.begin(), fault_stats.end());
+    }
     return cap;
 }
 

@@ -5,8 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "stats/stats.hh"
 
 namespace rab
@@ -114,17 +112,6 @@ TEST(StatGroup, ResetCountersRecursive)
     root.resetCounters();
     EXPECT_EQ(a.value(), 0u);
     EXPECT_EQ(b.value(), 0u);
-}
-
-TEST(StatGroup, DumpContainsNames)
-{
-    StatGroup root("core");
-    Counter c;
-    c += 2;
-    root.addCounter("commits", &c);
-    std::ostringstream os;
-    root.dump(os);
-    EXPECT_NE(os.str().find("core.commits"), std::string::npos);
 }
 
 TEST(StatGroup, GetUnknownPanics)

@@ -585,6 +585,34 @@ TEST(ResultStore, ResumedCampaignIsByteIdentical)
     EXPECT_EQ(campaignManifest(warm, true).dump(), reference);
 }
 
+/** Store hits are not throughput: a rerun served wholly from the
+ *  store simulated nothing, so it counts no instructions and fails the
+ *  perf gate instead of passing at the rate the store reads at. */
+TEST(ResultStore, AllHitRerunFailsThePerfGate)
+{
+    const CampaignSpec spec = storeSpec();
+    ResultStore store(storeRoot("all-hit"));
+    ASSERT_TRUE(store.ok()) << store.error();
+    CampaignRunOptions options;
+    options.store = &store;
+
+    const CampaignResult cold = runCampaign(spec, 2, options);
+    ASSERT_EQ(cold.failedCount(), 0u);
+    EXPECT_GT(cold.committedInstructions(), 0u);
+    const Json baseline = makeBaseline(cold);
+    EXPECT_TRUE(perfGate(cold, baseline, 0.25).pass);
+
+    const CampaignResult warm = runCampaign(spec, 2, options);
+    ASSERT_EQ(warm.storeHits, spec.pointCount());
+    EXPECT_EQ(warm.committedInstructions(), 0u);
+    EXPECT_EQ(campaignInstructionsPerSecond(warm), 0.0);
+    const GateResult gate = perfGate(warm, baseline, 0.25);
+    EXPECT_FALSE(gate.pass);
+    EXPECT_NE(gate.message.find("no point was simulated"),
+              std::string::npos)
+        << gate.message;
+}
+
 TEST(ResultStore, InterruptedCampaignResumesWhereItDied)
 {
     const CampaignSpec spec = storeSpec();
