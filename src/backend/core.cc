@@ -65,59 +65,35 @@ Core::Core(const CoreConfig &config, const Program *program,
     });
     runaheadCtrl_.setChecker(checker_.get());
 
-    statGroup_.addCounter("committed_uops", &committedUops,
-                          "architecturally retired uops");
-    statGroup_.addCounter("pseudo_retired_uops", &pseudoRetiredUops,
-                          "uops pseudo-retired during runahead");
-    statGroup_.addCounter("renamed_uops", &renamedUops, "uops renamed");
-    statGroup_.addCounter("issued_uops", &issuedUops, "uops issued");
-    statGroup_.addCounter("issued_mem_uops", &issuedMemUops,
-                          "memory uops issued");
-    statGroup_.addCounter("prf_reads", &prfReads, "PRF read events");
-    statGroup_.addCounter("prf_writes", &prfWrites, "PRF write events");
-    statGroup_.addCounter("rob_writes", &robWrites, "ROB dispatch writes");
-    statGroup_.addCounter("rob_reads", &robReads, "ROB retire reads");
-    statGroup_.addCounter("mem_stall_cycles", &memStallCycles,
-                          "zero-commit cycles blocked on an LLC miss");
-    statGroup_.addCounter("stall_load_other", &stallLoadOther,
-                          "zero-commit cycles on non-miss head load");
-    statGroup_.addCounter("stall_exec", &stallExec,
-                          "zero-commit cycles on non-load head");
-    statGroup_.addCounter("stall_empty_rob", &stallEmptyRob,
-                          "zero-commit cycles with an empty ROB");
-    statGroup_.addCounter("rob_full_cycles", &robFullCycles,
-                          "cycles with a full ROB");
-    statGroup_.addCounter("squashed_uops", &squashedUops,
-                          "uops squashed on mispredicts");
-    statGroup_.addCounter("fig2_miss_total", &fig2MissTotal,
-                          "normal-mode demand load LLC misses");
-    statGroup_.addCounter("fig2_miss_src_on_chip", &fig2MissSrcOnChip,
-                          "misses whose source data was on chip");
-    statGroup_.addCounter("loads_forwarded", &loadsForwarded,
-                          "loads forwarded from the store queue");
-    statGroup_.addCounter("runahead_cache_forwards",
-                          &runaheadCacheForwards,
-                          "loads forwarded from the runahead cache");
-    statGroup_.addCounter("load_queue_retries", &loadQueueRetries,
-                          "loads re-issued after a queue rejection");
-    statGroup_.addCounter("store_queue_retries", &storeQueueRetries,
-                          "store commits retried after a rejection");
-    statGroup_.addCounter("mem_fault_retries", &memFaultRetries,
-                          "retries caused by injected memory faults");
-    statGroup_.addCounter("watchdog_flushes", &watchdogFlushes,
-                          "watchdog-driven recovery flushes");
-    statGroup_.addCounter("rs_inserts", &rs_.inserts,
-                          "reservation station inserts");
-    statGroup_.addCounter("rs_wakeups", &rs_.wakeups,
-                          "reservation station wakeup checks");
-    statGroup_.addCounter("sq_forwards", &sq_.forwards,
-                          "store queue forwards");
-    statGroup_.addCounter("sq_searches", &sq_.searches,
-                          "store queue CAM searches");
-    ffStatGroup_.addCounter("windows", &ffWindows,
-                            "quiescent windows fast-forwarded");
-    ffStatGroup_.addCounter("skipped_cycles", &ffSkippedCycles,
-                            "cycles covered by fast-forward windows");
+    statGroup_.addCounter("committed_uops", &committedUops);
+    statGroup_.addCounter("pseudo_retired_uops", &pseudoRetiredUops);
+    statGroup_.addCounter("renamed_uops", &renamedUops);
+    statGroup_.addCounter("issued_uops", &issuedUops);
+    statGroup_.addCounter("issued_mem_uops", &issuedMemUops);
+    statGroup_.addCounter("prf_reads", &prfReads);
+    statGroup_.addCounter("prf_writes", &prfWrites);
+    statGroup_.addCounter("rob_writes", &robWrites);
+    statGroup_.addCounter("rob_reads", &robReads);
+    statGroup_.addCounter("mem_stall_cycles", &memStallCycles);
+    statGroup_.addCounter("stall_load_other", &stallLoadOther);
+    statGroup_.addCounter("stall_exec", &stallExec);
+    statGroup_.addCounter("stall_empty_rob", &stallEmptyRob);
+    statGroup_.addCounter("rob_full_cycles", &robFullCycles);
+    statGroup_.addCounter("squashed_uops", &squashedUops);
+    statGroup_.addCounter("fig2_miss_total", &fig2MissTotal);
+    statGroup_.addCounter("fig2_miss_src_on_chip", &fig2MissSrcOnChip);
+    statGroup_.addCounter("loads_forwarded", &loadsForwarded);
+    statGroup_.addCounter("runahead_cache_forwards", &runaheadCacheForwards);
+    statGroup_.addCounter("load_queue_retries", &loadQueueRetries);
+    statGroup_.addCounter("store_queue_retries", &storeQueueRetries);
+    statGroup_.addCounter("mem_fault_retries", &memFaultRetries);
+    statGroup_.addCounter("watchdog_flushes", &watchdogFlushes);
+    statGroup_.addCounter("rs_inserts", &rs_.inserts);
+    statGroup_.addCounter("rs_wakeups", &rs_.wakeups);
+    statGroup_.addCounter("sq_forwards", &sq_.forwards);
+    statGroup_.addCounter("sq_searches", &sq_.searches);
+    ffStatGroup_.addCounter("windows", &ffWindows);
+    ffStatGroup_.addCounter("skipped_cycles", &ffSkippedCycles);
     statGroup_.addChild(&ffStatGroup_);
 
     bp_.regStats(&statGroup_);
@@ -733,7 +709,7 @@ Core::exitRunahead(Cycle now)
     const std::uint64_t farthest = exit_mode == RunaheadMode::kTraditional
         ? retiredAtEntry_ + pseudoRetiredInterval_
         : retiredAtEntry_;
-    runaheadCtrl_.exit(now, farthest);
+    runaheadCtrl_.exit(farthest);
 
     // Flush the whole pipeline and restore the checkpoint.
     rob_.clear();

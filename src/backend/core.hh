@@ -169,8 +169,8 @@ class Core
     Counter issuedMemUops;
     Counter prfReads;
     Counter prfWrites;
-    Counter robWrites;
-    Counter robReads;
+    Counter robWrites;         ///< ROB dispatch writes.
+    Counter robReads;          ///< ROB retire reads.
     Counter memStallCycles;    ///< Zero-commit cycles blocked on an
                                ///< outstanding LLC miss (Fig. 1).
     Counter stallLoadOther;    ///< Zero-commit: head load, not an LLC
@@ -178,10 +178,10 @@ class Core
     Counter stallExec;         ///< Zero-commit: head non-load pending.
     Counter stallEmptyRob;     ///< Zero-commit: ROB empty (refill).
     Counter robFullCycles;
-    Counter squashedUops;
+    Counter squashedUops;      ///< Squashed on mispredicts.
     Counter fig2MissTotal;     ///< Normal-mode demand load LLC misses.
     Counter fig2MissSrcOnChip; ///< ... whose source data was on-chip.
-    Counter loadsForwarded;
+    Counter loadsForwarded;    ///< Forwarded from the store queue.
     Counter runaheadCacheForwards;
     Counter loadQueueRetries;  ///< Loads re-issued: memory queue
                                ///< rejected the access.

@@ -69,7 +69,6 @@ StoreQueue::searchForLoad(SeqNum load_seq, Addr addr)
             continue;
         if (e.wordAddr == kNoAddr && !e.addrPoisoned) {
             // Unresolved older store: cannot disambiguate.
-            ++unknownAddrStalls;
             result.kind = SqSearch::Kind::kUnknownAddr;
             return result;
         }

@@ -93,7 +93,6 @@ class StoreQueue
 
     /** @{ Statistics. */
     Counter forwards;
-    Counter unknownAddrStalls;
     Counter searches; ///< CAM search energy events.
     /** @} */
 

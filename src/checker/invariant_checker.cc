@@ -875,13 +875,9 @@ InvariantChecker::onChainCacheHit(Pc pc, const DependenceChain &chain)
 void
 InvariantChecker::regStats(StatGroup *parent)
 {
-    statGroup_.addCounter("checks_run", &checksRun,
-                          "full structural scans completed");
-    statGroup_.addCounter("violations", &violations,
-                          "invariant violations raised");
-    statGroup_.addCounter("violations_routed", &violationsRouted,
-                          "violations routed to the degradation "
-                          "ladder instead of thrown");
+    statGroup_.addCounter("checks_run", &checksRun);
+    statGroup_.addCounter("violations", &violations);
+    statGroup_.addCounter("violations_routed", &violationsRouted);
     if (parent)
         parent->addChild(&statGroup_);
 }

@@ -116,12 +116,7 @@ Simulation::Simulation(const SimConfig &config, std::vector<Program> programs)
     // the raw "core"/"mem" groups unwrapped so its payload keeps the
     // single-core layout; N > 1 nests each core's groups under
     // "core<i>" and publishes the chip-wide counters under "shared".
-    if (n == 1) {
-        cores_[0]->stats().claimExclusive(this);
-        mems_[0]->stats().claimExclusive(this);
-        if (faults_[0])
-            faults_[0]->stats().claimExclusive(this);
-    } else {
+    if (n > 1) {
         for (std::size_t i = 0; i < n; ++i) {
             auto group = std::make_unique<StatGroup>(
                 "core" + std::to_string(i));
@@ -129,14 +124,13 @@ Simulation::Simulation(const SimConfig &config, std::vector<Program> programs)
             group->addChild(&mems_[i]->stats());
             if (faults_[i])
                 group->addChild(&faults_[i]->stats());
-            group->claimExclusive(this);
             coreGroups_.push_back(std::move(group));
         }
-        if (sharedChip_) {
+        if (sharedChip_)
             shared_.front()->regSharedStats(&sharedGroup_);
-            sharedGroup_.claimExclusive(this);
-        }
     }
+    for (StatGroup *tree : statTrees())
+        tree->claimExclusive(this);
 
     targets_.resize(n, 0);
     done_.resize(n, 0);
@@ -145,16 +139,26 @@ Simulation::Simulation(const SimConfig &config, std::vector<Program> programs)
 
 Simulation::~Simulation()
 {
+    for (StatGroup *tree : statTrees())
+        tree->releaseExclusive(this);
+}
+
+std::vector<StatGroup *>
+Simulation::statTrees()
+{
+    std::vector<StatGroup *> trees;
     if (coreGroups_.empty()) {
-        cores_[0]->stats().releaseExclusive(this);
-        mems_[0]->stats().releaseExclusive(this);
+        trees.push_back(&cores_[0]->stats());
+        trees.push_back(&mems_[0]->stats());
         if (faults_[0])
-            faults_[0]->stats().releaseExclusive(this);
+            trees.push_back(&faults_[0]->stats());
     } else {
         for (auto &group : coreGroups_)
-            group->releaseExclusive(this);
-        sharedGroup_.releaseExclusive(this);
+            trees.push_back(group.get());
+        if (sharedChip_)
+            trees.push_back(&sharedGroup_);
     }
+    return trees;
 }
 
 SimResult
@@ -173,12 +177,8 @@ Simulation::runWarmup()
     if (config_.warmupInstructions == 0)
         return;
     runPhase(config_.warmupInstructions, /*collect=*/false);
-    for (std::size_t i = 0; i < cores_.size(); ++i) {
-        cores_[i]->stats().resetCounters();
-        mems_[i]->stats().resetCounters();
-    }
-    if (sharedChip_)
-        sharedGroup_.resetCounters();
+    for (StatGroup *tree : statTrees())
+        tree->resetCounters();
 }
 
 void

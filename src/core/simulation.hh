@@ -76,7 +76,8 @@ struct SimResult
     std::uint64_t dramRequests = 0; ///< Fig. 16.
     std::uint64_t runaheadIntervals = 0;
 
-    /** @{ Fault campaign summary (zero when injection is disabled). */
+    /** @{ Fault campaign summary over the measured region (zero when
+     *  injection is disabled). */
     std::uint64_t faultsInjected = 0;
     std::uint64_t watchdogRecoveries = 0;
     std::uint64_t degradeSteps = 0;
@@ -122,8 +123,9 @@ class Simulation
     /** Run warmup + measured region and collect the result. */
     SimResult run();
 
-    /** Run only the warmup region and reset every stat counter (the
-     *  snapshot capture point). No-op when warmupInstructions == 0. */
+    /** Run only the warmup region and reset every stat counter, the
+     *  fault injectors' included (the snapshot capture point). No-op
+     *  when warmupInstructions == 0. */
     void runWarmup();
 
     /**
@@ -192,6 +194,11 @@ class Simulation
 
     /** The chip view runMeasured() returns for N > 1. */
     SimResult chipResult(Cycle cycles);
+
+    /** The stat trees this simulation claims: the raw core, mem (and
+     *  faults) groups of one core, or every core<i> wrapper and, on a
+     *  shared chip, the shared group. */
+    std::vector<StatGroup *> statTrees();
 
     /** Shared-LLC inclusion invariant: every valid L1I/L1D line must
      *  be present in (or in flight towards) the shared LLC. Runs at

@@ -11,16 +11,11 @@ namespace rab
 FaultInjector::FaultInjector(const FaultConfig &config)
     : config_(config), rng_(config.seed), statGroup_("faults")
 {
-    statGroup_.addCounter("chain_corruptions", &chainCorruptions,
-                          "chain-cache entries corrupted");
-    statGroup_.addCounter("uop_flips", &uopFlips,
-                          "runahead-buffer uops corrupted");
-    statGroup_.addCounter("dram_drops", &dramDrops,
-                          "DRAM responses dropped");
-    statGroup_.addCounter("dram_delays", &dramDelays,
-                          "DRAM responses delayed");
-    statGroup_.addCounter("mem_stall_windows", &memStallWindows,
-                          "memory-queue stall windows opened");
+    statGroup_.addCounter("chain_corruptions", &chainCorruptions);
+    statGroup_.addCounter("uop_flips", &uopFlips);
+    statGroup_.addCounter("dram_drops", &dramDrops);
+    statGroup_.addCounter("dram_delays", &dramDelays);
+    statGroup_.addCounter("mem_stall_windows", &memStallWindows);
 }
 
 // ---------------------------------------------------------------------

@@ -18,10 +18,8 @@ ForwardProgressWatchdog::ForwardProgressWatchdog(
     const WatchdogConfig &config)
     : config_(config), statGroup_("watchdog")
 {
-    statGroup_.addCounter("fires", &fires,
-                          "forward-progress stall bound expirations");
-    statGroup_.addCounter("recoveries", &recoveries,
-                          "recovery flushes granted");
+    statGroup_.addCounter("fires", &fires);
+    statGroup_.addCounter("recoveries", &recoveries);
 }
 
 bool

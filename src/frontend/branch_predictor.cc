@@ -154,9 +154,8 @@ BranchPredictor::rasPop()
 void
 BranchPredictor::regStats(StatGroup *parent)
 {
-    statGroup_.addCounter("lookups", &lookups, "direction predictions");
-    statGroup_.addCounter("mispredicts", &mispredicts,
-                          "resolved mispredictions");
+    statGroup_.addCounter("lookups", &lookups);
+    statGroup_.addCounter("mispredicts", &mispredicts);
     if (parent)
         parent->addChild(&statGroup_);
 }

@@ -165,16 +165,11 @@ Frontend::redirect(Pc pc, Cycle when)
 void
 Frontend::regStats(StatGroup *parent)
 {
-    statGroup_.addCounter("fetched_uops", &fetchedUops,
-                          "uops fetched and decoded");
-    statGroup_.addCounter("active_cycles", &activeCycles,
-                          "cycles with fetch activity");
-    statGroup_.addCounter("gated_cycles", &gatedCycles,
-                          "cycles explicitly clock-gated");
-    statGroup_.addCounter("idle_cycles", &idleCycles,
-                          "cycles with no fetch work");
-    statGroup_.addCounter("icache_stall_cycles", &icacheStallCycles,
-                          "cycles stalled on the I-cache");
+    statGroup_.addCounter("fetched_uops", &fetchedUops);
+    statGroup_.addCounter("active_cycles", &activeCycles);
+    statGroup_.addCounter("gated_cycles", &gatedCycles);
+    statGroup_.addCounter("idle_cycles", &idleCycles);
+    statGroup_.addCounter("icache_stall_cycles", &icacheStallCycles);
     if (parent)
         parent->addChild(&statGroup_);
 }

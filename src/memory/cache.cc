@@ -210,8 +210,8 @@ Cache::flush()
 void
 Cache::regStats(StatGroup *parent)
 {
-    statGroup_.addCounter("hits", &hits, "demand hits");
-    statGroup_.addCounter("misses", &misses, "demand misses");
+    statGroup_.addCounter("hits", &hits);
+    statGroup_.addCounter("misses", &misses);
     if (parent)
         parent->addChild(&statGroup_);
 }

@@ -151,15 +151,12 @@ Dram::idleConflictLatency() const
 void
 Dram::regStats(StatGroup *parent)
 {
-    statGroup_.addCounter("reads", &reads, "line reads");
-    statGroup_.addCounter("writes", &writes, "line writebacks");
-    statGroup_.addCounter("row_hits", &rowHits, "row buffer hits");
-    statGroup_.addCounter("row_conflicts", &rowConflicts,
-                          "row buffer conflicts");
-    statGroup_.addCounter("latency_sum", &latencySum,
-                          "total read latency (cycles)");
-    statGroup_.addCounter("queue_wait_sum", &queueWaitSum,
-                          "total pre-service wait (cycles)");
+    statGroup_.addCounter("reads", &reads);
+    statGroup_.addCounter("writes", &writes);
+    statGroup_.addCounter("row_hits", &rowHits);
+    statGroup_.addCounter("row_conflicts", &rowConflicts);
+    statGroup_.addCounter("latency_sum", &latencySum);
+    statGroup_.addCounter("queue_wait_sum", &queueWaitSum);
     if (parent)
         parent->addChild(&statGroup_);
 }

@@ -86,7 +86,7 @@ class Dram
 
     /** @{ Statistics. */
     Counter reads;
-    Counter writes;
+    Counter writes; ///< Line writebacks.
     Counter rowHits;
     Counter rowConflicts;
     Counter latencySum;   ///< Σ (readyCycle - arrival) over reads.

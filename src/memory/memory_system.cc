@@ -30,48 +30,29 @@ MemorySystem::~MemorySystem() = default;
 void
 MemorySystem::regStats()
 {
-    statGroup_.addCounter("demand_loads", &demandLoads, "demand loads");
-    statGroup_.addCounter("demand_stores", &demandStores, "demand stores");
-    statGroup_.addCounter("llc_demand_misses", &llcDemandMisses,
-                          "demand LLC misses");
-    statGroup_.addCounter("llc_load_misses", &llcLoadMisses,
-                          "demand load LLC misses");
-    statGroup_.addCounter("queue_rejects", &queueRejects,
-                          "memory queue full rejections");
-    statGroup_.addCounter("prefetches_issued", &prefetchesIssued,
-                          "prefetches sent to DRAM");
-    statGroup_.addCounter("mshr_merges", &mshrMerges,
-                          "accesses merged into in-flight fills");
-    statGroup_.addCounter("mem_retries", &memRetries,
-                          "DRAM requests re-sent after a dropped response");
-    statGroup_.addCounter("mem_timeouts", &memTimeouts,
-                          "in-flight DRAM requests that timed out");
-    statGroup_.addCounter("mem_retry_failures", &memRetryFailures,
-                          "accesses that exhausted the retry budget");
-    statGroup_.addCounter("queue_fault_stalls", &queueFaultStalls,
-                          "rejections from injected queue stall windows");
+    statGroup_.addCounter("demand_loads", &demandLoads);
+    statGroup_.addCounter("demand_stores", &demandStores);
+    statGroup_.addCounter("llc_demand_misses", &llcDemandMisses);
+    statGroup_.addCounter("llc_load_misses", &llcLoadMisses);
+    statGroup_.addCounter("queue_rejects", &queueRejects);
+    statGroup_.addCounter("prefetches_issued", &prefetchesIssued);
+    statGroup_.addCounter("mshr_merges", &mshrMerges);
+    statGroup_.addCounter("mem_retries", &memRetries);
+    statGroup_.addCounter("mem_timeouts", &memTimeouts);
+    statGroup_.addCounter("mem_retry_failures", &memRetryFailures);
+    statGroup_.addCounter("queue_fault_stalls", &queueFaultStalls);
     if (multiCore_) {
         // Contention counters exist only in the multi-core stat
         // payload; the single-core layout predates them and is pinned
         // by the N=1 differential test.
-        statGroup_.addCounter("llc_evicted_by_others",
-                              &llcEvictedByOthers,
-                              "my LLC lines evicted by other cores");
-        statGroup_.addCounter("bank_conflicts", &bankConflicts,
-                              "DRAM reads delayed by a busy bank/bus");
+        statGroup_.addCounter("llc_evicted_by_others", &llcEvictedByOthers);
+        statGroup_.addCounter("bank_conflicts", &bankConflicts);
         statGroup_.addCounter("bank_conflict_wait_cycles",
-                              &bankConflictWaitCycles,
-                              "total cycles those reads waited");
-        statGroup_.addCounter("shared_mshr_peers_held",
-                              &sharedMshrPeersHeld,
-                              "peer-held queue slots at my admissions");
+                              &bankConflictWaitCycles);
+        statGroup_.addCounter("shared_mshr_peers_held", &sharedMshrPeersHeld);
         statGroup_.addCounter("queue_rejects_contended",
-                              &queueRejectsContended,
-                              "queue-full rejections with peers holding "
-                              "slots");
-        statGroup_.addCounter("addr_high_masked", &addrHighMasked,
-                              "addresses masked at the namespacing "
-                              "boundary (bits >= core-id field)");
+                              &queueRejectsContended);
+        statGroup_.addCounter("addr_high_masked", &addrHighMasked);
     }
     l1i_.regStats(&statGroup_);
     l1d_.regStats(&statGroup_);

@@ -79,16 +79,11 @@ SharedMemory::regComponentStats(StatGroup *parent)
 void
 SharedMemory::regSharedStats(StatGroup *parent)
 {
-    parent->addCounter("cross_core_evictions", &crossCoreEvictions,
-                       "LLC victims evicted by a different core");
-    parent->addCounter("owner_clamps", &ownerClamps,
-                       "line owners clamped: core-id bits named a "
-                       "nonexistent core");
+    parent->addCounter("cross_core_evictions", &crossCoreEvictions);
+    parent->addCounter("owner_clamps", &ownerClamps);
     for (int i = 0; i < numCores_; ++i) {
-        parent->addCounter(
-            perCoreStatName(i, "mshr_peak"),
-            &mshrPeak_[static_cast<std::size_t>(i)],
-            "peak shared memory-queue slots held at once");
+        parent->addCounter(perCoreStatName(i, "mshr_peak"),
+                           &mshrPeak_[static_cast<std::size_t>(i)]);
     }
     regComponentStats(parent);
 }

@@ -146,16 +146,12 @@ StreamPrefetcher::maybeRethrottle()
 void
 StreamPrefetcher::regStats(StatGroup *parent)
 {
-    statGroup_.addCounter("issued", &issued, "prefetches issued");
-    statGroup_.addCounter("useful", &useful, "prefetched lines used");
-    statGroup_.addCounter("unused", &unused, "prefetched lines evicted "
-                          "unused");
-    statGroup_.addCounter("streams_allocated", &streamsAllocated,
-                          "stream trackers allocated");
-    statGroup_.addCounter("fdp_downgrades", &fdpDowngrades,
-                          "FDP throttle-down events");
-    statGroup_.addCounter("fdp_upgrades", &fdpUpgrades,
-                          "FDP throttle-up events");
+    statGroup_.addCounter("issued", &issued);
+    statGroup_.addCounter("useful", &useful);
+    statGroup_.addCounter("unused", &unused);
+    statGroup_.addCounter("streams_allocated", &streamsAllocated);
+    statGroup_.addCounter("fdp_downgrades", &fdpDowngrades);
+    statGroup_.addCounter("fdp_upgrades", &fdpUpgrades);
     if (parent)
         parent->addChild(&statGroup_);
 }

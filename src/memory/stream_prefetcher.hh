@@ -70,11 +70,11 @@ class StreamPrefetcher
 
     /** @{ Statistics. */
     Counter issued;
-    Counter useful;
-    Counter unused;
-    Counter streamsAllocated;
-    Counter fdpDowngrades;
-    Counter fdpUpgrades;
+    Counter useful;           ///< Prefetched lines used.
+    Counter unused;           ///< Prefetched lines evicted unused.
+    Counter streamsAllocated; ///< Stream trackers allocated.
+    Counter fdpDowngrades;    ///< FDP throttle-down events.
+    Counter fdpUpgrades;      ///< FDP throttle-up events.
     /** @} */
 
     void regStats(StatGroup *parent);

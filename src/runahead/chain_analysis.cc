@@ -218,18 +218,12 @@ ChainAnalysis::averageChainLength() const
 void
 ChainAnalysis::regStats(StatGroup *parent)
 {
-    statGroup_.addCounter("ops_executed", &opsExecuted,
-                          "runahead ops executed (traditional mode)");
-    statGroup_.addCounter("ops_necessary", &opsNecessary,
-                          "runahead ops on a miss dependence chain");
-    statGroup_.addCounter("chains_total", &chainsTotal,
-                          "miss dependence chains observed");
-    statGroup_.addCounter("chains_repeated", &chainsRepeated,
-                          "chains repeated within an interval");
-    statGroup_.addCounter("chain_length_sum", &chainLengthSum,
-                          "sum of chain lengths (uops)");
-    statGroup_.addCounter("chains_measured", &chainsMeasured,
-                          "chains with a measured length");
+    statGroup_.addCounter("ops_executed", &opsExecuted);
+    statGroup_.addCounter("ops_necessary", &opsNecessary);
+    statGroup_.addCounter("chains_total", &chainsTotal);
+    statGroup_.addCounter("chains_repeated", &chainsRepeated);
+    statGroup_.addCounter("chain_length_sum", &chainLengthSum);
+    statGroup_.addCounter("chains_measured", &chainsMeasured);
     if (parent)
         parent->addChild(&statGroup_);
 }

@@ -62,12 +62,12 @@ class ChainAnalysis
 
     /** @{ Figure 3. */
     Counter opsExecuted;
-    Counter opsNecessary;
+    Counter opsNecessary; ///< On a miss's dependence chain.
     /** @} */
 
     /** @{ Figure 4. */
     Counter chainsTotal;
-    Counter chainsRepeated;
+    Counter chainsRepeated; ///< Repeated within an interval.
     /** @} */
 
     /** @{ Figure 5. */

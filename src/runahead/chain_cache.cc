@@ -78,9 +78,9 @@ ChainCache::clear()
 void
 ChainCache::regStats(StatGroup *parent)
 {
-    statGroup_.addCounter("hits", &hits, "chain cache hits");
-    statGroup_.addCounter("misses", &misses, "chain cache misses");
-    statGroup_.addCounter("inserts", &inserts, "chain insertions");
+    statGroup_.addCounter("hits", &hits);
+    statGroup_.addCounter("misses", &misses);
+    statGroup_.addCounter("inserts", &inserts);
     if (parent)
         parent->addChild(&statGroup_);
 }

@@ -26,34 +26,20 @@ ChainEngine::ChainEngine(const ChainEngineConfig &config,
 void
 ChainEngine::regStats(StatGroup *parent)
 {
-    statGroup_.addCounter("chains_shipped", &chainsShipped,
-                          "chains accepted from the core");
-    statGroup_.addCounter("chain_replacements", &chainReplacements,
-                          "ships that evicted a live chain slot");
-    statGroup_.addCounter("uops_executed", &uopsExecuted,
-                          "engine uops executed");
-    statGroup_.addCounter("loads_executed", &loadsExecuted,
-                          "engine loads executed");
-    statGroup_.addCounter("store_uops_seen", &storeUopsSeen,
-                          "store uops encountered in chains");
-    statGroup_.addCounter("stores_contained", &storesContained,
-                          "stores absorbed by the slot buffer");
-    statGroup_.addCounter("prefetches_issued", &prefetchesIssued,
-                          "new DRAM fills started by the engine");
-    statGroup_.addCounter("prefetches_timely", &prefetchesTimely,
-                          "fills referenced after completion");
-    statGroup_.addCounter("prefetches_late", &prefetchesLate,
-                          "fills referenced while still in flight");
-    statGroup_.addCounter("prefetches_unused", &prefetchesUnused,
-                          "fills evicted or aged out unreferenced");
-    statGroup_.addCounter("iterations", &iterations,
-                          "completed chain loop iterations");
-    statGroup_.addCounter("deschedules", &deschedules,
-                          "slots parked by utility or idleness");
-    statGroup_.addCounter("queue_stalls", &queueStalls,
-                          "memory-queue rejections absorbed");
-    statGroup_.addCounter("pacing_stalls", &pacingStalls,
-                          "credit-window pauses (recent table full)");
+    statGroup_.addCounter("chains_shipped", &chainsShipped);
+    statGroup_.addCounter("chain_replacements", &chainReplacements);
+    statGroup_.addCounter("uops_executed", &uopsExecuted);
+    statGroup_.addCounter("loads_executed", &loadsExecuted);
+    statGroup_.addCounter("store_uops_seen", &storeUopsSeen);
+    statGroup_.addCounter("stores_contained", &storesContained);
+    statGroup_.addCounter("prefetches_issued", &prefetchesIssued);
+    statGroup_.addCounter("prefetches_timely", &prefetchesTimely);
+    statGroup_.addCounter("prefetches_late", &prefetchesLate);
+    statGroup_.addCounter("prefetches_unused", &prefetchesUnused);
+    statGroup_.addCounter("iterations", &iterations);
+    statGroup_.addCounter("deschedules", &deschedules);
+    statGroup_.addCounter("queue_stalls", &queueStalls);
+    statGroup_.addCounter("pacing_stalls", &pacingStalls);
     parent->addChild(&statGroup_);
 }
 

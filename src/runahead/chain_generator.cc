@@ -210,15 +210,11 @@ ChainGenerator::findProducer(ArchReg reg, SeqNum before_seq) const
 void
 ChainGenerator::regStats(StatGroup *parent)
 {
-    statGroup_.addCounter("attempts", &attempts, "generation attempts");
-    statGroup_.addCounter("no_pc_match", &noPcMatch,
-                          "attempts with no matching PC in ROB");
-    statGroup_.addCounter("overflows", &overflows,
-                          "chains that hit the length cap");
-    statGroup_.addCounter("generated_chains", &generatedChains,
-                          "chains generated");
-    statGroup_.addCounter("generated_ops", &generatedOps,
-                          "total uops across generated chains");
+    statGroup_.addCounter("attempts", &attempts);
+    statGroup_.addCounter("no_pc_match", &noPcMatch);
+    statGroup_.addCounter("overflows", &overflows);
+    statGroup_.addCounter("generated_chains", &generatedChains);
+    statGroup_.addCounter("generated_ops", &generatedOps);
     if (parent)
         parent->addChild(&statGroup_);
 }

@@ -70,7 +70,6 @@ struct ChainResult
  *  pooled scratch buffers (reused, never observable in results). */
 class ChainGenerator
 {
-    friend struct SnapshotAccess; ///< src/snapshot serializer.
   public:
     explicit ChainGenerator(const ChainGeneratorConfig &config);
 
@@ -99,8 +98,8 @@ class ChainGenerator
 
     /** @{ Statistics. */
     Counter attempts;
-    Counter noPcMatch;
-    Counter overflows;
+    Counter noPcMatch; ///< No matching PC in the ROB.
+    Counter overflows; ///< Chains that hit the length cap.
     Counter generatedChains;
     Counter generatedOps;
     /** @} */

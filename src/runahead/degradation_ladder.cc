@@ -20,20 +20,13 @@ degradeLevelName(DegradeLevel level)
 DegradationLadder::DegradationLadder(const DegradationConfig &config)
     : config_(config), statGroup_("degrade")
 {
-    statGroup_.addCounter("faults_observed", &faultsObserved,
-                          "speculative faults reported to the ladder");
-    statGroup_.addCounter("degrade_steps", &degradeSteps,
-                          "downward ladder transitions");
-    statGroup_.addCounter("reenable_steps", &reenableSteps,
-                          "probationary upward transitions");
-    statGroup_.addCounter("to_no_chain_cache", &toNoChainCache,
-                          "transitions into no-chain-cache");
-    statGroup_.addCounter("to_no_buffer", &toNoBuffer,
-                          "transitions into no-buffer");
-    statGroup_.addCounter("to_no_runahead", &toNoRunahead,
-                          "transitions into no-runahead");
-    statGroup_.addScalar("level", &levelValue_,
-                         "current degradation level (0=full)");
+    statGroup_.addCounter("faults_observed", &faultsObserved);
+    statGroup_.addCounter("degrade_steps", &degradeSteps);
+    statGroup_.addCounter("reenable_steps", &reenableSteps);
+    statGroup_.addCounter("to_no_chain_cache", &toNoChainCache);
+    statGroup_.addCounter("to_no_buffer", &toNoBuffer);
+    statGroup_.addCounter("to_no_runahead", &toNoRunahead);
+    statGroup_.addScalar("level", &levelValue_);
 }
 
 void

@@ -58,10 +58,9 @@ RunaheadBuffer::deactivate()
 void
 RunaheadBuffer::regStats(StatGroup *parent)
 {
-    statGroup_.addCounter("fills", &fills, "chains loaded");
-    statGroup_.addCounter("ops_issued", &opsIssued,
-                          "uops issued to rename");
-    statGroup_.addCounter("loops", &loops, "chain loop iterations");
+    statGroup_.addCounter("fills", &fills);
+    statGroup_.addCounter("ops_issued", &opsIssued);
+    statGroup_.addCounter("loops", &loops);
     if (parent)
         parent->addChild(&statGroup_);
 }

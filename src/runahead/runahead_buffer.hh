@@ -48,8 +48,8 @@ class RunaheadBuffer
 
     /** @{ Statistics. */
     Counter fills;
-    Counter opsIssued;
-    Counter loops;
+    Counter opsIssued; ///< Uops issued to rename.
+    Counter loops;     ///< Chain loop iterations.
     /** @} */
 
     void regStats(StatGroup *parent);

@@ -107,9 +107,9 @@ RunaheadCache::occupancy() const
 void
 RunaheadCache::regStats(StatGroup *parent)
 {
-    statGroup_.addCounter("writes", &writes, "store data writes");
-    statGroup_.addCounter("read_hits", &readHits, "forwarding hits");
-    statGroup_.addCounter("read_misses", &readMisses, "forwarding misses");
+    statGroup_.addCounter("writes", &writes);
+    statGroup_.addCounter("read_hits", &readHits);
+    statGroup_.addCounter("read_misses", &readMisses);
     if (parent)
         parent->addChild(&statGroup_);
 }

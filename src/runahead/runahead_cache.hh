@@ -48,8 +48,8 @@ class RunaheadCache
 
     /** @{ Statistics / energy events. */
     Counter writes;
-    Counter readHits;
-    Counter readMisses;
+    Counter readHits;   ///< Forwarding hits.
+    Counter readMisses; ///< Forwarding misses.
     /** @} */
 
     void regStats(StatGroup *parent);

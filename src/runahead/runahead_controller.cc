@@ -291,8 +291,6 @@ RunaheadController::enter(const EntryDecision &decision, Cycle now,
         panic("RunaheadController::enter: bad entry");
     mode_ = decision.mode;
     blockingReady_ = blocking_ready;
-    enteredAt_ = now;
-    missesAtEntry_ = runaheadMisses.value();
     ++intervals;
     ++checkpoints;
     farthestInstr_ = std::max(farthestInstr_, retired_instrs);
@@ -308,13 +306,11 @@ RunaheadController::enter(const EntryDecision &decision, Cycle now,
 }
 
 void
-RunaheadController::exit(Cycle now, std::uint64_t farthest_instr)
+RunaheadController::exit(std::uint64_t farthest_instr)
 {
     if (!inRunahead())
         panic("RunaheadController::exit while not in runahead");
     farthestInstr_ = std::max(farthestInstr_, farthest_instr);
-    intervalLengths_.sample(now >= enteredAt_ ? now - enteredAt_ : 0);
-    intervalMlp_.sample(runaheadMisses.value() - missesAtEntry_);
     mode_ = RunaheadMode::kNone;
     buffer_.deactivate();
     runaheadCache_.clear();
@@ -369,48 +365,27 @@ RunaheadController::bufferCycleFraction() const
 void
 RunaheadController::regStats(StatGroup *parent)
 {
-    statGroup_.addCounter("intervals", &intervals, "runahead intervals");
-    statGroup_.addCounter("traditional_intervals", &traditionalIntervals,
-                          "traditional-mode intervals");
-    statGroup_.addCounter("buffer_intervals", &bufferIntervals,
-                          "buffer-mode intervals");
-    statGroup_.addCounter("cycles_traditional", &cyclesTraditional,
-                          "cycles in traditional runahead");
-    statGroup_.addCounter("cycles_buffer", &cyclesBuffer,
-                          "cycles in buffer runahead");
-    statGroup_.addCounter("chain_gen_cycles", &chainGenCycles,
-                          "cycles spent generating chains");
-    statGroup_.addCounter("runahead_misses", &runaheadMisses,
-                          "LLC misses generated during runahead");
-    statGroup_.addCounter("suppressed_short", &suppressedShort,
-                          "entries suppressed: interval too short");
-    statGroup_.addCounter("suppressed_overlap", &suppressedOverlap,
-                          "entries suppressed: overlapping interval");
-    statGroup_.addCounter("no_chain_no_entry", &noChainNoEntry,
-                          "buffer-only entries skipped: no chain");
-    statGroup_.addCounter("chain_cache_exact_hits", &chainCacheExactHits,
-                          "chain cache hits matching the ROB chain");
-    statGroup_.addCounter("chain_cache_checked_hits",
-                          &chainCacheCheckedHits,
-                          "chain cache hits with a comparison run");
-    statGroup_.addCounter("checkpoints", &checkpoints,
-                          "architectural checkpoints taken");
-    statGroup_.addCounter("pc_cam_searches", &pcCamSearches,
-                          "ROB PC CAM searches");
-    statGroup_.addCounter("reg_cam_searches", &regCamSearches,
-                          "ROB destination-register CAM searches");
-    statGroup_.addCounter("sq_cam_searches", &sqCamSearches,
-                          "store queue CAM searches (chain gen)");
-    statGroup_.addCounter("rob_chain_reads", &robChainReads,
-                          "ROB reads during chain read-out");
-    statGroup_.addCounter("speculative_faults", &speculativeFaults,
-                          "detected faults in speculative state");
-    statGroup_.addCounter("cached_chains_rejected", &cachedChainsRejected,
-                          "corrupt cached chains discarded");
-    statGroup_.addCounter("degraded_no_entry", &degradedNoEntry,
-                          "entries blocked: ladder at no-runahead");
-    statGroup_.addCounter("degraded_traditional", &degradedTraditional,
-                          "buffer entries demoted to traditional");
+    statGroup_.addCounter("intervals", &intervals);
+    statGroup_.addCounter("traditional_intervals", &traditionalIntervals);
+    statGroup_.addCounter("buffer_intervals", &bufferIntervals);
+    statGroup_.addCounter("cycles_traditional", &cyclesTraditional);
+    statGroup_.addCounter("cycles_buffer", &cyclesBuffer);
+    statGroup_.addCounter("chain_gen_cycles", &chainGenCycles);
+    statGroup_.addCounter("runahead_misses", &runaheadMisses);
+    statGroup_.addCounter("suppressed_short", &suppressedShort);
+    statGroup_.addCounter("suppressed_overlap", &suppressedOverlap);
+    statGroup_.addCounter("no_chain_no_entry", &noChainNoEntry);
+    statGroup_.addCounter("chain_cache_exact_hits", &chainCacheExactHits);
+    statGroup_.addCounter("chain_cache_checked_hits", &chainCacheCheckedHits);
+    statGroup_.addCounter("checkpoints", &checkpoints);
+    statGroup_.addCounter("pc_cam_searches", &pcCamSearches);
+    statGroup_.addCounter("reg_cam_searches", &regCamSearches);
+    statGroup_.addCounter("sq_cam_searches", &sqCamSearches);
+    statGroup_.addCounter("rob_chain_reads", &robChainReads);
+    statGroup_.addCounter("speculative_faults", &speculativeFaults);
+    statGroup_.addCounter("cached_chains_rejected", &cachedChainsRejected);
+    statGroup_.addCounter("degraded_no_entry", &degradedNoEntry);
+    statGroup_.addCounter("degraded_traditional", &degradedTraditional);
     ladder_.regStats(&statGroup_);
     runaheadCache_.regStats(&statGroup_);
     chainGen_.regStats(&statGroup_);

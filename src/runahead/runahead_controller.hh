@@ -126,7 +126,7 @@ class RunaheadController
     /** Leave runahead. @p farthest_instr is the youngest normal-stream
      *  instruction number reached (traditional mode pseudo-retirement);
      *  feeds the overlap enhancement. */
-    void exit(Cycle now, std::uint64_t farthest_instr);
+    void exit(std::uint64_t farthest_instr);
 
     /** Account one cycle in the current mode. */
     void tickCycle();
@@ -189,10 +189,10 @@ class RunaheadController
     Counter chainCacheExactHits;  ///< CC hits matching the ROB chain.
     Counter chainCacheCheckedHits;///< CC hits where a comparison ran.
     Counter checkpoints;          ///< Runahead entries (energy event).
-    Counter pcCamSearches;
-    Counter regCamSearches;
-    Counter sqCamSearches;
-    Counter robChainReads;
+    Counter pcCamSearches;        ///< ROB PC CAM searches.
+    Counter regCamSearches;       ///< ROB dest-register CAM searches.
+    Counter sqCamSearches;        ///< SQ CAM searches (chain gen).
+    Counter robChainReads;        ///< ROB reads during chain read-out.
     Counter speculativeFaults;    ///< Detected speculative faults.
     Counter cachedChainsRejected; ///< Cached chains the checker
                                   ///< flagged and we discarded.
@@ -201,12 +201,6 @@ class RunaheadController
     Counter degradedTraditional;  ///< Buffer entries demoted to
                                   ///< traditional by the ladder.
     /** @} */
-
-    /** Distribution of interval lengths in cycles. */
-    const Distribution &intervalLengths() const { return intervalLengths_; }
-
-    /** Distribution of new misses generated per interval. */
-    const Distribution &intervalMlp() const { return intervalMlp_; }
 
     void regStats(StatGroup *parent);
 
@@ -226,11 +220,7 @@ class RunaheadController
     RunaheadMode mode_ = RunaheadMode::kNone;
     Cycle blockingReady_ = 0;
     Cycle bufferIssueStart_ = 0;
-    Cycle enteredAt_ = 0;
-    std::uint64_t missesAtEntry_ = 0;
     std::uint64_t farthestInstr_ = 0;
-    Distribution intervalLengths_{0, 1024, 32};
-    Distribution intervalMlp_{0, 64, 2};
 
     RunaheadCache runaheadCache_;
     ChainGenerator chainGen_;

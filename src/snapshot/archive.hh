@@ -227,11 +227,8 @@ class Cache;
 class ChainAnalysis;
 class ChainCache;
 class ChainEngine;
-class ChainGenerator;
 class Core;
-class Counter;
 class DegradationLadder;
-class Distribution;
 class Dram;
 class FaultInjector;
 class ForwardProgressWatchdog;
@@ -262,8 +259,6 @@ struct WbEvent;
 struct SnapshotAccess
 {
     /** @{ Per-component serializers (definitions in snapshot.cc). */
-    template <class Ar> static void io(Ar &ar, Counter &v);
-    template <class Ar> static void io(Ar &ar, Distribution &v);
     template <class Ar> static void io(Ar &ar, Rng &v);
     template <class Ar> static void io(Ar &ar, Uop &v);
     template <class Ar> static void io(Ar &ar, DynUop &v);
@@ -289,7 +284,6 @@ struct SnapshotAccess
     template <class Ar> static void io(Ar &ar, RunaheadCache &v);
     template <class Ar> static void io(Ar &ar, RunaheadBuffer &v);
     template <class Ar> static void io(Ar &ar, ChainCache &v);
-    template <class Ar> static void io(Ar &ar, ChainGenerator &v);
     template <class Ar> static void io(Ar &ar, ChainAnalysis &v);
     template <class Ar> static void io(Ar &ar, DegradationLadder &v);
     template <class Ar> static void io(Ar &ar, ChainEngine &v);

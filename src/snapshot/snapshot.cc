@@ -17,7 +17,7 @@
  *     VRNT  variant-specific: runahead controller + chain analysis
  *     MEM   the memory hierarchy incl. the owned SharedMemory
  *     ENGN  Continuous Runahead engine (presence flag + state)
- *     FALT  fault injector (presence flag + RNG cursor + counters)
+ *     FALT  fault injector (presence flag + RNG cursor + stall window)
  *
  * Fork-mode restore length-skips VRNT and ENGN: a config variant keeps
  * its freshly constructed runahead structures and re-derives everything
@@ -28,14 +28,16 @@
  * (the restoring simulation is constructed from its own config, which
  * the digests gate), wiring pointers, std::function members (the
  * functional-memory background and commit hooks are reinstalled by
- * construction), StatGroup registrations, pure scratch buffers
- * that are overwritten before every use (RS selection buffer, WBQ
- * ready buffer, prefetch candidate list, chain-generator SRSL,
- * checker reference marks), and dead table entries: invalid cache
- * lines, dead ROB slots and never-valid BTB entries are overwritten
- * before anything reads them, so only live entries are written. The
- * caches' valid-way masks are rebuilt from the restored lines and
- * their MRU-way hints reset (DESIGN.md §16 gives the argument).
+ * construction), StatGroup registrations and the counters they name
+ * (capture and restore require every counter to read zero, see
+ * requireZeroCounters), pure scratch buffers that are overwritten
+ * before every use (RS selection buffer, WBQ ready buffer, prefetch
+ * candidate list, chain-generator SRSL, checker reference marks), and
+ * dead table entries: invalid cache lines, dead ROB slots and
+ * never-valid BTB entries are overwritten before anything reads them,
+ * so only live entries are written. The caches' valid-way masks are
+ * rebuilt from the restored lines and their MRU-way hints reset
+ * (DESIGN.md §16 gives the argument).
  */
 
 #include "snapshot/snapshot.hh"
@@ -123,29 +125,6 @@ fieldSparse(Ar &ar, const char *what, std::size_t capacity,
 /* ------------------------------------------------------------------ */
 /* Per-component serializers.                                          */
 /* ------------------------------------------------------------------ */
-
-template <class Ar>
-void
-SnapshotAccess::io(Ar &ar, Counter &v)
-{
-    field(ar, v.value_);
-}
-
-template <class Ar>
-void
-SnapshotAccess::io(Ar &ar, Distribution &v)
-{
-    field(ar, v.low_);
-    field(ar, v.high_);
-    field(ar, v.bucketSize_);
-    field(ar, v.buckets_);
-    field(ar, v.underflow_);
-    field(ar, v.overflow_);
-    field(ar, v.samples_);
-    field(ar, v.sum_);
-    field(ar, v.min_);
-    field(ar, v.max_);
-}
 
 template <class Ar>
 void
@@ -274,8 +253,6 @@ SnapshotAccess::io(Ar &ar, BranchPredictor &v)
                 v.btb_[i].valid = true;
         });
     field(ar, v.ras_);
-    io(ar, v.lookups);
-    io(ar, v.mispredicts);
 }
 
 template <class Ar>
@@ -288,11 +265,6 @@ SnapshotAccess::io(Ar &ar, Frontend &v)
     field(ar, v.queue_);
     field(ar, v.queueHead_);
     field(ar, v.queueCount_);
-    io(ar, v.fetchedUops);
-    io(ar, v.activeCycles);
-    io(ar, v.gatedCycles);
-    io(ar, v.idleCycles);
-    io(ar, v.icacheStallCycles);
 }
 
 template <class Ar>
@@ -361,8 +333,6 @@ SnapshotAccess::io(Ar &ar, ReservationStation &v)
     field(ar, v.readyList_);
     field(ar, v.waiters_); // Exact, stale entries included: the drain
                            // order of a wakeup list is visible.
-    io(ar, v.inserts);
-    io(ar, v.wakeups);
 }
 
 template <class Ar>
@@ -378,9 +348,6 @@ SnapshotAccess::io(Ar &ar, StoreQueue &v)
         field(a, e.addrPoisoned);
         field(a, e.dataPoisoned);
     });
-    io(ar, v.forwards);
-    io(ar, v.unknownAddrStalls);
-    io(ar, v.searches);
 }
 
 template <class Ar>
@@ -459,8 +426,6 @@ SnapshotAccess::io(Ar &ar, Cache &v)
         throw SnapshotError(SnapshotErrorKind::kFormat,
                             "cache LRU counter exceeds 62 bits");
     }
-    io(ar, v.hits);
-    io(ar, v.misses);
 }
 
 template <class Ar>
@@ -473,12 +438,6 @@ SnapshotAccess::io(Ar &ar, Dram &v)
         field(a, b.freeAt);
     });
     field(ar, v.busFreeAt_);
-    io(ar, v.reads);
-    io(ar, v.writes);
-    io(ar, v.rowHits);
-    io(ar, v.rowConflicts);
-    io(ar, v.latencySum);
-    io(ar, v.queueWaitSum);
 }
 
 template <class Ar>
@@ -498,12 +457,6 @@ SnapshotAccess::io(Ar &ar, StreamPrefetcher &v)
     field(ar, v.lruCounter_);
     field(ar, v.intervalIssued_);
     field(ar, v.intervalUseful_);
-    io(ar, v.issued);
-    io(ar, v.useful);
-    io(ar, v.unused);
-    io(ar, v.streamsAllocated);
-    io(ar, v.fdpDowngrades);
-    io(ar, v.fdpUpgrades);
 }
 
 template <class Ar>
@@ -520,9 +473,6 @@ SnapshotAccess::io(Ar &ar, SharedMemory &v)
         field(a, m.core);
     });
     field(ar, v.heldNow_);
-    field(ar, v.mshrPeak_);
-    io(ar, v.crossCoreEvictions);
-    io(ar, v.ownerClamps);
 }
 
 template <class Ar>
@@ -539,23 +489,6 @@ SnapshotAccess::io(Ar &ar, MemorySystem &v)
         v.l1iFills_.rebuildHeap();
         v.l1dFills_.rebuildHeap();
     }
-    io(ar, v.demandLoads);
-    io(ar, v.demandStores);
-    io(ar, v.llcDemandMisses);
-    io(ar, v.llcLoadMisses);
-    io(ar, v.queueRejects);
-    io(ar, v.prefetchesIssued);
-    io(ar, v.mshrMerges);
-    io(ar, v.memRetries);
-    io(ar, v.memTimeouts);
-    io(ar, v.memRetryFailures);
-    io(ar, v.queueFaultStalls);
-    io(ar, v.llcEvictedByOthers);
-    io(ar, v.bankConflicts);
-    io(ar, v.bankConflictWaitCycles);
-    io(ar, v.sharedMshrPeersHeld);
-    io(ar, v.queueRejectsContended);
-    io(ar, v.addrHighMasked);
     io(ar, *v.shared_); // Images hold one core: its chip is its own.
 }
 
@@ -570,9 +503,6 @@ SnapshotAccess::io(Ar &ar, RunaheadCache &v)
         field(a, l.lruStamp);
     });
     field(ar, v.lruCounter_);
-    io(ar, v.writes);
-    io(ar, v.readHits);
-    io(ar, v.readMisses);
 }
 
 template <class Ar>
@@ -583,9 +513,6 @@ SnapshotAccess::io(Ar &ar, RunaheadBuffer &v)
     field(ar, v.chain_);
     field(ar, v.index_);
     field(ar, v.iterations_);
-    io(ar, v.fills);
-    io(ar, v.opsIssued);
-    io(ar, v.loops);
 }
 
 template <class Ar>
@@ -599,22 +526,6 @@ SnapshotAccess::io(Ar &ar, ChainCache &v)
         field(a, s.lruStamp);
     });
     field(ar, v.lruCounter_);
-    io(ar, v.hits);
-    io(ar, v.misses);
-    io(ar, v.inserts);
-}
-
-template <class Ar>
-void
-SnapshotAccess::io(Ar &ar, ChainGenerator &v)
-{
-    // The SRSL, included-set and CAM-lookup buffers are per-call
-    // scratch.
-    io(ar, v.attempts);
-    io(ar, v.noPcMatch);
-    io(ar, v.overflows);
-    io(ar, v.generatedChains);
-    io(ar, v.generatedOps);
 }
 
 template <class Ar>
@@ -642,12 +553,6 @@ SnapshotAccess::io(Ar &ar, ChainAnalysis &v)
         }
     }
     field(ar, v.intervalExecuted_);
-    io(ar, v.opsExecuted);
-    io(ar, v.opsNecessary);
-    io(ar, v.chainsTotal);
-    io(ar, v.chainsRepeated);
-    io(ar, v.chainLengthSum);
-    io(ar, v.chainsMeasured);
 }
 
 template <class Ar>
@@ -659,12 +564,6 @@ SnapshotAccess::io(Ar &ar, DegradationLadder &v)
     field(ar, v.cycle_);
     field(ar, v.lastFaultCycle_);
     field(ar, v.levelValue_);
-    io(ar, v.faultsObserved);
-    io(ar, v.degradeSteps);
-    io(ar, v.reenableSteps);
-    io(ar, v.toNoChainCache);
-    io(ar, v.toNoBuffer);
-    io(ar, v.toNoRunahead);
 }
 
 template <class Ar>
@@ -696,20 +595,6 @@ SnapshotAccess::io(Ar &ar, ChainEngine &v)
         field(a, f.slot);
     });
     field(ar, v.cycle_);
-    io(ar, v.chainsShipped);
-    io(ar, v.chainReplacements);
-    io(ar, v.uopsExecuted);
-    io(ar, v.loadsExecuted);
-    io(ar, v.storeUopsSeen);
-    io(ar, v.storesContained);
-    io(ar, v.prefetchesIssued);
-    io(ar, v.prefetchesTimely);
-    io(ar, v.prefetchesLate);
-    io(ar, v.prefetchesUnused);
-    io(ar, v.iterations);
-    io(ar, v.deschedules);
-    io(ar, v.queueStalls);
-    io(ar, v.pacingStalls);
 }
 
 template <class Ar>
@@ -719,37 +604,11 @@ SnapshotAccess::io(Ar &ar, RunaheadController &v)
     field(ar, v.mode_);
     field(ar, v.blockingReady_);
     field(ar, v.bufferIssueStart_);
-    field(ar, v.enteredAt_);
-    field(ar, v.missesAtEntry_);
     field(ar, v.farthestInstr_);
-    io(ar, v.intervalLengths_);
-    io(ar, v.intervalMlp_);
     io(ar, v.runaheadCache_);
-    io(ar, v.chainGen_);
     io(ar, v.chainCache_);
     io(ar, v.buffer_);
     io(ar, v.ladder_);
-    io(ar, v.intervals);
-    io(ar, v.traditionalIntervals);
-    io(ar, v.bufferIntervals);
-    io(ar, v.cyclesTraditional);
-    io(ar, v.cyclesBuffer);
-    io(ar, v.chainGenCycles);
-    io(ar, v.runaheadMisses);
-    io(ar, v.suppressedShort);
-    io(ar, v.suppressedOverlap);
-    io(ar, v.noChainNoEntry);
-    io(ar, v.chainCacheExactHits);
-    io(ar, v.chainCacheCheckedHits);
-    io(ar, v.checkpoints);
-    io(ar, v.pcCamSearches);
-    io(ar, v.regCamSearches);
-    io(ar, v.sqCamSearches);
-    io(ar, v.robChainReads);
-    io(ar, v.speculativeFaults);
-    io(ar, v.cachedChainsRejected);
-    io(ar, v.degradedNoEntry);
-    io(ar, v.degradedTraditional);
 }
 
 template <class Ar>
@@ -758,11 +617,6 @@ SnapshotAccess::io(Ar &ar, FaultInjector &v)
 {
     io(ar, v.rng_);
     field(ar, v.stallUntil_);
-    io(ar, v.chainCorruptions);
-    io(ar, v.uopFlips);
-    io(ar, v.dramDrops);
-    io(ar, v.dramDelays);
-    io(ar, v.memStallWindows);
 }
 
 template <class Ar>
@@ -772,8 +626,6 @@ SnapshotAccess::io(Ar &ar, ForwardProgressWatchdog &v)
     field(ar, v.lastFireRetired_);
     field(ar, v.firedBefore_);
     field(ar, v.consecutive_);
-    io(ar, v.fires);
-    io(ar, v.recoveries);
 }
 
 template <class Ar>
@@ -783,9 +635,6 @@ SnapshotAccess::io(Ar &ar, InvariantChecker &v)
     field(ar, v.now_);
     field(ar, v.inRunahead_);
     field(ar, v.entrySnapshot_);
-    io(ar, v.checksRun);
-    io(ar, v.violations);
-    io(ar, v.violationsRouted);
 }
 
 template <class Ar>
@@ -840,31 +689,6 @@ SnapshotAccess::io(Ar &ar, Core &v)
     field(ar, v.entryDeniedLadderSteps_);
     field(ar, v.pipelineActivity_);
     field(ar, v.resumePc_);
-    io(ar, v.committedUops);
-    io(ar, v.pseudoRetiredUops);
-    io(ar, v.renamedUops);
-    io(ar, v.issuedUops);
-    io(ar, v.issuedMemUops);
-    io(ar, v.prfReads);
-    io(ar, v.prfWrites);
-    io(ar, v.robWrites);
-    io(ar, v.robReads);
-    io(ar, v.memStallCycles);
-    io(ar, v.stallLoadOther);
-    io(ar, v.stallExec);
-    io(ar, v.stallEmptyRob);
-    io(ar, v.robFullCycles);
-    io(ar, v.squashedUops);
-    io(ar, v.fig2MissTotal);
-    io(ar, v.fig2MissSrcOnChip);
-    io(ar, v.loadsForwarded);
-    io(ar, v.runaheadCacheForwards);
-    io(ar, v.loadQueueRetries);
-    io(ar, v.storeQueueRetries);
-    io(ar, v.memFaultRetries);
-    io(ar, v.watchdogFlushes);
-    io(ar, v.ffWindows);
-    io(ar, v.ffSkippedCycles);
 }
 
 /* ------------------------------------------------------------------ */
@@ -1009,6 +833,23 @@ requireOneCore(const Simulation &sim)
     }
 }
 
+/** Images carry no stat counters, so they are exact only where every
+ *  counter reads zero on both sides: refuse a simulation where one
+ *  does not, whose resume would otherwise be silently inexact. */
+void
+requireZeroCounters(Simulation &sim)
+{
+    FaultInjector *faults = sim.faults();
+    if (!sim.core().stats().countersZero()
+        || !sim.memory().stats().countersZero()
+        || (faults && !faults->stats().countersZero())) {
+        throw SnapshotError(SnapshotErrorKind::kMismatch,
+                            "stat counters are not zero (images are "
+                            "taken at the warmup boundary and restored "
+                            "into a fresh simulation)");
+    }
+}
+
 /** A fork-grade image must be captured outside any runahead interval,
  *  with no speculative runahead structure holding live state. The
  *  canonical warmup policy (baseline, no runahead) guarantees this;
@@ -1120,6 +961,7 @@ std::string
 captureSnapshot(Simulation &sim)
 {
     requireOneCore(sim);
+    requireZeroCounters(sim);
     SnapshotWriter w;
     w.bytes(kPayloadMagic, sizeof(kPayloadMagic));
     std::uint32_t version = kSnapshotFormatVersion;
@@ -1175,6 +1017,7 @@ restoreSnapshot(Simulation &sim, const std::string &payload,
                 SnapshotRestoreMode mode)
 {
     requireOneCore(sim);
+    requireZeroCounters(sim);
     SnapshotReader r(payload);
     checkPayloadHeader(r);
 

@@ -11,13 +11,17 @@
  *     resumed run is bit-identical to the straight-line run (commit
  *     stream, cycles, canonical stat payload), clean or faulted.
  *   - kFork: config variants fork from a shared warmup image. Only
- *     warmup-relevant state (core pipeline, caches, DRAM, predictors,
- *     stats) must match, so the image's *warmup* digest is checked and
+ *     warmup-relevant state (core pipeline, caches, DRAM, predictors)
+ *     must match, so the image's *warmup* digest is checked and
  *     the variant-specific sections (runahead controller, chain
  *     engine) are skipped: each variant re-derives them from its own
  *     fresh construction. Fork restore requires a fork-safe image —
  *     captured outside any runahead interval (guaranteed when the
  *     warmup ran under the baseline policy).
+ *
+ * Images carry no stat counters: a capture follows runWarmup(), which
+ * zeroes them, and a restore targets a fresh simulation. Both refuse a
+ * simulation whose counters are not all zero (SnapshotError kMismatch).
  *
  * File frame: magic "RABSNAPF" + u32 format version + u32 CRC32 of
  * the payload + u64 payload length + payload. The payload itself is
@@ -40,7 +44,7 @@ class Simulation;
 struct SimConfig;
 
 /** Snapshot payload format version (bump on any layout change). */
-inline constexpr std::uint32_t kSnapshotFormatVersion = 4;
+inline constexpr std::uint32_t kSnapshotFormatVersion = 5;
 
 /** How a snapshot is applied to a simulation. */
 enum class SnapshotRestoreMode
@@ -67,12 +71,14 @@ struct SnapshotMeta
 };
 
 /** Serialize the complete simulation state to a payload string. An
- *  image holds one core: throws SnapshotError(kMismatch) when @p sim
- *  has more than one. */
+ *  image holds one core and no counters: throws
+ *  SnapshotError(kMismatch) when @p sim has more than one core or a
+ *  non-zero stat counter. */
 std::string captureSnapshot(Simulation &sim);
 
 /** Apply @p payload to @p sim. Throws SnapshotError on any mismatch
- *  (a multi-core @p sim included), corruption or format problem;
+ *  (a multi-core @p sim, or one with a non-zero stat counter,
+ *  included), corruption or format problem;
  *  @p sim must then be discarded (it may be partially overwritten). */
 void restoreSnapshot(Simulation &sim, const std::string &payload,
                      SnapshotRestoreMode mode);

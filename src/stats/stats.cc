@@ -1,65 +1,9 @@
 #include "stats/stats.hh"
 
-#include <limits>
-
 #include "common/logging.hh"
 
 namespace rab
 {
-
-Distribution::Distribution(std::uint64_t low, std::uint64_t high,
-                           std::uint64_t bucket_size)
-    : low_(low), high_(high), bucketSize_(bucket_size),
-      min_(std::numeric_limits<std::uint64_t>::max())
-{
-    if (high <= low || bucket_size == 0)
-        panic("Distribution: bad bucket spec [%lu, %lu) / %lu",
-              (unsigned long)low, (unsigned long)high,
-              (unsigned long)bucket_size);
-    buckets_.assign((high - low + bucket_size - 1) / bucket_size, 0);
-}
-
-void
-Distribution::sample(std::uint64_t value, std::uint64_t count)
-{
-    samples_ += count;
-    sum_ += value * count;
-    if (value < min_)
-        min_ = value;
-    if (value > max_)
-        max_ = value;
-    if (value < low_) {
-        underflow_ += count;
-    } else if (value >= high_) {
-        overflow_ += count;
-    } else {
-        buckets_[(value - low_) / bucketSize_] += count;
-    }
-}
-
-double
-Distribution::mean() const
-{
-    return samples_ ? static_cast<double>(sum_) / samples_ : 0.0;
-}
-
-std::uint64_t
-Distribution::bucketCount(std::uint64_t value) const
-{
-    if (value < low_)
-        return underflow_;
-    if (value >= high_)
-        return overflow_;
-    return buckets_[(value - low_) / bucketSize_];
-}
-
-void
-Distribution::reset()
-{
-    buckets_.assign(buckets_.size(), 0);
-    underflow_ = overflow_ = samples_ = sum_ = max_ = 0;
-    min_ = std::numeric_limits<std::uint64_t>::max();
-}
 
 StatGroup::StatGroup(std::string name)
     : name_(std::move(name))
@@ -74,17 +18,15 @@ StatGroup::StatGroup(std::string name, StatGroup *parent)
 }
 
 void
-StatGroup::addCounter(const std::string &name, Counter *counter,
-                      const std::string &desc)
+StatGroup::addCounter(const std::string &name, Counter *counter)
 {
-    entries_.push_back(Entry{name, counter, nullptr, desc});
+    entries_.push_back(Entry{name, counter, nullptr});
 }
 
 void
-StatGroup::addScalar(const std::string &name, const double *value,
-                     const std::string &desc)
+StatGroup::addScalar(const std::string &name, const double *value)
 {
-    entries_.push_back(Entry{name, nullptr, value, desc});
+    entries_.push_back(Entry{name, nullptr, value});
 }
 
 void
@@ -157,6 +99,20 @@ StatGroup::resetCounters()
     }
     for (auto *child : children_)
         child->resetCounters();
+}
+
+bool
+StatGroup::countersZero() const
+{
+    for (const auto &e : entries_) {
+        if (e.counter && e.counter->value() != 0)
+            return false;
+    }
+    for (const auto *child : children_) {
+        if (!child->countersZero())
+            return false;
+    }
+    return true;
 }
 
 } // namespace rab

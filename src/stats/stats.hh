@@ -4,11 +4,12 @@
  *
  * Components register named statistics with a StatGroup; groups nest to
  * form a tree that collect() flattens into dotted names (the payload
- * Simulation::statPayload() reports). Three stat kinds cover the
+ * Simulation::statPayload() reports). Two stat kinds cover the
  * simulator's needs:
- *   - Counter:      a monotonically increasing scalar event count.
- *   - ScalarValue:  an arbitrary scalar sampled at collect time.
- *   - Distribution: bucketed samples with mean/min/max.
+ *   - Counter: a monotonically increasing event count.
+ *   - Scalar:  an arbitrary double read at collect time.
+ * A registration is a name and a pointer; the member's own doc comment
+ * is its documentation.
  */
 
 #ifndef RAB_STATS_STATS_HH
@@ -25,7 +26,6 @@ namespace rab
 /** A monotonically increasing event counter. */
 class Counter
 {
-    friend struct SnapshotAccess; ///< src/snapshot serializer.
   public:
     Counter() = default;
 
@@ -37,40 +37,6 @@ class Counter
 
   private:
     std::uint64_t value_ = 0;
-};
-
-/** Bucketed samples with running mean/min/max. */
-class Distribution
-{
-    friend struct SnapshotAccess; ///< src/snapshot serializer.
-  public:
-    /** Buckets cover [low, high) in steps of bucket_size. */
-    Distribution(std::uint64_t low, std::uint64_t high,
-                 std::uint64_t bucket_size);
-
-    void sample(std::uint64_t value, std::uint64_t count = 1);
-
-    std::uint64_t samples() const { return samples_; }
-    double mean() const;
-    std::uint64_t min() const { return min_; }
-    std::uint64_t max() const { return max_; }
-
-    /** Count in the bucket that holds @p value. */
-    std::uint64_t bucketCount(std::uint64_t value) const;
-
-    void reset();
-
-  private:
-    std::uint64_t low_;
-    std::uint64_t high_;
-    std::uint64_t bucketSize_;
-    std::vector<std::uint64_t> buckets_;
-    std::uint64_t underflow_ = 0;
-    std::uint64_t overflow_ = 0;
-    std::uint64_t samples_ = 0;
-    std::uint64_t sum_ = 0;
-    std::uint64_t min_;
-    std::uint64_t max_ = 0;
 };
 
 /**
@@ -98,10 +64,8 @@ class StatGroup
 
     const std::string &name() const { return name_; }
 
-    void addCounter(const std::string &name, Counter *counter,
-                    const std::string &desc = "");
-    void addScalar(const std::string &name, const double *value,
-                   const std::string &desc = "");
+    void addCounter(const std::string &name, Counter *counter);
+    void addScalar(const std::string &name, const double *value);
     void addChild(StatGroup *child);
 
     /** Flatten this group's subtree into dotted-name → value pairs. */
@@ -111,6 +75,9 @@ class StatGroup
     double get(const std::string &dotted_name) const;
 
     void resetCounters();
+
+    /** True when every counter in this group's subtree reads zero. */
+    bool countersZero() const;
 
     /**
      * Assert exclusive ownership of this subtree for @p owner (one
@@ -133,7 +100,6 @@ class StatGroup
         std::string name;
         Counter *counter = nullptr;
         const double *scalar = nullptr;
-        std::string desc;
     };
 
     void collectInto(const std::string &prefix,

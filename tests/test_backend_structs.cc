@@ -352,7 +352,6 @@ TEST(StoreQueue, UnknownOlderAddressBlocks)
     sq.allocate(1, 0); // address never computed
     const SqSearch r = sq.searchForLoad(2, 0x200);
     EXPECT_EQ(r.kind, SqSearch::Kind::kUnknownAddr);
-    EXPECT_EQ(sq.unknownAddrStalls.value(), 1u);
 }
 
 TEST(StoreQueue, MatchWithoutDataIsNotReady)

@@ -149,6 +149,8 @@ runReference(const SimConfig &config, const std::string &workload)
         straightLineRun(core, config.warmupInstructions, config.maxCycles);
         core.stats().resetCounters();
         mem.stats().resetCounters();
+        if (faults)
+            faults->stats().resetCounters();
     }
 
     const Cycle start = core.cycle();

@@ -157,7 +157,7 @@ TEST_F(ControllerFixture, ChainCacheHitSkipsGeneration)
     ASSERT_TRUE(first.enter);
     EXPECT_FALSE(first.usedCachedChain);
     ctrl.enter(first, 0, 100, 50);
-    ctrl.exit(100, 60);
+    ctrl.exit(60);
     const EntryDecision second =
         ctrl.decideEntry(rob, sq, *head, 400, 80);
     ASSERT_TRUE(second.enter);
@@ -186,7 +186,7 @@ TEST_F(ControllerFixture, Enhancement2SuppressesOverlap)
     const EntryDecision d = ctrl.decideEntry(rob, sq, *head, 200, 50);
     ASSERT_TRUE(d.enter);
     ctrl.enter(d, 0, 100, /*retired=*/50);
-    ctrl.exit(100, /*farthest=*/90); // covered up to instruction 90
+    ctrl.exit(/*farthest=*/90); // covered up to instruction 90
     // Re-entry at retired=70 (< 90) overlaps the last interval.
     const EntryDecision d2 = ctrl.decideEntry(rob, sq, *head, 260, 70);
     EXPECT_FALSE(d2.enter);
@@ -208,7 +208,7 @@ TEST_F(ControllerFixture, IntervalBookkeeping)
     ctrl.noteRunaheadMiss();
     ctrl.noteRunaheadMiss();
     ctrl.tickCycle();
-    ctrl.exit(110, 60);
+    ctrl.exit(60);
     EXPECT_FALSE(ctrl.inRunahead());
     EXPECT_EQ(ctrl.intervals.value(), 1u);
     EXPECT_DOUBLE_EQ(ctrl.missesPerInterval(), 2.0);
@@ -225,7 +225,7 @@ TEST_F(ControllerFixture, BufferIssueDelayedByGeneration)
     EXPECT_EQ(ctrl.bufferIssueStart(),
               static_cast<Cycle>(10 + d.generationCycles));
     EXPECT_TRUE(ctrl.buffer().active());
-    ctrl.exit(200, 50);
+    ctrl.exit(50);
     EXPECT_FALSE(ctrl.buffer().active());
 }
 
@@ -235,7 +235,7 @@ TEST_F(ControllerFixture, RunaheadCacheClearedOnExit)
     const EntryDecision d = ctrl.decideEntry(rob, sq, *head, 200, 50);
     ctrl.enter(d, 0, 100, 50);
     ctrl.runaheadCache().write(0x100, 7);
-    ctrl.exit(100, 60);
+    ctrl.exit(60);
     std::uint64_t data = 0;
     EXPECT_FALSE(ctrl.runaheadCache().read(0x100, data));
 }

@@ -6,8 +6,8 @@
  * statistical observable. For all six runahead configurations, and
  * again under speculative fault injection, a restore-resumed run must
  * produce a byte-identical commit stream, identical cycle count and an
- * identical full statistics payload (core + memory) compared to the
- * straight-line run that never snapshotted.
+ * identical full statistics payload (core, memory and faults) compared
+ * to the straight-line run that never snapshotted.
  *
  * Also certifies the failure surface: truncated, bit-flipped,
  * wrong-magic and wrong-version files are rejected with the right
@@ -91,13 +91,12 @@ hookCommits(Simulation &sim, RunCapture &cap)
     });
 }
 
+/** The measured region's whole payload: core, mem and, under
+ *  injection, faults. */
 void
 collectStats(Simulation &sim, RunCapture &cap)
 {
-    cap.stats = sim.core().stats().collect();
-    const std::map<std::string, double> mem =
-        sim.memory().stats().collect();
-    cap.stats.insert(mem.begin(), mem.end());
+    cap.stats = sim.statPayload();
 }
 
 /** The reference arm: warmup and measured region in one simulation,
@@ -184,6 +183,40 @@ TEST(Snapshot, ExactRestoreMatchesStraightLineUnderFaults)
         expectIdentical(runViaSnapshot(config), runStraight(config),
                         rc);
     }
+}
+
+TEST(Snapshot, CaptureRefusesNonZeroCounters)
+{
+    // Images carry no stat counters, so an image is exact only where
+    // every counter reads zero: after runWarmup() on the capture side
+    // and in a fresh simulation on the restore side. A simulation that
+    // has run must be refused on either side, never resumed inexactly.
+    const SimConfig config = makeTestConfig(RunaheadConfig::kHybrid, true);
+    const auto expect_mismatch = [](auto fn, const char *what) {
+        try {
+            fn();
+            ADD_FAILURE() << what << " accepted";
+        } catch (const SnapshotError &e) {
+            EXPECT_EQ(e.kind(), SnapshotErrorKind::kMismatch)
+                << what << ": " << snapshotErrorKindName(e.kind());
+        }
+    };
+
+    Simulation ran(config, buildSuiteWorkload("mcf"));
+    ran.run();
+    expect_mismatch([&] { captureSnapshot(ran); }, "capture after run()");
+
+    std::string payload;
+    {
+        Simulation warm(config, buildSuiteWorkload("mcf"));
+        warm.runWarmup();
+        payload = captureSnapshot(warm);
+    }
+    expect_mismatch(
+        [&] {
+            restoreSnapshot(ran, payload, SnapshotRestoreMode::kExact);
+        },
+        "restore into a simulation that has run");
 }
 
 TEST(Snapshot, ExactRestoreThroughLlcEvictionsAllConfigs)
@@ -626,7 +659,7 @@ TEST_F(SnapshotFileTest, RejectsWrongVersion)
 {
     // The version u32 sits right after the 8-byte magic, in the file
     // frame and in the payload alike. Images of the previous format
-    // (dense tables) are version skew too.
+    // (which carried stat counters) are version skew too.
     const std::string good = readRaw();
     for (const std::uint32_t version : {99u, kSnapshotFormatVersion - 1}) {
         std::string raw = good;

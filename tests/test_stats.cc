@@ -23,55 +23,13 @@ TEST(Counter, IncrementAndAdd)
     EXPECT_EQ(c.value(), 0u);
 }
 
-TEST(Distribution, MeanMinMax)
-{
-    Distribution d(0, 100, 10);
-    d.sample(5);
-    d.sample(15);
-    d.sample(25, 2);
-    EXPECT_EQ(d.samples(), 4u);
-    EXPECT_DOUBLE_EQ(d.mean(), (5 + 15 + 25 + 25) / 4.0);
-    EXPECT_EQ(d.min(), 5u);
-    EXPECT_EQ(d.max(), 25u);
-}
-
-TEST(Distribution, Buckets)
-{
-    Distribution d(0, 100, 10);
-    d.sample(5);
-    d.sample(7);
-    d.sample(15);
-    EXPECT_EQ(d.bucketCount(3), 2u);  // bucket [0, 10)
-    EXPECT_EQ(d.bucketCount(12), 1u); // bucket [10, 20)
-    EXPECT_EQ(d.bucketCount(95), 0u);
-}
-
-TEST(Distribution, OverflowUnderflow)
-{
-    Distribution d(10, 20, 5);
-    d.sample(5);   // underflow
-    d.sample(100); // overflow
-    EXPECT_EQ(d.bucketCount(5), 1u);
-    EXPECT_EQ(d.bucketCount(100), 1u);
-    EXPECT_EQ(d.samples(), 2u);
-}
-
-TEST(Distribution, Reset)
-{
-    Distribution d(0, 10, 1);
-    d.sample(5);
-    d.reset();
-    EXPECT_EQ(d.samples(), 0u);
-    EXPECT_EQ(d.bucketCount(5), 0u);
-}
-
 TEST(StatGroup, CollectAndGet)
 {
     StatGroup root("root");
     Counter c;
     c += 3;
     double scalar = 1.5;
-    root.addCounter("events", &c, "event counter");
+    root.addCounter("events", &c);
     root.addScalar("ratio", &scalar);
 
     StatGroup child("child", &root);
@@ -112,6 +70,21 @@ TEST(StatGroup, ResetCountersRecursive)
     root.resetCounters();
     EXPECT_EQ(a.value(), 0u);
     EXPECT_EQ(b.value(), 0u);
+}
+
+TEST(StatGroup, CountersZeroCoversTheSubtree)
+{
+    StatGroup root("root");
+    StatGroup child("child", &root);
+    Counter b;
+    double scalar = 2.0; // A scalar is state, not a counter.
+    root.addScalar("s", &scalar);
+    child.addCounter("b", &b);
+    EXPECT_TRUE(root.countersZero());
+    ++b;
+    EXPECT_FALSE(root.countersZero());
+    root.resetCounters();
+    EXPECT_TRUE(root.countersZero());
 }
 
 TEST(StatGroup, GetUnknownPanics)

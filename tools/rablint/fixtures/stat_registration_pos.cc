@@ -8,10 +8,8 @@ struct Counter
 
 struct StatGroup
 {
-    void addCounter(const std::string &name, Counter *counter,
-                    const std::string &desc = "");
-    void addScalar(const std::string &name, const double *value,
-                   const std::string &desc = "");
+    void addCounter(const std::string &name, Counter *counter);
+    void addScalar(const std::string &name, const double *value);
 };
 
 std::string perCoreStatName(int core, const std::string &name);
@@ -20,16 +18,16 @@ void
 registerStats(StatGroup &stats, Counter &a, Counter &b,
               const std::string &dynamic_name, const double *value)
 {
-    stats.addCounter("hits", &a, "cache hits");
-    stats.addCounter("hits", &b, "duplicate!");   // EXPECT: rab-stat-registration
-    stats.addCounter(dynamic_name, &a, "oops");   // EXPECT: rab-stat-registration
-    stats.addScalar("ipc", value, "committed IPC");
+    stats.addCounter("hits", &a);
+    stats.addCounter("hits", &b);                 // EXPECT: rab-stat-registration
+    stats.addCounter(dynamic_name, &a);           // EXPECT: rab-stat-registration
+    stats.addScalar("ipc", value);
     stats.addScalar("ipc" + dynamic_name, value); // EXPECT: rab-stat-registration
 
     // Per-core indexed names: the same perCoreStatName spelling twice
     // on one group registers the same name twice — a duplicate...
-    stats.addCounter(perCoreStatName(0, "mshr_peak"), &a, "peak");
-    stats.addCounter(perCoreStatName(0, "mshr_peak"), &b, "dup"); // EXPECT: rab-stat-registration
+    stats.addCounter(perCoreStatName(0, "mshr_peak"), &a);
+    stats.addCounter(perCoreStatName(0, "mshr_peak"), &b); // EXPECT: rab-stat-registration
     // ...and a per-core name with no literal inside is still dynamic.
     stats.addCounter(perCoreStatName(2, dynamic_name), &a); // EXPECT: rab-stat-registration
 }
