@@ -346,7 +346,6 @@ makeSimConfig(const Options &opts, int cores)
     config.instructions = opts.instructions;
     config.warmupInstructions = opts.warmup;
     config.checkLevel = opts.checkLevel;
-    config.core.checkLevel = opts.checkLevel;
     config.checkPolicy = opts.checkPolicy;
     config.fault = opts.fault;
     config.fastForward = opts.fastForward;

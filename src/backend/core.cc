@@ -132,13 +132,6 @@ Core::archReg(ArchReg reg) const
     return archValues_[reg];
 }
 
-double
-Core::ipc() const
-{
-    return cycle_ == 0 ? 0.0
-        : static_cast<double>(retired_) / static_cast<double>(cycle_);
-}
-
 void
 Core::tick()
 {

@@ -120,7 +120,6 @@ class Core
 
     Cycle cycle() const { return cycle_; }
     std::uint64_t retired() const { return retired_; }
-    double ipc() const;
 
     /** Hook invoked for every architecturally retired uop (testing /
      *  tracing). */
@@ -144,9 +143,7 @@ class Core
     InvariantChecker &checker() { return *checker_; }
     const InvariantChecker &checker() const { return *checker_; }
     Frontend &frontend() { return *frontend_; }
-    BranchPredictor &branchPredictor() { return bp_; }
     ChainAnalysis &chainAnalysis() { return chainAnalysis_; }
-    FunctionalMemory &memImage() { return funcMem_; }
     MemorySystem &memory() { return *mem_; }
     const CoreConfig &config() const { return config_; }
     StatGroup &stats() { return statGroup_; }
@@ -155,10 +152,9 @@ class Core
     /** Architectural value of @p reg (committed state). */
     std::uint64_t archReg(ArchReg reg) const;
 
-    /** @{ Scheduler/LSQ event counts (energy model inputs). */
+    /** @{ Scheduler event counts (energy model inputs). */
     std::uint64_t rsInsertCount() const { return rs_.inserts.value(); }
     std::uint64_t rsWakeupCount() const { return rs_.wakeups.value(); }
-    std::uint64_t sqSearchCount() const { return sq_.searches.value(); }
     /** @} */
 
     /** @{ Statistics (also energy events). */

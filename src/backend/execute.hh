@@ -87,8 +87,6 @@ class IssuePorts
         return true;
     }
 
-    int remainingWidth() const { return width_ - usedWidth_; }
-
   private:
     int width_;
     int memPorts_;

@@ -7,10 +7,67 @@
 #include <cstring>
 #include <filesystem>
 
+#include "common/hash.hh"
 #include "common/logging.hh"
 
 namespace rab
 {
+
+namespace
+{
+
+constexpr std::size_t kHeaderBytes = 8 + 4 + 4 + 8;
+
+void
+putLe(std::string &out, std::uint64_t v, int bytes)
+{
+    for (int i = 0; i < bytes; ++i)
+        out += static_cast<char>((v >> (8 * i)) & 0xFFu);
+}
+
+std::uint64_t
+getLe(std::string_view in, std::size_t at, int bytes)
+{
+    std::uint64_t v = 0;
+    for (int i = bytes - 1; i >= 0; --i)
+        v = (v << 8) | static_cast<unsigned char>(in[at + i]);
+    return v;
+}
+
+} // namespace
+
+std::string
+frameBytes(const char (&magic)[8], std::uint32_t version,
+           std::string_view body)
+{
+    std::string framed;
+    framed.reserve(kHeaderBytes + body.size());
+    framed.append(magic, sizeof(magic));
+    putLe(framed, version, 4);
+    putLe(framed, crc32(body.data(), body.size()), 4);
+    putLe(framed, body.size(), 8);
+    framed += body;
+    return framed;
+}
+
+FrameStatus
+unframeBytes(std::string_view raw, const char (&magic)[8],
+             std::uint32_t version, std::string &body)
+{
+    if (raw.size() < kHeaderBytes)
+        return FrameStatus::kTruncated;
+    if (std::memcmp(raw.data(), magic, sizeof(magic)) != 0)
+        return FrameStatus::kMagic;
+    if (getLe(raw, 8, 4) != version)
+        return FrameStatus::kVersion;
+    const std::string_view framed_body = raw.substr(kHeaderBytes);
+    if (getLe(raw, 16, 8) != framed_body.size())
+        return FrameStatus::kTruncated;
+    if (crc32(framed_body.data(), framed_body.size()) != getLe(raw, 12, 4))
+        return FrameStatus::kCrc;
+    body = framed_body;
+    return FrameStatus::kOk;
+}
 
 std::string
 writeFileDurably(const std::string &tmp_path, const std::string &path,

@@ -236,7 +236,6 @@ class Simulation
     std::vector<std::uint64_t> targets_; ///< Per-phase retire targets.
     std::vector<char> done_;             ///< Crossed this phase's target.
     std::vector<SimResult> results_;
-    std::vector<std::map<std::string, double>> corePayloads_;
     std::map<std::string, double> payload_;
 };
 

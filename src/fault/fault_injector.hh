@@ -72,16 +72,6 @@ struct FaultConfig
     // rablint: cycle-ok (bounded fault-knob; applied via Cycle math)
     int memStallCycles = 200; ///< Stall window length.
 
-    bool anySpeculative() const
-    {
-        return chainCacheRate > 0.0 || bufferUopRate > 0.0;
-    }
-    bool anyMemory() const
-    {
-        return dramDropRate > 0.0 || dramDelayRate > 0.0
-            || memStallRate > 0.0;
-    }
-
     /** Convenience: set every rate at once (rabsim --fault-rate). */
     void setAllRates(double rate)
     {

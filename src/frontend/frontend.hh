@@ -72,8 +72,6 @@ class Frontend
     void setGated(bool gated) { gated_ = gated; }
     bool gated() const { return gated_; }
 
-    Pc fetchPc() const { return fetchPc_; }
-
     /** @{ Fast-forward queries: expose the conditions under which
      *  tick() performs no work, so the core can prove a cycle window
      *  is quiescent before skipping it. */

@@ -42,9 +42,6 @@ class FunctionalMemory
     /** Install the generator used for never-written locations. */
     void setBackground(BackgroundFn fn);
 
-    /** Number of explicitly written words. */
-    std::size_t dirtyWords() const { return mem_.size(); }
-
     /** Drop all explicit writes (background remains installed). */
     void clear() { mem_.clear(); }
 

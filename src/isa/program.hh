@@ -35,7 +35,6 @@ class Program
     explicit Program(std::string name) : name_(std::move(name)) {}
 
     const std::string &name() const { return name_; }
-    void setName(std::string name) { name_ = std::move(name); }
 
     /** The static uop at @p pc. PCs wrap modulo program size. */
     const Uop &fetch(Pc pc) const;

@@ -59,7 +59,6 @@ class Cache
     /** Line-align an address. */
     Addr lineAddr(Addr addr) const { return addr & ~Addr(lineBytes() - 1); }
     int lineBytes() const { return config_.lineBytes; }
-    int numSets() const { return numSets_; }
 
     /**
      * Look up @p addr. On a hit, updates LRU, clears the prefetch bit,

@@ -1131,20 +1131,9 @@ restoreSnapshot(Simulation &sim, const std::string &payload,
 void
 writeSnapshotFile(const std::string &path, const std::string &payload)
 {
-    SnapshotWriter w;
-    w.bytes(kFileMagic, sizeof(kFileMagic));
-    std::uint32_t version = kSnapshotFormatVersion;
-    field(w, version);
-    std::uint32_t crc = crc32(payload.data(), payload.size());
-    field(w, crc);
-    std::uint64_t len = payload.size();
-    field(w, len);
-    std::string framed = w.take();
-    framed += payload;
-
     const std::string error = writeFileDurably(
         strprintf("%s.%d.tmp", path.c_str(), (int)::getpid()), path,
-        framed);
+        frameBytes(kFileMagic, kSnapshotFormatVersion, payload));
     if (!error.empty())
         throw SnapshotError(SnapshotErrorKind::kIo, error);
 }
@@ -1157,49 +1146,39 @@ readSnapshotFile(const std::string &path)
         throw SnapshotError(SnapshotErrorKind::kIo,
                             strprintf("cannot open %s", path.c_str()));
     }
-    std::string framed((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
+    const std::string framed((std::istreambuf_iterator<char>(in)),
+                             std::istreambuf_iterator<char>());
     if (in.bad()) {
         throw SnapshotError(SnapshotErrorKind::kIo,
                             strprintf("read error on %s", path.c_str()));
     }
 
-    SnapshotReader r(framed);
-    char magic[8];
-    r.bytes(magic, sizeof(magic));
-    if (std::memcmp(magic, kFileMagic, sizeof(magic)) != 0) {
+    std::string payload;
+    switch (unframeBytes(framed, kFileMagic, kSnapshotFormatVersion,
+                         payload)) {
+    case FrameStatus::kOk:
+        return payload;
+    case FrameStatus::kTruncated:
+        throw SnapshotError(SnapshotErrorKind::kTruncated,
+                            strprintf("%s: %zu bytes, cut short of its "
+                                      "frame",
+                                      path.c_str(), framed.size()));
+    case FrameStatus::kMagic:
         throw SnapshotError(SnapshotErrorKind::kMagic,
                             strprintf("%s is not a snapshot file",
                                       path.c_str()));
-    }
-    std::uint32_t version = 0;
-    field(r, version);
-    if (version != kSnapshotFormatVersion) {
+    case FrameStatus::kVersion:
         throw SnapshotError(
             SnapshotErrorKind::kVersion,
-            strprintf("%s: unsupported snapshot version %u",
-                      path.c_str(), version));
+            strprintf("%s: snapshot version is not this build's %u",
+                      path.c_str(), kSnapshotFormatVersion));
+    case FrameStatus::kCrc:
+        break;
     }
-    std::uint32_t crc = 0;
-    field(r, crc);
-    std::uint64_t len = 0;
-    field(r, len);
-    if (len != r.remaining()) {
-        throw SnapshotError(
-            SnapshotErrorKind::kTruncated,
-            strprintf("%s: framed length %llu, %zu bytes present",
-                      path.c_str(), (unsigned long long)len,
-                      r.remaining()));
-    }
-    std::string payload = framed.substr(framed.size() - r.remaining());
-    const std::uint32_t actual = crc32(payload.data(), payload.size());
-    if (actual != crc) {
-        throw SnapshotError(
-            SnapshotErrorKind::kCrc,
-            strprintf("%s: payload CRC %08x does not match framed %08x",
-                      path.c_str(), actual, crc));
-    }
-    return payload;
+    throw SnapshotError(SnapshotErrorKind::kCrc,
+                        strprintf("%s: payload CRC does not match the "
+                                  "frame",
+                                  path.c_str()));
 }
 
 } // namespace rab

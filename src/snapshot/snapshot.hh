@@ -23,10 +23,11 @@
  * zeroes them, and a restore targets a fresh simulation. Both refuse a
  * simulation whose counters are not all zero (SnapshotError kMismatch).
  *
- * File frame: magic "RABSNAPF" + u32 format version + u32 CRC32 of
- * the payload + u64 payload length + payload. The payload itself is
- * self-describing (see DESIGN.md §16) and can be embedded in other
- * containers (the result store's RABSNAPR records).
+ * A snapshot file is the payload inside common/durable_file's frame
+ * under magic "RABSNAPF" and the format version. The payload itself
+ * is self-describing (see DESIGN.md §16) and can be embedded in other
+ * containers (the result store's RABSNAPR records, in the same
+ * frame).
  */
 
 #ifndef RAB_SNAPSHOT_SNAPSHOT_HH
@@ -97,14 +98,15 @@ std::uint64_t snapshotWarmupDigest(const SimConfig &config);
 /** FNV-1a 64 content hash of a snapshot payload (store keys). */
 std::uint64_t snapshotContentHash(const std::string &payload);
 
-/** Write `payload` to @p path inside the CRC file frame, atomically
- *  and durably (writeFileDurably). Throws SnapshotError(kIo) on
- *  failure. */
+/** Write `payload` to @p path inside the file frame (frameBytes),
+ *  atomically and durably (writeFileDurably). Throws
+ *  SnapshotError(kIo) on failure. */
 void writeSnapshotFile(const std::string &path,
                        const std::string &payload);
 
-/** Read and unframe a snapshot file: validates magic, version and
- *  CRC, returns the payload. Throws SnapshotError on any problem. */
+/** Read and unframe a snapshot file (unframeBytes), returning the
+ *  payload. Throws SnapshotError of the kind matching the frame
+ *  status (truncated, magic, version, crc), or kIo. */
 std::string readSnapshotFile(const std::string &path);
 
 } // namespace rab

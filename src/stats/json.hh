@@ -82,7 +82,6 @@ class Json
     Type type() const { return type_; }
     bool isNull() const { return type_ == Type::kNull; }
     bool isObject() const { return type_ == Type::kObject; }
-    bool isArray() const { return type_ == Type::kArray; }
 
     /** Array/object element count (0 for scalars). */
     std::size_t size() const;

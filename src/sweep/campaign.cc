@@ -185,31 +185,6 @@ buildPointWorkload(const std::string &name, std::uint64_t seed)
 }
 
 /**
- * The config @p point runs under with runahead policy @p runahead:
- * the point's prefetch setting and mix shape plus every spec-level
- * knob. The one place a CampaignSpec becomes a SimConfig, so a point
- * and the warmup image it forks from differ in policy only: runPoint
- * passes the point's own, warmupImageConfig the baseline.
- */
-SimConfig
-pointConfig(const CampaignSpec &spec, const SweepPoint &point,
-            RunaheadConfig runahead)
-{
-    SimConfig config = makeConfig(runahead, point.prefetch);
-    config.instructions = spec.instructions;
-    config.warmupInstructions = spec.warmup;
-    config.checkLevel = spec.checkLevel;
-    config.checkPolicy = spec.checkPolicy;
-    config.fastForward = spec.fastForward;
-    if (point.isMix()) {
-        config.numCores = static_cast<int>(point.mixWorkloads.size());
-        config.corePolicies = point.corePolicies;
-    }
-    config.finalize();
-    return config;
-}
-
-/**
  * Config a warmup image for @p point's group is captured under: the
  * baseline policy, so the image is fork-safe (warmup never enters a
  * runahead interval). Variant-specific policy is deliberately absent:
@@ -222,6 +197,23 @@ warmupImageConfig(const CampaignSpec &spec, const SweepPoint &point)
 }
 
 } // namespace
+
+SimConfig
+pointConfig(const CampaignSpec &spec, const SweepPoint &point,
+            RunaheadConfig runahead)
+{
+    SimConfig config = makeConfig(runahead, point.prefetch);
+    config.instructions = spec.instructions;
+    config.warmupInstructions = spec.warmup;
+    config.checkLevel = spec.checkLevel;
+    config.fastForward = spec.fastForward;
+    if (point.isMix()) {
+        config.numCores = static_cast<int>(point.mixWorkloads.size());
+        config.corePolicies = point.corePolicies;
+    }
+    config.finalize();
+    return config;
+}
 
 std::string
 buildWarmupImage(const CampaignSpec &spec, const SweepPoint &point)

@@ -90,7 +90,10 @@ CoreMixSpec makeMix4();
  *  workload is given. */
 CoreMixSpec parseMixSpec(const std::string &text);
 
-/** A declarative workloads x variants x seeds grid. */
+/** A declarative workloads x variants x seeds grid. Its knobs reach
+ *  each point's SimConfig through pointConfig(), and the store key
+ *  hashes that SimConfig's machine and variant fields, so a knob
+ *  that lands in one is keyed with no store change. */
 struct CampaignSpec
 {
     std::string name = "campaign";
@@ -109,7 +112,6 @@ struct CampaignSpec
     std::uint64_t instructions = 40'000;
     std::uint64_t warmup = 10'000;
     CheckLevel checkLevel = CheckLevel::kOff;
-    CheckPolicy checkPolicy = CheckPolicy::kThrow;
     bool fastForward = true; ///< Cycle-loop fast-forward engine.
 
     /**
@@ -123,8 +125,8 @@ struct CampaignSpec
      *
      * Snapshot-warmed results are a distinct result universe from
      * inline-warmed ones (the warmup ran under the baseline policy,
-     * not the variant's own), so the store keys them separately
-     * (config-key v4 warmup_mode/snapshot fields). A point whose
+     * not the variant's own), so the store keys them separately (the
+     * config key's snapshot= line). A point whose
      * group image cannot be built or restored fails; it never warms
      * inline instead, which would move it into the other universe.
      * Multi-core mix points always warm inline.
@@ -248,6 +250,18 @@ CampaignResult runCampaign(const CampaignSpec &spec, int threads,
                            const CampaignRunOptions &options);
 
 /**
+ * The config @p point runs under with runahead policy @p runahead:
+ * the point's prefetch setting and mix shape plus every spec-level
+ * knob; a knob the spec does not name keeps its SimConfig default.
+ * The one place a CampaignSpec becomes a SimConfig, so a point, the
+ * warmup image it forks from and its store key agree: runPoint and
+ * the store key pass the point's own policy, warmup images the
+ * baseline.
+ */
+SimConfig pointConfig(const CampaignSpec &spec, const SweepPoint &point,
+                      RunaheadConfig runahead);
+
+/**
  * Run one point under the config (spec, point) names. When
  * @p warmup_image is non-null (a captureSnapshot payload of a warmed
  * baseline-policy simulation of the point's workload/seed/prefetch
@@ -269,7 +283,8 @@ std::string buildWarmupImage(const CampaignSpec &spec,
                              const SweepPoint &point);
 
 /** Store-key id of a warmup image: "<format-version>/<content-hash>",
- *  the pair that makes a v4 config key self-invalidating. */
+ *  the pair that makes a config key's snapshot= line
+ *  self-invalidating. */
 std::string warmupSnapshotId(const std::string &payload);
 
 } // namespace rab

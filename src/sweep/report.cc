@@ -194,39 +194,68 @@ campaignManifest(const CampaignResult &campaign, bool canonical)
 
     Json points = Json::array();
     points.reserve(campaign.points.size());
-    for (const PointResult &p : campaign.points) {
-        Json entry = Json::object();
-        entry["index"] = p.point.index;
-        entry["workload"] = p.point.workload;
-        entry["variant"] = p.point.variant;
-        entry["seed"] = p.point.seed;
-        if (p.point.isMix()) {
-            entry["cores"] = static_cast<std::uint64_t>(
-                p.point.mixWorkloads.size());
-            Json mix = Json::array();
-            for (const std::string &w : p.point.mixWorkloads)
-                mix.push(w);
-            entry["mix_workloads"] = std::move(mix);
-        }
-        entry["ok"] = p.ok;
-        if (!p.ok) {
-            entry["error"] = p.error;
-        } else {
-            entry["metrics"] = simResultJson(p.result);
-            entry["stats"] = statsJson(p.stats);
-        }
-        if (!canonical) {
-            entry["wall_seconds"] = p.wallSeconds;
-            entry["cached"] = p.cached;
-            // Shared-image and per-point-image arms produce the same
-            // canonical document; which points actually forked is
-            // execution provenance, like `cached`.
-            entry["snapshot_warmed"] = p.snapshotWarmed;
-        }
-        points.push(std::move(entry));
-    }
+    for (const PointResult &p : campaign.points)
+        points.push(pointJson(p, canonical));
     manifest["points"] = std::move(points);
     return manifest;
+}
+
+Json
+pointJson(const PointResult &p, bool canonical)
+{
+    Json entry = Json::object();
+    entry["index"] = p.point.index;
+    entry["workload"] = p.point.workload;
+    entry["variant"] = p.point.variant;
+    entry["seed"] = p.point.seed;
+    if (p.point.isMix()) {
+        entry["cores"] =
+            static_cast<std::uint64_t>(p.point.mixWorkloads.size());
+        Json mix = Json::array();
+        for (const std::string &w : p.point.mixWorkloads)
+            mix.push(w);
+        entry["mix_workloads"] = std::move(mix);
+    }
+    entry["ok"] = p.ok;
+    if (!p.ok) {
+        entry["error"] = p.error;
+    } else {
+        entry["metrics"] = simResultJson(p.result);
+        entry["stats"] = statsJson(p.stats);
+    }
+    if (!canonical) {
+        entry["wall_seconds"] = p.wallSeconds;
+        entry["cached"] = p.cached;
+        // Shared-image and per-point-image arms produce the same
+        // canonical document; which points actually forked is
+        // execution provenance, like `cached`.
+        entry["snapshot_warmed"] = p.snapshotWarmed;
+    }
+    return entry;
+}
+
+PointResult
+pointFromJson(const Json &json)
+{
+    PointResult p;
+    p.point.index = json.at("index").asU64();
+    p.point.workload = json.at("workload").asString();
+    p.point.variant = json.at("variant").asString();
+    p.point.seed = json.at("seed").asU64();
+    if (const Json *mix = json.find("mix_workloads")) {
+        for (const Json &w : mix->elements())
+            p.point.mixWorkloads.push_back(w.asString());
+    }
+    p.ok = json.at("ok").asBool();
+    if (!p.ok) {
+        p.error = json.at("error").asString();
+    } else {
+        p.result = simResultFromJson(json.at("metrics"));
+        for (const auto &[name, value] : json.at("stats").members())
+            p.stats.emplace_hint(p.stats.end(), name, value.asDouble());
+    }
+    p.wallSeconds = json.at("wall_seconds").asDouble();
+    return p;
 }
 
 Json

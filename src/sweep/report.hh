@@ -62,6 +62,21 @@ SimResult simResultFromJson(const Json &json);
 Json campaignManifest(const CampaignResult &campaign,
                       bool canonical = false);
 
+/**
+ * One manifest point: identity, ok and error or metrics and stats,
+ * and, unless @p canonical, wall time and provenance. The result
+ * store keeps this object as a record's body, so a resumed manifest
+ * matches a straight-line one by construction.
+ */
+Json pointJson(const PointResult &point, bool canonical);
+
+/**
+ * Inverse of pointJson(p, false) over identity, ok/error, metrics,
+ * stats and wall time; ran, cached and snapshotWarmed stay false.
+ * Throws JsonError.
+ */
+PointResult pointFromJson(const Json &json);
+
 /** Aggregate throughput: committed instructions of the points this
  *  run simulated (CampaignResult::committedInstructions) per wall
  *  second. Not simulated cycles: fast-forward skips cycles without

@@ -5,32 +5,27 @@
  * Each completed SweepPoint is persisted as one record file under a
  * directory layout derived from its StoreKey hash
  * (`<root>/ab/<hash16>.rec`, `ab` = first two hash digits). Records
- * are written atomically — temp file in `<root>/tmp/`, payload CRC,
- * fsync, rename onto the final name — so a record either exists in
- * full or not at all, whatever kill -9 does to the writer. A campaign
- * re-run against the same store therefore resumes exactly where the
- * previous run died: runCampaign() consults the store per point,
- * simulates only the misses, and writes fresh results back.
- *
- * Record format (little-endian, version-gated):
- *
- *   magic   "RABSTORE"          8 bytes
- *   version u32 (= 1)
- *   crc32   u32 over the payload bytes
- *   length  u64 payload byte count
- *   payload rab-store-record-v1 JSON (key echo + PointResult)
+ * are written atomically — temp file in `<root>/tmp/`, fsync, rename
+ * onto the final name (writeFileDurably) — so a record either exists
+ * in full or not at all, whatever kill -9 does to the writer. A
+ * campaign re-run against the same store therefore resumes exactly
+ * where the previous run died: runCampaign() consults the store per
+ * point, simulates only the misses, and writes fresh results back.
  *
  * The store also caches warmup snapshots (`<root>/sn/<hash16>.snap`,
- * keyed by SnapshotStoreKey) in an analogous frame with magic
- * "RABSNAPR"; the payload is the snapshot key's canonical echo, a NUL
- * separator, then the raw snapshot bytes. Same atomicity and
- * self-healing rules as result records.
+ * keyed by SnapshotStoreKey). Both record kinds are one shape inside
+ * the common/durable_file frame: the key's canonical echo, a NUL,
+ * then the body.
  *
- * Self-healing: lookup() treats any malformed record — short file,
- * bad magic/version, CRC mismatch, unparseable payload, key echo
- * mismatch — as absent, unlinks it, and counts it in
- * corruptDiscarded(), so a torn write or a flipped bit costs one
- * recomputation instead of a crash or a wrong result.
+ *   kind      magic       version  body
+ *   result    "RABSTORE"  2        pointJson(result, false), dumped
+ *   snapshot  "RABSNAPR"  1        the raw snapshot payload
+ *
+ * Self-healing: a lookup treats any malformed record — short file,
+ * bad magic or version, CRC mismatch, key echo mismatch, unparseable
+ * body — as absent, unlinks it, and counts it in corruptDiscarded(),
+ * so a torn write, a flipped bit or a record of an older format costs
+ * one recomputation instead of a crash or a wrong result.
  *
  * Thread safety: lookup/put are safe to call concurrently from sweep
  * workers. Records are immutable once renamed into place; concurrent
@@ -45,8 +40,8 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 
-#include "common/hash.hh" // crc32: the record frame's checksum.
 #include "sweep/campaign.hh"
 #include "sweep/store/store_key.hh"
 
@@ -108,9 +103,8 @@ class ResultStore
 
     /**
      * Fetch the cached warmup-snapshot payload for @p key, or nullopt
-     * on miss. Malformed snapshot records (bad magic/version/CRC,
-     * truncation, key-echo mismatch) are unlinked and reported as
-     * misses, exactly like result records.
+     * on miss. Malformed snapshot records are unlinked and reported
+     * as misses, exactly like result records.
      */
     std::optional<std::string> lookupSnapshot(
         const SnapshotStoreKey &key);
@@ -138,14 +132,20 @@ class ResultStore
     std::string snapshotPath(const SnapshotStoreKey &key) const;
 
   private:
-    bool readRecord(const std::string &path, const StoreKey &key,
-                    PointResult &out) const;
-    bool readSnapshotRecord(const std::string &path,
-                            const SnapshotStoreKey &key,
-                            std::string &out) const;
-    bool writeBlobAtomic(const std::string &final_path,
-                         const std::string &stem,
-                         const std::string &blob);
+    /** The body of the record at @p path framed under @p magic and
+     *  @p version whose body starts with @p echo and a NUL. nullopt
+     *  when the file is absent; a malformed record is discarded. */
+    std::optional<std::string> lookupBody(const std::string &path,
+                                          const char (&magic)[8],
+                                          std::uint32_t version,
+                                          const std::string &echo);
+    /** Unlink the malformed record at @p path and count it. */
+    void discard(const std::string &path);
+    /** Write @p echo, a NUL and @p body as the record at @p path
+     *  (atomic, fsync'd). False on I/O error or a failed store. */
+    bool putBody(const std::string &path, const char (&magic)[8],
+                 std::uint32_t version, const std::string &echo,
+                 std::string_view body);
 
     std::string root_;
     bool ok_ = false;

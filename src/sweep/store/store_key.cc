@@ -1,6 +1,7 @@
 #include "sweep/store/store_key.hh"
 
 #include "common/logging.hh"
+#include "snapshot/snapshot.hh"
 
 namespace rab
 {
@@ -9,44 +10,24 @@ std::string
 canonicalConfigString(const CampaignSpec &spec, const SweepPoint &point,
                       const std::string &snapshot_id)
 {
-    // Field order is part of the format: append-only, never reorder.
-    // Bumping the schema line deliberately invalidates every cached
-    // result — that is the intended way to retire a format. A point
-    // forked from a shared warmup snapshot is keyed to that exact
-    // image (format version + content hash), so a snapshot-format bump
-    // or a different warmup image can never serve a stale result.
-    std::string s;
-    s += std::string("schema=") + kConfigKeySchema + "\n";
-    s += "variant=" + point.variant + "\n";
-    s += std::string("runahead=") + runaheadConfigName(point.runahead)
+    // Field order is part of the format. Bumping the schema line
+    // deliberately invalidates every cached result — that is the
+    // intended way to retire a format. The config digest hashes every
+    // machine and variant field core/config_fields.hh lists, so a
+    // spec knob that reaches the SimConfig is keyed here unasked. The
+    // digest leaves out fast-forward, which preserves behaviour, and
+    // the workloads, which live in the programs. A point forked from
+    // a shared warmup snapshot is keyed to that exact image (format
+    // version + content hash), so a snapshot-format bump or a
+    // different warmup image can never serve a stale result.
+    std::string s = std::string("schema=") + kConfigKeySchema + "\n";
+    s += "config="
+        + hex64(snapshotConfigDigest(
+            pointConfig(spec, point, point.runahead)))
         + "\n";
-    s += strprintf("prefetch=%d\n", point.prefetch ? 1 : 0);
-    s += strprintf("warmup=%llu\n", (unsigned long long)spec.warmup);
     s += strprintf("fast_forward=%d\n", spec.fastForward ? 1 : 0);
-    s += strprintf("check_level=%d\n",
-                   static_cast<int>(spec.checkLevel));
-    s += strprintf("check_policy=%d\n",
-                   static_cast<int>(spec.checkPolicy));
-    s += strprintf("cores=%zu\n",
-                   point.isMix() ? point.mixWorkloads.size() : 1);
-    for (std::size_t i = 0; i < point.mixWorkloads.size(); ++i) {
-        const RunaheadConfig policy = point.corePolicies.empty()
-            ? point.runahead
-            : point.corePolicies[i % point.corePolicies.size()];
-        s += strprintf("core%zu=%s/%s\n", i,
-                       point.mixWorkloads[i].c_str(),
-                       runaheadConfigName(policy));
-    }
-    const auto uses_engine = [](RunaheadConfig rc) {
-        return rc == RunaheadConfig::kCRE
-            || rc == RunaheadConfig::kCREHybrid;
-    };
-    bool engine = uses_engine(point.runahead);
-    for (const RunaheadConfig rc : point.corePolicies)
-        engine = engine || uses_engine(rc);
-    s += strprintf("engine=%d\n", engine ? 1 : 0);
-    s += strprintf("warmup_mode=%s\n",
-                   snapshot_id.empty() ? "inline" : "snapshot");
+    for (std::size_t i = 0; i < point.mixWorkloads.size(); ++i)
+        s += strprintf("core%zu=%s\n", i, point.mixWorkloads[i].c_str());
     s += "snapshot="
         + (snapshot_id.empty() ? std::string("-") : snapshot_id) + "\n";
     return s;

@@ -12,7 +12,10 @@
  * The config hash is derived from a canonical key=value serialisation
  * with a field order fixed by code (never by map iteration), so it is
  * byte-identical across processes, thread counts and compiler
- * versions. An accidental change to the serialisation silently
+ * versions. Its config line is the snapshot config digest of the
+ * point's SimConfig, which walks core/config_fields.hh, the one list
+ * of config fields, so no hand-kept list here can miss a field. An
+ * accidental change to the serialisation, or to a config default,
  * invalidates every cached result — tests/test_store.cc pins a golden
  * hash value so such a change fails loudly instead.
  */
@@ -29,30 +32,26 @@
 namespace rab
 {
 
-/** Current canonical config-key schema. Bumped v1 -> v2 when the
- *  multi-core fields (cores, per-core workload/policy) were added,
- *  v2 -> v3 with the Continuous Runahead engine: CRE runs register new
- *  stats (engine.*, owner clamps, namespacing masks) that change the
- *  replayed stat payload, so pre-engine records must never be served
- *  to v3-aware code, and v3 -> v4 with snapshotted warmup: a point
- *  whose warmup was forked from a shared baseline-policy snapshot is a
- *  different result universe than one warmed inline under its own
- *  config, so the warmup mode (and the identity of the snapshot it
- *  forked from) is part of the key. Records keyed under an older
- *  schema read as misses (ResultStore checks the echoed schema). */
-inline constexpr const char *kConfigKeySchema = "rab-config-key-v4";
+/** Current canonical config-key schema. v5 replaced the hand-kept
+ *  field lines of v4 (variant, runahead, prefetch, warmup, check
+ *  level and policy, cores, per-core policy, engine, warmup mode)
+ *  with the snapshot config digest of the point's SimConfig. A key
+ *  hashed under another schema names another record file, so it can
+ *  never hit. */
+inline constexpr const char *kConfigKeySchema = "rab-config-key-v5";
 
 /**
- * Canonical serialisation of every per-point configuration field that
- * affects simulated output (variant, runahead config, prefetch,
- * warmup, fast-forward, check level/policy, core count, per-core
- * workload/policy assignment, and the warmup mode). Line-oriented
- * `name=value` text in an order fixed here; versioned so a future
- * field addition is an explicit, visible invalidation.
+ * Canonical serialisation of everything per point that shapes
+ * simulated output beyond the StoreKey's own fields: `config=`, the
+ * hex snapshotConfigDigest of pointConfig(spec, point,
+ * point.runahead); `fast_forward=`, which that digest leaves out; one
+ * `core<i>=<workload>` per core of a mix point; and `snapshot=`.
+ * Line-oriented `name=value` text in an order fixed here. The variant
+ * label is not keyed: two labels for one config run one simulation.
  *
  * @p snapshot_id identifies the warmup snapshot this point forked
  * from ("<format-version>/<content-hash-hex>", built by the sweep
- * engine); empty means inline warmup.
+ * engine); empty ("-") means inline warmup.
  */
 std::string canonicalConfigString(const CampaignSpec &spec,
                                   const SweepPoint &point,

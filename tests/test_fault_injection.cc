@@ -107,12 +107,15 @@ TEST(FaultInjector, ChainCorruptionKeepsChainStructurallyLegal)
         ASSERT_FALSE(chain.empty());
         for (const ChainOp &op : chain) {
             ASSERT_LT(op.pc, 64u);
-            if (op.sop.dest != kNoArchReg)
+            if (op.sop.dest != kNoArchReg) {
                 ASSERT_LT(op.sop.dest, kNumArchRegs);
-            if (op.sop.src1 != kNoArchReg)
+            }
+            if (op.sop.src1 != kNoArchReg) {
                 ASSERT_LT(op.sop.src1, kNumArchRegs);
-            if (op.sop.src2 != kNoArchReg)
+            }
+            if (op.sop.src2 != kNoArchReg) {
                 ASSERT_LT(op.sop.src2, kNumArchRegs);
+            }
         }
     }
 }

@@ -94,49 +94,34 @@ keyFor(const CampaignSpec &spec, const PointResult &pr)
 TEST(StoreKey, GoldenConfigSerialisation)
 {
     // The canonical config string IS the cache-key format. Any change
-    // here — field order, spelling, a new field — invalidates every
-    // record in every store on disk. That can be the right call, but
-    // it must be a *decision*: update this golden text and bump
-    // rab-config-key-v4 deliberately.
+    // here — field order, spelling, a new field, or a config default
+    // the config= digest hashes — invalidates every record in every
+    // store on disk. That can be the right call, but it must be a
+    // *decision*: update this golden text (and bump rab-config-key-v5
+    // for a format change) deliberately.
     CampaignSpec spec = storeSpec();
     const std::vector<SweepPoint> grid = expandGrid(spec);
     const SweepPoint &hybrid = grid[1]; // mcf x Hybrid
     EXPECT_EQ(canonicalConfigString(spec, hybrid),
-              "schema=rab-config-key-v4\n"
-              "variant=Hybrid\n"
-              "runahead=Hybrid\n"
-              "prefetch=0\n"
-              "warmup=500\n"
+              "schema=rab-config-key-v5\n"
+              "config=0c8c243e501b347f\n"
               "fast_forward=1\n"
-              "check_level=0\n"
-              "check_policy=0\n"
-              "cores=1\n"
-              "engine=0\n"
-              "warmup_mode=inline\n"
               "snapshot=-\n");
     // A snapshot-warmed point keys to the exact image it forked from.
     EXPECT_EQ(canonicalConfigString(spec, hybrid,
                                     "1/00c0ffee00c0ffee"),
-              "schema=rab-config-key-v4\n"
-              "variant=Hybrid\n"
-              "runahead=Hybrid\n"
-              "prefetch=0\n"
-              "warmup=500\n"
+              "schema=rab-config-key-v5\n"
+              "config=0c8c243e501b347f\n"
               "fast_forward=1\n"
-              "check_level=0\n"
-              "check_policy=0\n"
-              "cores=1\n"
-              "engine=0\n"
-              "warmup_mode=snapshot\n"
               "snapshot=1/00c0ffee00c0ffee\n");
 }
 
 TEST(StoreKey, EngineConfigsKeyDistinctly)
 {
-    // CRE and its non-engine base (buffer-cc) share every other key
-    // field but not the engine: they must never alias in the store. The
-    // engine bit also derives from per-core policies of a mix, whose
-    // key pins one workload/policy line per core.
+    // CRE and its non-engine base (buffer-cc) differ only in the
+    // engine, which the config digest hashes: they must never alias in
+    // the store. A mix's key pins one workload line per core; its
+    // per-core policies are in the digest.
     CampaignSpec spec = storeSpec();
     spec.variants = {makeVariant(RunaheadConfig::kRunaheadBufferCC,
                                  false),
@@ -154,19 +139,11 @@ TEST(StoreKey, EngineConfigsKeyDistinctly)
     const SweepPoint p = expandGrid(mix)[0];
     ASSERT_TRUE(p.isMix());
     EXPECT_EQ(canonicalConfigString(mix, p),
-              "schema=rab-config-key-v4\n"
-              "variant=cre|baseline\n"
-              "runahead=CRE\n"
-              "prefetch=0\n"
-              "warmup=500\n"
+              "schema=rab-config-key-v5\n"
+              "config=3b00957c38f270ab\n"
               "fast_forward=1\n"
-              "check_level=0\n"
-              "check_policy=0\n"
-              "cores=2\n"
-              "core0=mcf/CRE\n"
-              "core1=libq/Baseline\n"
-              "engine=1\n"
-              "warmup_mode=inline\n"
+              "core0=mcf\n"
+              "core1=libq\n"
               "snapshot=-\n");
 }
 
@@ -178,7 +155,7 @@ TEST(StoreKey, GoldenConfigHash)
     const std::vector<SweepPoint> grid = expandGrid(spec);
     EXPECT_EQ(configHashHex(spec, grid[1]),
               hex64(fnv1a64(canonicalConfigString(spec, grid[1]))));
-    EXPECT_EQ(configHashHex(spec, grid[1]), "38b4ce0b1c397aca");
+    EXPECT_EQ(configHashHex(spec, grid[1]), "7ffe5c8b79481036");
     // A non-empty snapshot id changes the key (and only the key —
     // the id is never parsed back out of it).
     EXPECT_NE(configHashHex(spec, grid[1], "1/00c0ffee00c0ffee"),
@@ -269,6 +246,10 @@ TEST(StoreKey, EveryFieldChangesTheKey)
 
     SweepPoint variant = expandGrid(spec)[1];
     EXPECT_NE(makeStoreKey(spec, variant, "deadbeef").hashHex(), base);
+
+    SweepPoint prefetch = point;
+    prefetch.prefetch = true;
+    EXPECT_NE(makeStoreKey(spec, prefetch, "deadbeef").hashHex(), base);
 
     EXPECT_NE(makeStoreKey(spec, point, "cafef00d").hashHex(), base);
 }
@@ -396,46 +377,29 @@ TEST(ResultStore, KeyEchoRejectsMisfiledRecord)
     EXPECT_TRUE(store.lookup(key).has_value());
 }
 
-TEST(ResultStore, RejectsStaleConfigSchemaRecords)
+TEST(ResultStore, RejectsOtherRecordVersions)
 {
-    // A record written before the rab-config-key-v4 bump carries a
-    // stale (or missing) config_schema echo. Even when the file is
-    // otherwise intact — magic, version, CRC and key echo all valid —
-    // it predates the warmup-mode key fields and must read as a miss
-    // (self-healed away), never as a hit.
-    ResultStore store(storeRoot("prev4"));
+    // A record of another format version, such as the JSON records of
+    // version 1, must read as a miss (self-healed away), never as a
+    // hit. The CRC covers only the body, so the rewritten version
+    // field leaves magic, CRC and key echo valid: only the version
+    // gate can reject it.
+    ResultStore store(storeRoot("version"));
     ASSERT_TRUE(store.ok()) << store.error();
-    const CampaignSpec spec = storeSpec();
-    const PointResult pr = syntheticResult();
-    const StoreKey key = keyFor(spec, pr);
-    ASSERT_TRUE(store.put(key, pr));
+    const StoreKey key = keyFor(storeSpec(), syntheticResult());
+    ASSERT_TRUE(store.put(key, syntheticResult()));
 
-    // Rewrite the record in place with the schema echo downgraded to
-    // v3, recomputing the CRC so only the schema gate can reject it.
     const std::string path = store.recordPath(key);
-    std::string raw;
-    {
-        std::ifstream in(path, std::ios::binary);
-        std::ostringstream buffer;
-        buffer << in.rdbuf();
-        raw = buffer.str();
-    }
-    constexpr std::size_t kHeader = 8 + 4 + 4 + 8;
-    std::string payload = raw.substr(kHeader);
-    const std::size_t at = payload.find("rab-config-key-v4");
-    ASSERT_NE(at, std::string::npos);
-    payload.replace(at, 17, "rab-config-key-v3");
-    const std::uint32_t crc = crc32(payload.data(), payload.size());
-    for (int i = 0; i < 4; ++i)
-        raw[12 + i] = static_cast<char>((crc >> (8 * i)) & 0xFFu);
-    raw = raw.substr(0, kHeader) + payload;
-    {
-        std::ofstream out(path, std::ios::binary | std::ios::trunc);
-        out.write(raw.data(), static_cast<std::streamsize>(raw.size()));
-    }
+    std::fstream file(path,
+                      std::ios::in | std::ios::out | std::ios::binary);
+    ASSERT_TRUE(file.good());
+    file.seekp(8); // The u32 version follows the 8-byte magic.
+    file.write("\x01\0\0\0", 4);
+    file.close();
 
     EXPECT_EQ(store.lookup(key), std::nullopt);
     EXPECT_EQ(store.corruptDiscarded(), 1u);
+    EXPECT_FALSE(fs::exists(path)) << "stale record not unlinked";
 }
 
 TEST(ResultStore, BadRootFailsClosed)
@@ -557,7 +521,10 @@ TEST(ResultStore, SnapshotRecordsSelfHeal)
 
 TEST(ResultStore, ResumedCampaignIsByteIdentical)
 {
-    const CampaignSpec spec = storeSpec();
+    // A mix point's record carries its per-core identity and its chip
+    // stats, and must read back as byte-identical as a single core's.
+    CampaignSpec spec = storeSpec();
+    spec.mixes = {{"duo", {"mcf", "libq"}}};
 
     // Reference: no store at all.
     const std::string reference =
