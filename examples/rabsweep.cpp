@@ -2,12 +2,16 @@
  * @file
  * rabsweep — parallel sweep-campaign driver.
  *
- * Declares a workloads x configs x seeds grid (explicitly or via a
- * named preset), executes it on the src/sweep thread-pool engine, and
- * emits the machine-readable rab-sweep-manifest-v1 JSON report
+ * Declares a workloads x configs x seeds grid (explicitly, via a
+ * named preset, or as the grid a set of paper figures reads), executes
+ * it on the src/sweep thread-pool engine, and emits the
+ * machine-readable rab-sweep-manifest-v1 JSON report
  * (BENCH_sweep.json) that CI archives and the perf-regression gate
- * consumes.
+ * consumes. With --figures it prints those figures' tables in place
+ * of the per-point table.
  *
+ *   rabsweep --figures all --threads 4            # every table/figure
+ *   rabsweep --figures fig9,fig10 --workloads mcf,libq
  *   rabsweep --preset fig9 --threads 8 --out BENCH_sweep.json
  *   rabsweep --workloads mcf,libq --configs baseline,hybrid+pf \
  *            --seeds 1,2,3 --instructions 50000
@@ -28,6 +32,7 @@
  * 6 perf gate failed, 7 interrupted (partial manifest written).
  */
 
+#include <algorithm>
 #include <atomic>
 #include <csignal>
 #include <cstdio>
@@ -37,12 +42,14 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/logging.hh"
 #include "common/number.hh"
 #include "core/experiment.hh"
 #include "sweep/campaign.hh"
+#include "sweep/figures.hh"
 #include "sweep/report.hh"
 #include "sweep/store/result_store.hh"
 #include "workloads/suite.hh"
@@ -55,6 +62,7 @@ namespace
 struct Options
 {
     std::string preset;
+    std::vector<std::string> figures; ///< Names, or "all".
     std::vector<std::string> workloads;
     std::vector<std::string> mixSpecs;
     std::vector<std::string> configs;
@@ -91,9 +99,14 @@ usage()
     std::fputs(
         "rabsweep - parallel sweep campaigns with JSON manifests\n"
         "\n"
-        "  --preset NAME       fig9 | fig10 | fig17 | smoke | active |\n"
-        "                      cre | mix4 | interference\n"
-        "  --workloads A,B     explicit workload axis (suite names)\n"
+        "  --preset NAME       fig9 | fig17 | smoke | active | cre |\n"
+        "                      mix4 | interference\n"
+        "  --figures A,B       paper tables and figures (table2,\n"
+        "                      fig1..fig5, fig9..fig18, or all): run\n"
+        "                      the one grid they read and print them\n"
+        "                      in place of the per-point table\n"
+        "  --workloads A,B     explicit workload axis (suite names);\n"
+        "                      with --figures, narrows their rows\n"
         "  --configs A,B       config axis, each one of\n"
         "                      ",
         stdout);
@@ -190,8 +203,6 @@ describePresets()
         "fig9   full 29-workload suite x {baseline, runahead, buffer,\n"
         "       buffer-cc, hybrid, cre, cre-hybrid}, no prefetching;\n"
         "       40k/10k sizing\n"
-        "fig10  medium+high suite x {runahead, buffer-cc} x {no-PF,\n"
-        "       PF}; 40k/10k sizing\n"
         "fig17  medium+high suite x {baseline, runahead,\n"
         "       runahead-enhanced, buffer, buffer-cc, hybrid, cre,\n"
         "       cre-hybrid}; 40k/10k\n"
@@ -239,16 +250,6 @@ buildPreset(const std::string &preset)
               RunaheadConfig::kHybrid, RunaheadConfig::kCRE,
               RunaheadConfig::kCREHybrid})
             spec.variants.push_back(makeVariant(config, false));
-        spec.instructions = 40'000;
-        spec.warmup = 10'000;
-    } else if (preset == "fig10") {
-        add_suite(mediumHighSuite());
-        for (const bool prefetch : {false, true}) {
-            spec.variants.push_back(
-                makeVariant(RunaheadConfig::kRunahead, prefetch));
-            spec.variants.push_back(makeVariant(
-                RunaheadConfig::kRunaheadBufferCC, prefetch));
-        }
         spec.instructions = 40'000;
         spec.warmup = 10'000;
     } else if (preset == "fig17") {
@@ -362,6 +363,8 @@ parseArgs(int argc, char **argv)
         const std::string arg = argv[i];
         if (arg == "--preset")
             opts.preset = next(i);
+        else if (arg == "--figures")
+            opts.figures = splitList(next(i));
         else if (arg == "--workloads")
             opts.workloads = splitList(next(i));
         else if (arg == "--mix")
@@ -407,15 +410,65 @@ parseArgs(int argc, char **argv)
     return opts;
 }
 
+/** The figures @p names select, in paper order; "all" selects every
+ *  one. An unknown name is a usage error. */
+std::vector<const Figure *>
+selectFigures(const std::vector<std::string> &names)
+{
+    const auto named = [&names](const std::string &name) {
+        return std::find(names.begin(), names.end(), name) != names.end();
+    };
+    for (const std::string &name : names) {
+        if (name != "all" && !findFigure(name)) {
+            usageError(strprintf("--figures: unknown figure '%s' (table2, "
+                                 "fig1-fig5, fig9-fig18 or all)",
+                                 name.c_str()));
+        }
+    }
+    std::vector<const Figure *> selected;
+    for (const Figure &figure : paperFigures()) {
+        if (named("all") || named(figure.name))
+            selected.push_back(&figure);
+    }
+    return selected;
+}
+
+/** The grid @p figures read: the figures fix its configs, and only
+ *  --workloads narrows its rows. */
 CampaignSpec
-buildSpec(const Options &opts)
+figureSpec(const Options &opts, const std::vector<const Figure *> &figures)
+{
+    const std::pair<const char *, bool> fixed[] = {
+        {"--preset", !opts.preset.empty()},
+        {"--configs", !opts.configs.empty()},
+        {"--mix", !opts.mixSpecs.empty()},
+        {"--seeds", !opts.seeds.empty()},
+    };
+    for (const auto &[flag, given] : fixed) {
+        if (given) {
+            usageError(strprintf("--figures cannot be combined with %s: "
+                                 "the figures fix the grid",
+                                 flag));
+        }
+    }
+    try {
+        return figureCampaign(figures, opts.workloads);
+    } catch (const std::exception &e) {
+        usageError(std::string("--workloads: ") + e.what());
+    }
+}
+
+CampaignSpec
+buildSpec(const Options &opts, const std::vector<const Figure *> &figures)
 {
     CampaignSpec spec;
-    if (!opts.preset.empty())
+    if (!figures.empty())
+        spec = figureSpec(opts, figures);
+    else if (!opts.preset.empty())
         spec = buildPreset(opts.preset);
     else
         spec.name = "custom";
-    if (!opts.workloads.empty()) {
+    if (figures.empty() && !opts.workloads.empty()) {
         spec.workloads = opts.workloads;
         for (const std::string &name : spec.workloads)
             requireWorkload("--workloads", name);
@@ -452,6 +505,34 @@ buildSpec(const Options &opts)
     return spec;
 }
 
+/** The campaign's totals and store traffic. */
+void
+printTotals(std::FILE *out, const CampaignResult &campaign)
+{
+    std::fprintf(out,
+                 "%zu point(s), %zu failed, %zu skipped; "
+                 "%d thread(s); wall %.2f s; %.3g instructions/s\n",
+                 campaign.points.size(),
+                 campaign.failedCount() - campaign.skippedCount(),
+                 campaign.skippedCount(), campaign.threads,
+                 campaign.wallSeconds,
+                 campaignInstructionsPerSecond(campaign));
+    if (campaign.storeHits + campaign.storeMisses > 0) {
+        std::fprintf(out,
+                     "store: %llu hit(s), %llu miss(es), %llu corrupt "
+                     "record(s) discarded\n",
+                     (unsigned long long)campaign.storeHits,
+                     (unsigned long long)campaign.storeMisses,
+                     (unsigned long long)campaign.storeCorrupt);
+    }
+    if (campaign.storeSnapshotHits + campaign.storeSnapshotMisses > 0) {
+        std::fprintf(out, "warmup snapshots: %llu hit(s), %llu miss(es)\n",
+                     (unsigned long long)campaign.storeSnapshotHits,
+                     (unsigned long long)campaign.storeSnapshotMisses);
+    }
+}
+
+/** One row per point, then the totals. */
 void
 printSummary(const CampaignResult &campaign)
 {
@@ -470,25 +551,8 @@ printSummary(const CampaignResult &campaign)
                       strprintf("%.2f", p.wallSeconds)});
     }
     table.print();
-    std::printf("\n%zu point(s), %zu failed, %zu skipped; "
-                "%d thread(s); wall %.2f s; %.3g instructions/s\n",
-                campaign.points.size(),
-                campaign.failedCount() - campaign.skippedCount(),
-                campaign.skippedCount(), campaign.threads,
-                campaign.wallSeconds,
-                campaignInstructionsPerSecond(campaign));
-    if (campaign.storeHits + campaign.storeMisses > 0) {
-        std::printf("store: %llu hit(s), %llu miss(es), %llu corrupt "
-                    "record(s) discarded\n",
-                    (unsigned long long)campaign.storeHits,
-                    (unsigned long long)campaign.storeMisses,
-                    (unsigned long long)campaign.storeCorrupt);
-    }
-    if (campaign.storeSnapshotHits + campaign.storeSnapshotMisses > 0) {
-        std::printf("warmup snapshots: %llu hit(s), %llu miss(es)\n",
-                    (unsigned long long)campaign.storeSnapshotHits,
-                    (unsigned long long)campaign.storeSnapshotMisses);
-    }
+    std::putchar('\n');
+    printTotals(stdout, campaign);
 }
 
 } // namespace
@@ -503,9 +567,10 @@ main(int argc, char **argv)
         return 0;
     }
 
-    const CampaignSpec spec = buildSpec(opts);
-    // Same precedence as BenchOptions::fromEnv: explicit --threads,
-    // then RAB_THREADS, then all hardware threads.
+    const std::vector<const Figure *> figures =
+        selectFigures(opts.figures);
+    const CampaignSpec spec = buildSpec(opts, figures);
+    // Explicit --threads, then RAB_THREADS, then all hardware threads.
     const int threads = resolveThreads(opts.threads);
 
     std::unique_ptr<ResultStore> store;
@@ -575,8 +640,17 @@ main(int argc, char **argv)
     } else {
         if (!writeJsonFile(opts.outPath, manifest))
             fatal("cannot write '%s'", opts.outPath.c_str());
-        printSummary(campaign);
-        std::printf("manifest -> %s\n", opts.outPath.c_str());
+        if (!figures.empty() && campaign.failedCount() == 0) {
+            // stdout carries the figures alone, so it splits at their
+            // headings; the totals go to stderr.
+            for (const Figure *figure : figures)
+                std::fputs(renderFigure(*figure, campaign).c_str(), stdout);
+            printTotals(stderr, campaign);
+            std::fprintf(stderr, "manifest -> %s\n", opts.outPath.c_str());
+        } else {
+            printSummary(campaign);
+            std::printf("manifest -> %s\n", opts.outPath.c_str());
+        }
     }
 
     // Exit-code precedence lives in resolveSweepExitCode (and its

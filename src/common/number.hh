@@ -1,10 +1,9 @@
 /**
  * @file
  * Strict numbers from text: the numeric flags of rabsim and rabsweep
- * and the bench sizing environment variables (RAB_INSTRUCTIONS,
- * RAB_WARMUP, RAB_THREADS). The whole text must be one number inside
- * the documented range. std::from_chars takes no leading '+',
- * whitespace, suffix or hex prefix, and rejects a '-' for unsigned
+ * and the RAB_THREADS environment variable. The whole text must be one
+ * number inside the documented range. std::from_chars takes no leading
+ * '+', whitespace, suffix or hex prefix, and rejects a '-' for unsigned
  * types, so "1e5", "20k" and "-3" fail instead of silently truncating
  * to 1, 20 or 2^64-3.
  */

@@ -3,8 +3,8 @@
  * Parallel sweep-campaign engine.
  *
  * Every paper figure is a grid of independent (workload x SimConfig x
- * seed) simulation points — embarrassingly parallel work the serial
- * bench loops left on the table. A CampaignSpec declares such a grid;
+ * seed) simulation points — embarrassingly parallel work (one campaign
+ * serves them all: sweep/figures). A CampaignSpec declares such a grid;
  * runCampaign() expands it in deterministic grid order, executes each
  * point as an isolated Simulation on a fixed-size thread pool whose
  * workers claim points in grid order from one shared index, and
@@ -59,7 +59,8 @@ struct ConfigVariant
     std::vector<RunaheadConfig> corePolicies;
 };
 
-/** Label a (config, prefetch) pair the way the benches do. */
+/** Label a (config, prefetch) pair as tables print it: the config's
+ *  display name, with "+PF" when the prefetcher is on. */
 ConfigVariant makeVariant(RunaheadConfig config, bool prefetch);
 
 /**

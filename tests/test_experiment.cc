@@ -1,14 +1,22 @@
 /**
  * @file
- * Unit tests: experiment/bench harness helpers.
+ * Unit tests: experiment helpers, the paper's figures as views over
+ * one campaign, and the first paper claims checked against a run.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdlib>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
+#include "common/logging.hh"
 #include "core/experiment.hh"
+#include "sweep/campaign.hh"
+#include "sweep/figures.hh"
+#include "workloads/suite.hh"
 
 namespace rab
 {
@@ -39,9 +47,32 @@ TEST(ResolveThreads, CliOverridesEnvOverridesHardware)
     EXPECT_EQ(resolveThreads(0), 3); // then RAB_THREADS
     ::unsetenv("RAB_THREADS");
     EXPECT_GE(resolveThreads(0), 1); // then hardware, always >= 1
-    // BenchOptions::fromEnv shares the same precedence chain.
-    ::setenv("RAB_THREADS", "2", 1);
-    EXPECT_EQ(BenchOptions::fromEnv().threads, 2);
+}
+
+/** Set RAB_THREADS to @p value, then resolve the thread count (run
+ *  inside EXPECT_EXIT's child). */
+void
+resolveWith(const char *value)
+{
+    ::setenv("RAB_THREADS", value, 1);
+    resolveThreads(0);
+}
+
+TEST(ResolveThreads, MalformedEnvironmentIsFatal)
+{
+    // Each exits 1 naming the variable and the value, as a bad
+    // RAB_CHECK_LEVEL does: read loosely, "-3" would wrap to a
+    // huge pool.
+    const auto exits = ::testing::ExitedWithCode(1);
+    EXPECT_EXIT(resolveWith("-3"), exits,
+                "RAB_THREADS='-3' is not an integer in \\[0, 2147483647\\]");
+    EXPECT_EXIT(resolveWith("2147483648"), exits,
+                "RAB_THREADS='2147483648'");
+    EXPECT_EXIT(resolveWith("4k"), exits, "RAB_THREADS='4k'");
+
+    // The largest accepted value still parses.
+    ::setenv("RAB_THREADS", "2147483647", 1);
+    EXPECT_EQ(resolveThreads(0), 2147483647);
     ::unsetenv("RAB_THREADS");
 }
 
@@ -73,130 +104,173 @@ TEST(TextTable, RejectsMismatchedRow)
     EXPECT_DEATH(table.addRow({"only-one"}), "cells");
 }
 
-TEST(BenchOptions, ReadsEnvironment)
+std::vector<const Figure *>
+allFigures()
 {
-    ::setenv("RAB_INSTRUCTIONS", "1234", 1);
-    ::setenv("RAB_WARMUP", "99", 1);
-    ::setenv("RAB_WORKLOADS", "mcf,libq", 1);
-    const BenchOptions options = BenchOptions::fromEnv(5, 6);
-    EXPECT_EQ(options.instructions, 1234u);
-    EXPECT_EQ(options.warmup, 99u);
-    ASSERT_EQ(options.workloadFilter.size(), 2u);
-    EXPECT_EQ(options.workloadFilter[0], "mcf");
-    EXPECT_EQ(options.workloadFilter[1], "libq");
-    ::unsetenv("RAB_INSTRUCTIONS");
-    ::unsetenv("RAB_WARMUP");
-    ::unsetenv("RAB_WORKLOADS");
-    const BenchOptions defaults = BenchOptions::fromEnv(5, 6);
-    EXPECT_EQ(defaults.instructions, 5u);
-    EXPECT_EQ(defaults.warmup, 6u);
-    EXPECT_TRUE(defaults.workloadFilter.empty());
+    std::vector<const Figure *> figures;
+    for (const Figure &figure : paperFigures())
+        figures.push_back(&figure);
+    return figures;
 }
 
-/** Set @p name to @p value, then read the bench sizing from the
- *  environment (run inside EXPECT_EXIT's child). */
-void
-readEnvWith(const char *name, const char *value)
+std::vector<std::string>
+mediumHighNames()
 {
-    ::setenv(name, value, 1);
-    BenchOptions::fromEnv();
+    std::vector<std::string> names;
+    for (const WorkloadSpec &spec : mediumHighSuite())
+        names.push_back(spec.params.name);
+    return names;
 }
 
-TEST(BenchOptions, MalformedNumbersAreFatal)
+/** Table 1 is rabsim --print-config; every other table and figure of
+ *  the paper's evaluation has a view. */
+TEST(Figures, PaperOrderAndLookup)
 {
-    // Each exits 1 naming the variable and the value, as a bad
-    // RAB_CHECK_LEVEL does: read loosely, "200k" would size a bench at
-    // 200 instructions and "1e5" its warmup at 1.
-    const auto exits = ::testing::ExitedWithCode(1);
-    EXPECT_EXIT(readEnvWith("RAB_INSTRUCTIONS", "200k"), exits,
-                "RAB_INSTRUCTIONS='200k' is not an integer >= 0");
-    EXPECT_EXIT(readEnvWith("RAB_WARMUP", "1e5"), exits,
-                "RAB_WARMUP='1e5'");
-    EXPECT_EXIT(readEnvWith("RAB_WARMUP", "18446744073709551616"), exits,
-                "RAB_WARMUP='18446744073709551616'");
-    EXPECT_EXIT(readEnvWith("RAB_INSTRUCTIONS", " 5"), exits,
-                "RAB_INSTRUCTIONS=' 5'");
-    EXPECT_EXIT(readEnvWith("RAB_THREADS", "-3"), exits,
-                "RAB_THREADS='-3' is not an integer in \\[0, 2147483647\\]");
-    EXPECT_EXIT(readEnvWith("RAB_THREADS", "2147483648"), exits,
-                "RAB_THREADS='2147483648'");
-
-    // The largest accepted values still parse.
-    ::setenv("RAB_THREADS", "2147483647", 1);
-    EXPECT_EQ(resolveThreads(0), 2147483647);
-    ::setenv("RAB_INSTRUCTIONS", "18446744073709551615", 1);
-    EXPECT_EQ(BenchOptions::fromEnv().instructions, 18446744073709551615u);
-    ::unsetenv("RAB_THREADS");
-    ::unsetenv("RAB_INSTRUCTIONS");
+    std::vector<std::string> names;
+    for (const Figure *figure : allFigures())
+        names.push_back(figure->name);
+    EXPECT_EQ(names, (std::vector<std::string>{
+                         "table2", "fig1", "fig2", "fig3", "fig4", "fig5",
+                         "fig9", "fig10", "fig11", "fig12", "fig13",
+                         "fig14", "fig15", "fig16", "fig17", "fig18"}));
+    ASSERT_NE(findFigure("fig10"), nullptr);
+    EXPECT_EQ(findFigure("fig10")->name, "fig10");
+    EXPECT_EQ(findFigure("table1"), nullptr);
+    EXPECT_EQ(findFigure("all"), nullptr);
 }
 
-TEST(SelectWorkloads, FiltersByName)
+/** Every figure renders from one tiny campaign; the medium+high
+ *  figures print only their rows. */
+TEST(Figures, EveryFigureRendersFromOneCampaign)
 {
-    const auto &all = spec06Suite();
-    EXPECT_EQ(selectWorkloads(all, {}).size(), all.size());
-    const auto some = selectWorkloads(all, {"mcf", "libq"});
-    ASSERT_EQ(some.size(), 2u);
-    EXPECT_EQ(some[0].params.name, "libq"); // suite order preserved
-    EXPECT_EQ(some[1].params.name, "mcf");
-}
-
-/** A typo must not run an empty figure and exit 0. */
-TEST(SelectWorkloads, UnknownNameIsFatal)
-{
-    EXPECT_EXIT(selectWorkloads(spec06Suite(), {"mcf", "bogus"}),
-                ::testing::ExitedWithCode(1), "'bogus' is not a workload");
-}
-
-/** The suite's full SPEC names select their abbreviated workloads, as
- *  they do in rabsim and rabsweep. */
-TEST(SelectWorkloads, AcceptsSuiteAliases)
-{
-    const auto some =
-        selectWorkloads(spec06Suite(), {"libquantum", "cactusADM"});
-    ASSERT_EQ(some.size(), 2u);
-    EXPECT_EQ(some[0].params.name, "cactus");
-    EXPECT_EQ(some[1].params.name, "libq");
-}
-
-/** The constructor runs the whole grid; get() reads any of its
- *  cells. */
-TEST(CellRunner, ReadsItsGrid)
-{
-    BenchOptions options;
-    options.instructions = 2'000;
-    options.warmup = 500;
-    options.threads = 2;
-    const std::vector<WorkloadSpec> workloads =
-        selectWorkloads(spec06Suite(), {"mcf", "libq"});
-    const CellRunner runner(options, workloads,
-                            {{RunaheadConfig::kBaseline, false},
-                             {RunaheadConfig::kHybrid, true}});
-    for (const WorkloadSpec &spec : workloads) {
-        const SimResult &base =
-            runner.get(spec, RunaheadConfig::kBaseline, false);
-        EXPECT_EQ(base.workload, spec.params.name);
-        EXPECT_GE(base.instructions, 2'000u);
-        const SimResult &hybrid =
-            runner.get(spec, RunaheadConfig::kHybrid, true);
-        EXPECT_EQ(hybrid.config, RunaheadConfig::kHybrid);
-        EXPECT_TRUE(hybrid.prefetch);
+    CampaignSpec spec = figureCampaign(allFigures(), {"mcf", "h264"});
+    spec.instructions = 2'000;
+    spec.warmup = 500;
+    EXPECT_EQ(spec.name, "figures");
+    EXPECT_EQ(spec.workloads, (std::vector<std::string>{"h264", "mcf"}));
+    EXPECT_EQ(spec.variants.size(), 12u);
+    const CampaignResult campaign = runCampaign(spec, 2);
+    ASSERT_EQ(campaign.failedCount(), 0u);
+    for (const Figure *figure : allFigures()) {
+        const std::string text = renderFigure(*figure, campaign);
+        const std::string heading =
+            strprintf("=== %s ===\n\n", figure->title.c_str());
+        EXPECT_EQ(text.rfind(heading, 0), 0u) << figure->name;
+        EXPECT_NE(text.find("\nmcf "), std::string::npos) << figure->name;
+        EXPECT_EQ(text.find("h264") == std::string::npos,
+                  figure->mediumHigh)
+            << figure->name;
     }
 }
 
-/** A cell the grid does not hold is a programming error, never a
- *  silent extra simulation. */
-TEST(CellRunnerDeathTest, CellOutsideTheGridPanics)
+/** Medium+high figures alone run those 13 workloads and only the
+ *  cells they read, no-PF before PF; the whole grid is 29 x 12. */
+TEST(Figures, CampaignHoldsOnlyTheCellsItsFiguresRead)
 {
-    BenchOptions options;
-    options.instructions = 1'000;
-    options.warmup = 0;
-    const std::vector<WorkloadSpec> workloads =
-        selectWorkloads(spec06Suite(), {"mcf"});
-    const CellRunner runner(options, workloads,
-                            {{RunaheadConfig::kBaseline, false}});
-    EXPECT_DEATH(runner.get(workloads.front(), RunaheadConfig::kHybrid,
-                            false),
-                 "outside the grid");
+    const CampaignSpec fig10 =
+        figureCampaign({findFigure("fig10"), findFigure("fig11")}, {});
+    EXPECT_EQ(fig10.name, "figures");
+    EXPECT_EQ(fig10.workloads, mediumHighNames());
+    std::vector<std::string> labels;
+    for (const ConfigVariant &variant : fig10.variants)
+        labels.push_back(variant.label);
+    EXPECT_EQ(labels, (std::vector<std::string>{
+                          "Runahead", "RA-Buffer+CC", "Runahead+PF",
+                          "RA-Buffer+CC+PF"}));
+    EXPECT_EQ(fig10.pointCount(), 13u * 4u);
+
+    const CampaignSpec single = figureCampaign({findFigure("fig14")}, {});
+    EXPECT_EQ(single.name, "fig14");
+    EXPECT_EQ(single.workloads, mediumHighNames());
+    ASSERT_EQ(single.variants.size(), 1u);
+    EXPECT_EQ(single.variants[0].label, "Hybrid");
+
+    const CampaignSpec all = figureCampaign(allFigures(), {});
+    EXPECT_EQ(all.workloads.size(), spec06Suite().size());
+    EXPECT_EQ(all.pointCount(), 348u);
+}
+
+/** --workloads narrows the rows; the suite's full SPEC names select
+ *  their abbreviated workloads, as everywhere else. */
+TEST(Figures, WorkloadsResolveThroughTheSuite)
+{
+    const CampaignSpec spec = figureCampaign(
+        {findFigure("fig9")}, {"libquantum", "cactusADM"});
+    EXPECT_EQ(spec.workloads, (std::vector<std::string>{"cactus", "libq"}));
+    EXPECT_THROW(figureCampaign({findFigure("fig9")}, {"bogus"}),
+                 std::runtime_error);
+    // No medium+high figure has a row for a low-intensity workload.
+    EXPECT_THROW(figureCampaign({findFigure("fig10")}, {"mcf", "h264"}),
+                 std::runtime_error);
+}
+
+/** A cell the campaign did not run is a programming error, never a
+ *  silent extra simulation. */
+TEST(FigureRowsDeathTest, CellOutsideTheCampaignPanics)
+{
+    CampaignSpec spec = figureCampaign({findFigure("fig11")}, {"mcf"});
+    spec.instructions = 1'000;
+    spec.warmup = 0;
+    const CampaignResult campaign = runCampaign(spec, 1);
+    const FigureRows rows(campaign, true);
+    ASSERT_EQ(rows.workloads().size(), 1u);
+    EXPECT_DEATH(rows.get(rows.workloads().front(),
+                          RunaheadConfig::kHybrid, false),
+                 "no ok point for cell mcf/Hybrid");
+}
+
+/**
+ * The paper's first two claims, at a budget small enough for every
+ * test run: Fig 9's medium+high GMean ordering 0 < Runahead <
+ * Runahead-Buffer < RA-Buffer+CC < Hybrid, and Fig 10's RA-Buffer+CC
+ * generating over 1.5x the misses per interval of traditional
+ * runahead, without and with the stream prefetcher.
+ */
+TEST(Claims, Fig9OrderingAndFig10Mlp)
+{
+    CampaignSpec spec = figureCampaign(
+        {findFigure("fig9"), findFigure("fig10")}, mediumHighNames());
+    spec.instructions = 10'000;
+    spec.warmup = 2'500;
+    const CampaignResult campaign = runCampaign(spec, 2);
+    ASSERT_EQ(campaign.points.size(), 91u);
+    ASSERT_EQ(campaign.failedCount(), 0u);
+    const FigureRows rows(campaign, true);
+    ASSERT_EQ(rows.workloads().size(), 13u);
+
+    const auto gmean = [&rows](RunaheadConfig config) {
+        std::vector<double> speedups;
+        for (const WorkloadSpec &w : rows.workloads()) {
+            const double base =
+                rows.get(w, RunaheadConfig::kBaseline, false).ipc;
+            speedups.push_back(rows.get(w, config, false).ipc / base
+                               - 1.0);
+        }
+        return geomeanSpeedup(speedups);
+    };
+    const double runahead = gmean(RunaheadConfig::kRunahead);
+    const double buffer = gmean(RunaheadConfig::kRunaheadBuffer);
+    const double buffer_cc = gmean(RunaheadConfig::kRunaheadBufferCC);
+    const double hybrid = gmean(RunaheadConfig::kHybrid);
+    EXPECT_LT(0.0, runahead);
+    EXPECT_LT(runahead, buffer);
+    EXPECT_LT(buffer, buffer_cc);
+    EXPECT_LT(buffer_cc, hybrid);
+
+    for (const bool prefetch : {false, true}) {
+        double runahead_misses = 0;
+        double buffer_misses = 0;
+        for (const WorkloadSpec &w : rows.workloads()) {
+            runahead_misses +=
+                rows.get(w, RunaheadConfig::kRunahead, prefetch)
+                    .missesPerInterval;
+            buffer_misses +=
+                rows.get(w, RunaheadConfig::kRunaheadBufferCC, prefetch)
+                    .missesPerInterval;
+        }
+        EXPECT_GT(buffer_misses, 1.5 * runahead_misses)
+            << (prefetch ? "with" : "without") << " prefetching";
+    }
 }
 
 } // namespace

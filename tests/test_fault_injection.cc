@@ -503,6 +503,9 @@ TEST(FaultContainment, DegradationLadderEngagesUnderSustainedFaults)
     config.fault.chainCacheRate = 1.0; // corrupt on every opportunity
     config.core.runahead.degrade.faultThreshold = 1;
     config.core.runahead.degrade.probationCycles = 100'000'000;
+    // Only the invariant checker detects a corrupt cached chain and
+    // routes it to the ladder; at kOff (the default) nothing would.
+    config.checkLevel = CheckLevel::kCheap;
     config.finalize();
     config.warmupInstructions = 0;
     config.instructions = 5'000;
