@@ -1,26 +1,30 @@
-# Usage: cmake -DEXE=<binary> -DCASES=<flag>=<value>,<flag>,... -P expect_usage_errors.cmake
+# Usage: cmake -DEXE=<binary> "-DCASES=<case>;<case>;..." \
+#            -P expect_usage_errors.cmake
 #
-# Runs EXE once per case, as `EXE <flag> <value>` for a <flag>=<value>
-# case and as `EXE <flag>` for a bare <flag> case, and fails unless
-# every run exits 2 (usage error) with a one-line stderr reason that
-# names both the flag and the value (a bare flag: the flag, quoted).
+# A case is one or more space-separated arguments, each <flag>=<value>
+# (passed as `<flag> <value>`; the value may hold commas) or a bare
+# <flag>. Runs EXE once per case and fails unless every run exits 2
+# (usage error) with a one-line stderr reason that names both the last
+# argument's flag and its value (a bare flag: the flag, quoted).
 
-string(REPLACE "," ";" cases "${CASES}")
 set(failures "")
-foreach(case IN LISTS cases)
-    string(FIND "${case}" "=" eq)
-    if(eq EQUAL -1)
-        set(flag "${case}")
-        set(value "${case}")
-        set(args "${flag}")
-        set(label "${flag}")
-    else()
-        string(SUBSTRING "${case}" 0 ${eq} flag)
-        math(EXPR value_start "${eq} + 1")
-        string(SUBSTRING "${case}" ${value_start} -1 value)
-        set(args "${flag}" "${value}")
-        set(label "${flag} ${value}")
-    endif()
+foreach(case IN LISTS CASES)
+    string(REPLACE " " ";" words "${case}")
+    set(args "")
+    foreach(word IN LISTS words)
+        string(FIND "${word}" "=" eq)
+        if(eq EQUAL -1)
+            set(flag "${word}")
+            set(value "${word}")
+            list(APPEND args "${flag}")
+        else()
+            string(SUBSTRING "${word}" 0 ${eq} flag)
+            math(EXPR value_start "${eq} + 1")
+            string(SUBSTRING "${word}" ${value_start} -1 value)
+            list(APPEND args "${flag}" "${value}")
+        endif()
+    endforeach()
+    string(REPLACE ";" " " label "${args}")
     execute_process(COMMAND "${EXE}" ${args}
                     RESULT_VARIABLE code
                     OUTPUT_QUIET

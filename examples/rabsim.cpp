@@ -99,8 +99,7 @@ usage()
         "                      (default baseline)\n"
         "  --cores N           simulate N >= 1 cores sharing the LLC,\n"
         "                      MSHR pool and DRAM (default 1; more\n"
-        "                      than one core rejects --trace-out and\n"
-        "                      the --snapshot-* flags)\n"
+        "                      than one core rejects --trace-out)\n"
         "  --mix A,B,...       one workload per core (implies --cores\n"
         "                      when unset; --workload replicated\n"
         "                      otherwise)\n"
@@ -115,10 +114,11 @@ usage()
         "  --trace-out FILE    capture a retirement trace of the\n"
         "                      measured region (.rabt; --trace is an\n"
         "                      alias)\n"
-        "  --snapshot-out FILE write a whole-simulator snapshot at the\n"
+        "  --snapshot-out FILE write a whole-simulator snapshot (every\n"
+        "                      core and the shared memory) at the\n"
         "                      warmup boundary, then run as usual\n"
         "  --snapshot-in FILE  restore the warmup snapshot instead of\n"
-        "                      re-running warmup (same --workload,\n"
+        "                      re-running warmup (same workloads,\n"
         "                      --warmup and config flags required;\n"
         "                      exit 8 when it cannot be loaded)\n"
         "  --check LEVEL       invariant checking: off | cheap | full\n"
@@ -318,18 +318,9 @@ resolveWorkloads(const Options &opts)
          i < static_cast<std::size_t>(opts.cores); ++i)
         workloads.push_back(workloads[i % workloads.size()]);
 
-    // A trace or a snapshot holds one core's state.
-    if (workloads.size() > 1) {
-        const char *single = !opts.tracePath.empty() ? "--trace-out"
-            : !opts.snapshotIn.empty()               ? "--snapshot-in"
-            : !opts.snapshotOut.empty()              ? "--snapshot-out"
-                                                     : nullptr;
-        if (single) {
-            usageError(std::string(single)
-                       + " needs one core (drop --cores N>1 and "
-                         "--mix)");
-        }
-    }
+    // A trace records one core's commit stream.
+    if (workloads.size() > 1 && !opts.tracePath.empty())
+        usageError("--trace-out needs one core (drop --cores N>1 and --mix)");
     return workloads;
 }
 
@@ -384,9 +375,7 @@ printResult(const Options &opts, const Simulation &sim,
         document.write(std::cout);
         return;
     }
-    // A chip's summary is each core's line plus its totals: the chip
-    // view sums instructions, cycles and energy but leaves per-core
-    // ratios such as MPKI at zero.
+    // A chip's summary is each core's line plus its totals.
     const std::vector<SimResult> &cores = sim.coreResults();
     if (cores.size() == 1) {
         std::printf("%s\n", result.toString().c_str());

@@ -77,7 +77,6 @@ struct Options
     double gateThreshold = 0.15;
     std::string baselineOutPath;
     bool listPresets = false;
-    bool fastForward = true;
     bool snapshotWarmup = false; ///< Shared checkpointed warmup.
     std::string storeDir; ///< Result-store root ("" = no store).
 };
@@ -133,13 +132,12 @@ usage()
         "  --gate-threshold F  max relative throughput drop, in [0, 1]\n"
         "                      (default 0.15)\n"
         "  --write-baseline F  write a new baseline and exit\n"
-        "  --no-fast-forward   disable the cycle-loop fast-forward\n"
-        "                      engine in every point (debugging)\n"
-        "  --snapshot-warmup   warm each (workload, seed, prefetch)\n"
-        "                      group once under the baseline policy,\n"
-        "                      snapshot it, and fork every variant\n"
-        "                      from the shared image (with --store the\n"
-        "                      image itself is cached across runs)\n"
+        "  --snapshot-warmup   warm each (workload or mix, seed,\n"
+        "                      prefetch) group once under the baseline\n"
+        "                      policy, snapshot it, and fork every\n"
+        "                      variant from the shared image (with\n"
+        "                      --store the image itself is cached\n"
+        "                      across runs)\n"
         "  --list-presets      describe the presets and exit\n"
         "  --store DIR         crash-safe result store: cached points\n"
         "                      are reused, fresh ones persisted, so a\n"
@@ -184,6 +182,22 @@ parseVariant(const std::string &name)
         return parseVariantLabel(name);
     } catch (const std::exception &e) {
         usageError(std::string("--configs: ") + e.what());
+    }
+}
+
+/** A grid axis names each entry once: reject the first of @p entries
+ *  that repeats an earlier one, naming it and the flag's list. */
+void
+requireDistinct(const char *flag, const std::vector<std::string> &entries)
+{
+    std::string list;
+    for (const std::string &entry : entries)
+        list += (list.empty() ? "" : ",") + entry;
+    for (auto it = entries.begin(); it != entries.end(); ++it) {
+        if (std::find(entries.begin(), it, *it) != it) {
+            usageError(strprintf("%s: '%s' repeats in '%s'", flag,
+                                 it->c_str(), list.c_str()));
+        }
     }
 }
 
@@ -396,8 +410,6 @@ parseArgs(int argc, char **argv)
             opts.baselineOutPath = next(i);
         else if (arg == "--snapshot-warmup")
             opts.snapshotWarmup = true;
-        else if (arg == "--no-fast-forward")
-            opts.fastForward = false;
         else if (arg == "--list-presets")
             opts.listPresets = true;
         else if (arg == "--store")
@@ -461,6 +473,13 @@ figureSpec(const Options &opts, const std::vector<const Figure *> &figures)
 CampaignSpec
 buildSpec(const Options &opts, const std::vector<const Figure *> &figures)
 {
+    requireDistinct("--workloads", opts.workloads);
+    requireDistinct("--configs", opts.configs);
+    std::vector<std::string> seeds;
+    for (const std::uint64_t seed : opts.seeds)
+        seeds.push_back(std::to_string(seed));
+    requireDistinct("--seeds", seeds);
+
     CampaignSpec spec;
     if (!figures.empty())
         spec = figureSpec(opts, figures);
@@ -486,8 +505,15 @@ buildSpec(const Options &opts, const std::vector<const Figure *> &figures)
             } catch (const std::exception &e) {
                 usageError(std::string("--mix: ") + e.what());
             }
-            for (const std::string &name : spec.mixes.back().workloads)
+            const CoreMixSpec &mix = spec.mixes.back();
+            for (const std::string &name : mix.workloads)
                 requireWorkload("--mix", name);
+            for (std::size_t m = 0; m + 1 < spec.mixes.size(); ++m) {
+                if (spec.mixes[m].label == mix.label) {
+                    usageError(strprintf("--mix: label '%s' repeats in '%s'",
+                                         mix.label.c_str(), text.c_str()));
+                }
+            }
         }
     }
     if (!opts.seeds.empty())
@@ -496,7 +522,6 @@ buildSpec(const Options &opts, const std::vector<const Figure *> &figures)
         spec.instructions = opts.instructions;
     if (opts.warmup > 0)
         spec.warmup = opts.warmup;
-    spec.fastForward = opts.fastForward;
     spec.snapshotWarmup = opts.snapshotWarmup;
     if ((spec.workloads.empty() && spec.mixes.empty())
         || spec.variants.empty())

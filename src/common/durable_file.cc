@@ -113,9 +113,9 @@ writeFileDurably(const std::string &tmp_path, const std::string &path,
     if (::rename(tmp_path.c_str(), path.c_str()) != 0)
         return fail("rename", tmp_path + " -> " + path);
 
-    std::string dir = std::filesystem::path(path).parent_path().string();
-    if (dir.empty())
-        dir = ".";
+    const std::filesystem::path parent =
+        std::filesystem::path(path).parent_path();
+    const std::string dir = parent.empty() ? "." : parent.string();
     const int dir_fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
     if (dir_fd < 0)
         return strprintf("open %s: %s", dir.c_str(), std::strerror(errno));

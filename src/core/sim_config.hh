@@ -81,8 +81,8 @@ struct SimConfig
     bool prefetch = false; ///< Enable the Table 1 stream prefetcher.
 
     /** Cycle-loop fast-forward engine (behaviour-preserving; see
-     *  Core::fastForwardHorizon). --no-fast-forward disables it for
-     *  differential debugging. */
+     *  Core::fastForwardHorizon). rabsim's --no-fast-forward disables
+     *  it for differential debugging. */
     bool fastForward = true;
 
     /** Invariant-checking effort (see src/checker). RAB_CHECK_LEVEL in

@@ -52,6 +52,50 @@ mergeInto(std::map<std::string, double> &to,
     to.merge(from);
 }
 
+/** The counts behind every SimResult ratio of @p core, whose measured
+ *  region has run @p cycles. */
+std::vector<RatioTerm>
+ratioTerms(Core &core, MemorySystem &mem, Cycle cycles)
+{
+    const ChainAnalysis &ca = core.chainAnalysis();
+    RunaheadController &ra = core.runahead();
+    const ChainCache &cc = ra.chainCache();
+    return {
+        {&SimResult::mpki, 1000.0, mem.llcDemandMisses.value(),
+         core.committedUops.value()},
+        {&SimResult::memStallFraction, 1.0, core.memStallCycles.value(),
+         cycles},
+        {&SimResult::fig2OnChipFraction, 1.0,
+         core.fig2MissSrcOnChip.value(), core.fig2MissTotal.value()},
+        {&SimResult::necessaryFraction, 1.0, ca.opsNecessary.value(),
+         ca.opsExecuted.value()},
+        {&SimResult::repeatedFraction, 1.0, ca.chainsRepeated.value(),
+         ca.chainsTotal.value()},
+        {&SimResult::avgChainLength, 1.0, ca.chainLengthSum.value(),
+         ca.chainsMeasured.value()},
+        {&SimResult::missesPerInterval, 1.0, ra.runaheadMisses.value(),
+         ra.intervals.value()},
+        {&SimResult::bufferCycleFraction, 1.0, ra.cyclesBuffer.value(),
+         cycles},
+        {&SimResult::chainCacheHitRate, 1.0, cc.hits.value(),
+         cc.hits.value() + cc.misses.value()},
+        {&SimResult::chainCacheExactRate, 1.0,
+         ra.chainCacheExactHits.value(), ra.chainCacheCheckedHits.value()},
+        {&SimResult::hybridBufferFraction, 1.0, ra.cyclesBuffer.value(),
+         ra.cyclesTraditional.value() + ra.cyclesBuffer.value()},
+    };
+}
+
+void
+applyRatios(SimResult &r, const std::vector<RatioTerm> &terms)
+{
+    for (const RatioTerm &t : terms) {
+        r.*t.field = t.den == 0 ? 0.0
+            : t.scale * static_cast<double>(t.num)
+                / static_cast<double>(t.den);
+    }
+}
+
 } // namespace
 
 Simulation::Simulation(const SimConfig &config, Program program)
@@ -291,9 +335,16 @@ Simulation::runPhase(std::uint64_t instructions, bool collect)
 void
 Simulation::collectCore(std::size_t i, Cycle now)
 {
+    const Cycle cycles = now - measureStart_;
     results_[i] = collectSimResult(
         coreConfigs_[i], programs_[i].name(), coreConfigs_[i].runahead,
-        *cores_[i], *mems_[i], faults_[i].get(), now - measureStart_);
+        *cores_[i], *mems_[i], faults_[i].get(), cycles);
+    std::vector<RatioTerm> terms = ratioTerms(*cores_[i], *mems_[i], cycles);
+    for (std::size_t k = 0; k < chipTerms_.size(); ++k) {
+        terms[k].num += chipTerms_[k].num;
+        terms[k].den += chipTerms_[k].den;
+    }
+    chipTerms_ = std::move(terms);
     if (coreGroups_.empty()) {
         mergeInto(payload_, cores_[i]->stats().collect());
         mergeInto(payload_, mems_[i]->stats().collect());
@@ -342,6 +393,7 @@ Simulation::runMeasured()
     }
 
     payload_.clear();
+    chipTerms_.clear();
     measureStart_ = cores_[0]->cycle();
     runPhase(config_.instructions, /*collect=*/true);
     const Cycle cycles = cores_[0]->cycle() - measureStart_;
@@ -375,6 +427,7 @@ Simulation::chipResult(Cycle cycles)
     r.ipc = cycles == 0 ? 0.0
         : static_cast<double>(r.instructions)
             / static_cast<double>(cycles);
+    applyRatios(r, chipTerms_);
     // Each core's own dramRequests reads the chip-wide counter at its
     // own crossing; the chip reports it once, over the whole region.
     for (const auto &chip : shared_)
@@ -435,59 +488,29 @@ collectSimResult(const SimConfig &config,
                  RunaheadConfig runahead, Core &core, MemorySystem &mem,
                  FaultInjector *faults, Cycle cycles)
 {
-    Core *core_ = &core;
-    MemorySystem *mem_ = &mem;
-    FaultInjector *faults_ = faults;
-
     SimResult r;
     r.workload = workload_name;
     r.config = runahead;
     r.prefetch = config.prefetch;
-    r.instructions = core_->committedUops.value();
+    r.instructions = core.committedUops.value();
     r.cycles = cycles;
     r.ipc = cycles == 0 ? 0.0
         : static_cast<double>(r.instructions)
             / static_cast<double>(cycles);
-    r.mpki = r.instructions == 0 ? 0.0
-        : 1000.0 * static_cast<double>(mem_->llcDemandMisses.value())
-            / static_cast<double>(r.instructions);
-    r.memStallFraction = cycles == 0 ? 0.0
-        : static_cast<double>(core_->memStallCycles.value())
-            / static_cast<double>(cycles);
-    r.fig2OnChipFraction = core_->fig2MissTotal.value() == 0 ? 0.0
-        : static_cast<double>(core_->fig2MissSrcOnChip.value())
-            / static_cast<double>(core_->fig2MissTotal.value());
+    applyRatios(r, ratioTerms(core, mem, cycles));
 
-    const ChainAnalysis &ca = core_->chainAnalysis();
-    r.necessaryFraction = ca.necessaryFraction();
-    r.repeatedFraction = ca.repeatedFraction();
-    r.avgChainLength = ca.averageChainLength();
-
-    RunaheadController &ra = core_->runahead();
-    r.missesPerInterval = ra.missesPerInterval();
-    r.bufferCycleFraction = cycles == 0 ? 0.0
-        : static_cast<double>(ra.cyclesBuffer.value())
-            / static_cast<double>(cycles);
-    const std::uint64_t cc_lookups =
-        ra.chainCache().hits.value() + ra.chainCache().misses.value();
-    r.chainCacheHitRate = cc_lookups == 0 ? 0.0
-        : static_cast<double>(ra.chainCache().hits.value())
-            / static_cast<double>(cc_lookups);
-    r.chainCacheExactRate = ra.chainCacheCheckedHits.value() == 0 ? 0.0
-        : static_cast<double>(ra.chainCacheExactHits.value())
-            / static_cast<double>(ra.chainCacheCheckedHits.value());
-    r.hybridBufferFraction = ra.bufferCycleFraction();
+    RunaheadController &ra = core.runahead();
     r.runaheadIntervals = ra.intervals.value();
-    r.dramRequests = mem_->dramRequests();
+    r.dramRequests = mem.dramRequests();
 
-    if (faults_)
-        r.faultsInjected = faults_->totalInjected();
-    r.watchdogRecoveries = core_->watchdog().recoveries.value();
+    if (faults)
+        r.faultsInjected = faults->totalInjected();
+    r.watchdogRecoveries = core.watchdog().recoveries.value();
     r.degradeSteps = ra.ladder().degradeSteps.value();
     r.degradeLevel = static_cast<int>(ra.ladder().level());
 
     const EnergyModel energy_model(config.energy);
-    r.energy = energy_model.compute(*core_, cycles);
+    r.energy = energy_model.compute(core, cycles);
     return r;
 }
 

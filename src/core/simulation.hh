@@ -89,6 +89,16 @@ struct SimResult
     std::string toString() const;
 };
 
+/** One SimResult ratio as the two counts behind it: the field reads
+ *  scale × num / den, or 0 when den is 0. */
+struct RatioTerm
+{
+    double SimResult::*field = nullptr;
+    double scale = 1.0;
+    std::uint64_t num = 0;
+    std::uint64_t den = 0;
+};
+
 /** One simulation run of one or more cores. */
 class Simulation
 {
@@ -134,10 +144,13 @@ class Simulation
      *
      * One core returns its own result. N > 1 returns the chip view:
      * instructions summed over the cores, cycles until the last core
-     * crossed its budget, throughput IPC, the summed runahead, fault
-     * and recovery counts, the chip's DRAM requests over the measured
-     * region and the chip energy (per-core breakdowns summed, shared
-     * LLC + DRAM static power charged once over the chip window).
+     * crossed its budget, throughput IPC, each other ratio over its
+     * numerator and denominator summed over the cores (MPKI is the
+     * chip's demand LLC misses per kilo-instruction), the summed
+     * runahead, fault and recovery counts, the chip's DRAM requests
+     * over the measured region and the chip energy (per-core
+     * breakdowns summed, shared LLC + DRAM static power charged once
+     * over the chip window).
      */
     SimResult runMeasured();
 
@@ -181,6 +194,11 @@ class Simulation
         return payload_;
     }
 
+    /** The stat trees this simulation claims: the raw core, mem (and
+     *  faults) groups of one core, or every core<i> wrapper and, on a
+     *  shared chip, the shared group. */
+    std::vector<StatGroup *> statTrees();
+
   private:
     /** Lockstep-tick all cores until each has retired @p instructions
      *  more uops or the relative cycle limit expires. Finished cores
@@ -194,11 +212,6 @@ class Simulation
 
     /** The chip view runMeasured() returns for N > 1. */
     SimResult chipResult(Cycle cycles);
-
-    /** The stat trees this simulation claims: the raw core, mem (and
-     *  faults) groups of one core, or every core<i> wrapper and, on a
-     *  shared chip, the shared group. */
-    std::vector<StatGroup *> statTrees();
 
     /** Shared-LLC inclusion invariant: every valid L1I/L1D line must
      *  be present in (or in flight towards) the shared LLC. Runs at
@@ -236,6 +249,8 @@ class Simulation
     std::vector<std::uint64_t> targets_; ///< Per-phase retire targets.
     std::vector<char> done_;             ///< Crossed this phase's target.
     std::vector<SimResult> results_;
+    /** Each ratio's counts summed over the cores collected so far. */
+    std::vector<RatioTerm> chipTerms_;
     std::map<std::string, double> payload_;
 };
 

@@ -188,33 +188,6 @@ ChainAnalysis::endInterval()
     clearInterval();
 }
 
-double
-ChainAnalysis::necessaryFraction() const
-{
-    if (opsExecuted.value() == 0)
-        return 0.0;
-    return static_cast<double>(opsNecessary.value())
-        / static_cast<double>(opsExecuted.value());
-}
-
-double
-ChainAnalysis::repeatedFraction() const
-{
-    if (chainsTotal.value() == 0)
-        return 0.0;
-    return static_cast<double>(chainsRepeated.value())
-        / static_cast<double>(chainsTotal.value());
-}
-
-double
-ChainAnalysis::averageChainLength() const
-{
-    if (chainsMeasured.value() == 0)
-        return 0.0;
-    return static_cast<double>(chainLengthSum.value())
-        / static_cast<double>(chainsMeasured.value());
-}
-
 void
 ChainAnalysis::regStats(StatGroup *parent)
 {

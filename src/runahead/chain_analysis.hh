@@ -75,10 +75,6 @@ class ChainAnalysis
     Counter chainsMeasured;
     /** @} */
 
-    double necessaryFraction() const;
-    double repeatedFraction() const;
-    double averageChainLength() const;
-
     void regStats(StatGroup *parent);
 
   private:

@@ -342,26 +342,6 @@ RunaheadController::noteRunaheadMiss()
     ++runaheadMisses;
 }
 
-double
-RunaheadController::missesPerInterval() const
-{
-    if (intervals.value() == 0)
-        return 0.0;
-    return static_cast<double>(runaheadMisses.value())
-        / static_cast<double>(intervals.value());
-}
-
-double
-RunaheadController::bufferCycleFraction() const
-{
-    const std::uint64_t total =
-        cyclesTraditional.value() + cyclesBuffer.value();
-    if (total == 0)
-        return 0.0;
-    return static_cast<double>(cyclesBuffer.value())
-        / static_cast<double>(total);
-}
-
 void
 RunaheadController::regStats(StatGroup *parent)
 {

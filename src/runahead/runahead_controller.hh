@@ -169,12 +169,6 @@ class RunaheadController
      *  violation or reported corruption): feed the ladder. */
     void noteSpeculativeFault();
 
-    /** Average runahead-generated LLC misses per interval (Fig. 10). */
-    double missesPerInterval() const;
-
-    /** Fraction of runahead cycles spent in buffer mode (Fig. 14). */
-    double bufferCycleFraction() const;
-
     /** @{ Statistics. */
     Counter intervals;
     Counter traditionalIntervals;

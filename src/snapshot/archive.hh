@@ -246,6 +246,7 @@ class RunaheadBuffer;
 class RunaheadCache;
 class RunaheadController;
 class SharedMemory;
+class Simulation;
 class StoreQueue;
 class StreamPrefetcher;
 class WritebackQueue;
@@ -293,6 +294,10 @@ struct SnapshotAccess
     static void io(Ar &ar, ForwardProgressWatchdog &v);
     template <class Ar> static void io(Ar &ar, InvariantChecker &v);
     template <class Ar> static void io(Ar &ar, Core &v);
+    /** Every section after META of a whole simulation; @p fork skips
+     *  the variant-specific ones on load. */
+    template <class Ar>
+    static void io(Ar &ar, Simulation &v, bool fork);
     /** @} */
 };
 

@@ -12,16 +12,20 @@
  * Payload layout (DESIGN.md §16):
  *   "RABSNAP1" + u32 formatVersion + sections, each u32 tag + u64
  *   length + body:
- *     META  digests, identity, fork-safety, presence flags
+ *     META  digests, fork-safety, each core's program and retired count
+ *   then per core, in id order:
  *     CORE  the full core pipeline (+ checker, watchdog, RNG-free)
  *     VRNT  variant-specific: runahead controller + chain analysis
- *     MEM   the memory hierarchy incl. the owned SharedMemory
+ *     MEM   the core's private L1s and their fills
  *     ENGN  Continuous Runahead engine (presence flag + state)
  *     FALT  fault injector (presence flag + RNG cursor + stall window)
+ *   then once per SharedMemory the simulation owns (one chip, or one
+ *   per core under isolateMemory):
+ *     CHIP  LLC, DRAM, stream prefetcher and the shared memory queue
  *
  * Fork-mode restore length-skips VRNT and ENGN: a config variant keeps
  * its freshly constructed runahead structures and re-derives everything
- * variant-specific, which is only sound when the image was captured
+ * variant-specific, which is only sound when every core was captured
  * outside any runahead interval (META.forkSafe).
  *
  * Not serialized, by design: config structs and config-derived fields
@@ -468,11 +472,26 @@ SnapshotAccess::io(Ar &ar, SharedMemory &v)
     io(ar, v.prefetcher_);
     field(ar, v.llcPending_);
     field(ar, v.llcPendingMax_);
-    fieldSeq(ar, v.outstanding_, [](Ar &a, auto &m) {
+    // Queue entries and slot counts index the restoring chip's cores.
+    const int cores = v.numCores_;
+    fieldSeq(ar, v.outstanding_, [cores](Ar &a, auto &m) {
         field(a, m.ready);
         field(a, m.core);
+        if (Ar::kIsLoad && (m.core < 0 || m.core >= cores)) {
+            throw SnapshotError(
+                SnapshotErrorKind::kFormat,
+                strprintf("memory-queue entry of core %d on a %d-core "
+                          "chip",
+                          m.core, cores));
+        }
     });
     field(ar, v.heldNow_);
+    if (Ar::kIsLoad && v.heldNow_.size() != static_cast<std::size_t>(cores)) {
+        throw SnapshotError(SnapshotErrorKind::kFormat,
+                            strprintf("%zu per-core queue slot counts on a "
+                                      "%d-core chip",
+                                      v.heldNow_.size(), cores));
+    }
 }
 
 template <class Ar>
@@ -489,7 +508,6 @@ SnapshotAccess::io(Ar &ar, MemorySystem &v)
         v.l1iFills_.rebuildHeap();
         v.l1dFills_.rebuildHeap();
     }
-    io(ar, *v.shared_); // Images hold one core: its chip is its own.
 }
 
 template <class Ar>
@@ -705,6 +723,7 @@ constexpr std::uint32_t kSecVariant = 0x544e5256u; // "VRNT"
 constexpr std::uint32_t kSecMem = 0x204d454du;     // "MEM "
 constexpr std::uint32_t kSecEngine = 0x4e474e45u;  // "ENGN"
 constexpr std::uint32_t kSecFault = 0x544c4146u;   // "FALT"
+constexpr std::uint32_t kSecChip = 0x50494843u;    // "CHIP"
 
 constexpr char kPayloadMagic[8] = {'R', 'A', 'B', 'S',
                                    'N', 'A', 'P', '1'};
@@ -718,73 +737,83 @@ ioMeta(Ar &ar, SnapshotMeta &m)
     field(ar, m.configDigest);
     field(ar, m.warmupDigest);
     field(ar, m.forkSafe);
-    field(ar, m.workload);
-    field(ar, m.programSize);
-    field(ar, m.programHash);
     field(ar, m.warmupInstructions);
     field(ar, m.cycle);
-    field(ar, m.retired);
     field(ar, m.faultPresent);
-    field(ar, m.enginePresent);
+    fieldSeq(ar, m.cores, [](Ar &a, SnapshotCoreMeta &c) {
+        field(a, c.workload);
+        field(a, c.programSize);
+        field(a, c.programHash);
+        field(a, c.retired);
+        field(a, c.enginePresent);
+    });
 }
 
-/** Begin a tagged section; returns the body-start offset for the
- *  later length back-patch. */
-std::size_t
-beginSection(SnapshotWriter &w, std::uint32_t tag)
-{
-    field(w, tag);
-    std::uint64_t len_placeholder = 0;
-    field(w, len_placeholder);
-    return w.size();
-}
-
+/**
+ * One tagged section. Save: @p body's bytes behind the u32 tag and a
+ * u64 length patched in afterwards. Load: the tag is checked, the
+ * length bounded by the payload, and @p body run (or, with @p skip,
+ * the body length-skipped) and held to exactly that length.
+ */
+template <class Ar, class Fn>
 void
-endSection(SnapshotWriter &w, std::size_t body_start)
+section(Ar &ar, std::uint32_t tag, bool skip, Fn body)
 {
-    const std::uint64_t len = w.size() - body_start;
-    for (std::size_t i = 0; i < 8; ++i) {
-        w.buffer()[body_start - 8 + i] =
-            static_cast<char>(len >> (8 * i));
+    std::uint32_t tag_field = tag;
+    field(ar, tag_field);
+    if constexpr (!Ar::kIsLoad) {
+        std::uint64_t len_placeholder = 0;
+        field(ar, len_placeholder);
+        const std::size_t start = ar.size();
+        body();
+        const std::uint64_t len = ar.size() - start;
+        for (std::size_t i = 0; i < 8; ++i)
+            ar.buffer()[start - 8 + i] = static_cast<char>(len >> (8 * i));
+    } else {
+        if (tag_field != tag) {
+            throw SnapshotError(SnapshotErrorKind::kFormat,
+                                strprintf("unexpected section tag %08x "
+                                          "(expected %08x)",
+                                          tag_field, tag));
+        }
+        std::uint64_t len = 0;
+        field(ar, len);
+        if (len > ar.remaining()) {
+            throw SnapshotError(SnapshotErrorKind::kTruncated,
+                                "section length exceeds payload");
+        }
+        if (skip) {
+            ar.skip(static_cast<std::size_t>(len));
+            return;
+        }
+        const std::size_t start = ar.offset();
+        body();
+        if (ar.offset() - start != len) {
+            throw SnapshotError(SnapshotErrorKind::kFormat,
+                                strprintf("section %08x body size mismatch "
+                                          "(%zu consumed, %llu framed)",
+                                          tag, ar.offset() - start,
+                                          (unsigned long long)len));
+        }
     }
 }
 
-/** Read one section header and bounds-check its length. */
+/** A component the simulation may lack (chain engine, fault
+ *  injector): a presence flag, then its state when present. */
+template <class Ar, class T>
 void
-readSectionHeader(SnapshotReader &r, std::uint32_t expected_tag,
-                  std::uint64_t &len)
+fieldPresent(Ar &ar, T *object, const char *what)
 {
-    std::uint32_t tag = 0;
-    field(r, tag);
-    if (tag != expected_tag) {
-        throw SnapshotError(SnapshotErrorKind::kFormat,
-                            strprintf("unexpected section tag %08x "
-                                      "(expected %08x)",
-                                      tag, expected_tag));
+    bool present = object != nullptr;
+    field(ar, present);
+    if (Ar::kIsLoad && present != (object != nullptr)) {
+        throw SnapshotError(SnapshotErrorKind::kMismatch,
+                            strprintf("%s presence differs between "
+                                      "snapshot and simulation",
+                                      what));
     }
-    field(r, len);
-    if (len > r.remaining()) {
-        throw SnapshotError(SnapshotErrorKind::kTruncated,
-                            "section length exceeds payload");
-    }
-}
-
-/** Run @p body and verify it consumed exactly the section length. */
-template <class Fn>
-void
-readSection(SnapshotReader &r, std::uint32_t tag, Fn body)
-{
-    std::uint64_t len = 0;
-    readSectionHeader(r, tag, len);
-    const std::size_t start = r.offset();
-    body();
-    if (r.offset() - start != len) {
-        throw SnapshotError(SnapshotErrorKind::kFormat,
-                            strprintf("section %08x body size mismatch "
-                                      "(%zu consumed, %llu framed)",
-                                      tag, r.offset() - start,
-                                      (unsigned long long)len));
-    }
+    if (object)
+        SnapshotAccess::io(ar, *object);
 }
 
 /** Digest of the config fields tagged at most @p widest
@@ -821,46 +850,38 @@ hashProgram(const Program &program)
     return fnv1a64(w.take());
 }
 
-/** Images hold one core's state: refuse a multi-core simulation. */
-void
-requireOneCore(const Simulation &sim)
-{
-    if (sim.config().numCores != 1) {
-        throw SnapshotError(
-            SnapshotErrorKind::kMismatch,
-            strprintf("snapshot images hold one core; the simulation has %d",
-                      sim.config().numCores));
-    }
-}
-
 /** Images carry no stat counters, so they are exact only where every
  *  counter reads zero on both sides: refuse a simulation where one
  *  does not, whose resume would otherwise be silently inexact. */
 void
 requireZeroCounters(Simulation &sim)
 {
-    FaultInjector *faults = sim.faults();
-    if (!sim.core().stats().countersZero()
-        || !sim.memory().stats().countersZero()
-        || (faults && !faults->stats().countersZero())) {
-        throw SnapshotError(SnapshotErrorKind::kMismatch,
-                            "stat counters are not zero (images are "
-                            "taken at the warmup boundary and restored "
-                            "into a fresh simulation)");
+    for (const StatGroup *tree : sim.statTrees()) {
+        if (!tree->countersZero()) {
+            throw SnapshotError(SnapshotErrorKind::kMismatch,
+                                "stat counters are not zero (images are "
+                                "taken at the warmup boundary and "
+                                "restored into a fresh simulation)");
+        }
     }
 }
 
 /** A fork-grade image must be captured outside any runahead interval,
- *  with no speculative runahead structure holding live state. The
- *  canonical warmup policy (baseline, no runahead) guarantees this;
- *  capture under a runahead config is forkSafe only when the warmup
- *  happens to end in normal mode with no engine instantiated. */
+ *  with no speculative runahead structure holding live state, on
+ *  every core. The canonical warmup policy (baseline, no runahead)
+ *  guarantees this; capture under a runahead config is forkSafe only
+ *  when every core happens to end warmup in normal mode with no engine
+ *  instantiated. */
 bool
 computeForkSafe(Simulation &sim)
 {
-    const RunaheadController &ra = sim.core().runahead();
-    return !ra.policy().anyRunahead() && !ra.inRunahead()
-        && sim.memory().chainEngine() == nullptr;
+    for (int i = 0; i < sim.config().numCores; ++i) {
+        const RunaheadController &ra = sim.core(i).runahead();
+        if (ra.policy().anyRunahead() || ra.inRunahead()
+            || sim.memory(i).chainEngine() != nullptr)
+            return false;
+    }
+    return true;
 }
 
 SnapshotMeta
@@ -871,15 +892,77 @@ buildMeta(Simulation &sim)
     m.configDigest = snapshotConfigDigest(sim.config());
     m.warmupDigest = snapshotWarmupDigest(sim.config());
     m.forkSafe = computeForkSafe(sim);
-    m.workload = sim.program().name();
-    m.programSize = sim.program().size();
-    m.programHash = hashProgram(sim.program());
     m.warmupInstructions = sim.config().warmupInstructions;
     m.cycle = sim.core().cycle();
-    m.retired = sim.core().retired();
     m.faultPresent = sim.faults() != nullptr;
-    m.enginePresent = sim.memory().chainEngine() != nullptr;
+    for (int i = 0; i < sim.config().numCores; ++i) {
+        SnapshotCoreMeta core;
+        core.workload = sim.program(i).name();
+        core.programSize = sim.program(i).size();
+        core.programHash = hashProgram(sim.program(i));
+        core.retired = sim.core(i).retired();
+        core.enginePresent = sim.memory(i).chainEngine() != nullptr;
+        m.cores.push_back(std::move(core));
+    }
     return m;
+}
+
+/** The identity gates of a restore: the simulation must run the same
+ *  program on every core, under a config digest appropriate to
+ *  @p mode, and a fork needs a fork-safe image. */
+void
+checkIdentity(const SnapshotMeta &meta, Simulation &sim,
+              SnapshotRestoreMode mode)
+{
+    if (meta.formatVersion != kSnapshotFormatVersion) {
+        throw SnapshotError(SnapshotErrorKind::kVersion,
+                            strprintf("meta format version %u unknown",
+                                      meta.formatVersion));
+    }
+    const int cores = sim.config().numCores;
+    if (meta.cores.size() != static_cast<std::size_t>(cores)) {
+        throw SnapshotError(SnapshotErrorKind::kMismatch,
+                            strprintf("snapshot holds %zu core(s), the "
+                                      "simulation has %d",
+                                      meta.cores.size(), cores));
+    }
+    for (int i = 0; i < cores; ++i) {
+        const SnapshotCoreMeta &core =
+            meta.cores[static_cast<std::size_t>(i)];
+        const Program &program = sim.program(i);
+        if (core.workload != program.name()
+            || core.programSize != program.size()
+            || core.programHash != hashProgram(program)) {
+            throw SnapshotError(
+                SnapshotErrorKind::kMismatch,
+                strprintf("snapshot core %d ran workload '%s' (%llu "
+                          "uops), the simulation's runs '%s' (%llu uops)",
+                          i, core.workload.c_str(),
+                          (unsigned long long)core.programSize,
+                          program.name().c_str(),
+                          (unsigned long long)program.size()));
+        }
+    }
+    if (mode == SnapshotRestoreMode::kExact) {
+        if (meta.configDigest != snapshotConfigDigest(sim.config())) {
+            throw SnapshotError(SnapshotErrorKind::kMismatch,
+                                "config digest mismatch (exact restore "
+                                "needs an identical configuration)");
+        }
+        return;
+    }
+    if (meta.warmupDigest != snapshotWarmupDigest(sim.config())) {
+        throw SnapshotError(SnapshotErrorKind::kMismatch,
+                            "warmup digest mismatch (fork restore "
+                            "needs identical warmup-relevant "
+                            "configuration)");
+    }
+    if (!meta.forkSafe) {
+        throw SnapshotError(SnapshotErrorKind::kMismatch,
+                            "image is not fork-safe (captured "
+                            "under a runahead policy or inside a "
+                            "runahead interval)");
+    }
 }
 
 void
@@ -903,6 +986,30 @@ checkPayloadHeader(SnapshotReader &r)
 }
 
 } // namespace
+
+template <class Ar>
+void
+SnapshotAccess::io(Ar &ar, Simulation &v, bool fork)
+{
+    for (std::size_t i = 0; i < v.cores_.size(); ++i) {
+        Core &core = *v.cores_[i];
+        MemorySystem &mem = *v.mems_[i];
+        section(ar, kSecCore, false, [&] { io(ar, core); });
+        section(ar, kSecVariant, fork, [&] {
+            io(ar, core.runahead());
+            io(ar, core.chainAnalysis());
+        });
+        section(ar, kSecMem, false, [&] { io(ar, mem); });
+        section(ar, kSecEngine, fork, [&] {
+            fieldPresent(ar, mem.chainEngine(), "chain-engine");
+        });
+        section(ar, kSecFault, false, [&] {
+            fieldPresent(ar, v.faults_[i].get(), "fault-injector");
+        });
+    }
+    for (const auto &chip : v.shared_)
+        section(ar, kSecChip, false, [&] { io(ar, *chip); });
+}
 
 /* ------------------------------------------------------------------ */
 /* Public API.                                                         */
@@ -960,45 +1067,14 @@ snapshotContentHash(const std::string &payload)
 std::string
 captureSnapshot(Simulation &sim)
 {
-    requireOneCore(sim);
     requireZeroCounters(sim);
     SnapshotWriter w;
     w.bytes(kPayloadMagic, sizeof(kPayloadMagic));
     std::uint32_t version = kSnapshotFormatVersion;
     field(w, version);
-
     SnapshotMeta meta = buildMeta(sim);
-    std::size_t at = beginSection(w, kSecMeta);
-    ioMeta(w, meta);
-    endSection(w, at);
-
-    at = beginSection(w, kSecCore);
-    SnapshotAccess::io(w, sim.core());
-    endSection(w, at);
-
-    at = beginSection(w, kSecVariant);
-    SnapshotAccess::io(w, sim.core().runahead());
-    SnapshotAccess::io(w, sim.core().chainAnalysis());
-    endSection(w, at);
-
-    at = beginSection(w, kSecMem);
-    SnapshotAccess::io(w, sim.memory());
-    endSection(w, at);
-
-    at = beginSection(w, kSecEngine);
-    bool engine_present = meta.enginePresent;
-    field(w, engine_present);
-    if (engine_present)
-        SnapshotAccess::io(w, *sim.memory().chainEngine());
-    endSection(w, at);
-
-    at = beginSection(w, kSecFault);
-    bool fault_present = meta.faultPresent;
-    field(w, fault_present);
-    if (fault_present)
-        SnapshotAccess::io(w, *sim.faults());
-    endSection(w, at);
-
+    section(w, kSecMeta, false, [&] { ioMeta(w, meta); });
+    SnapshotAccess::io(w, sim, /*fork=*/false);
     return w.take();
 }
 
@@ -1008,7 +1084,7 @@ peekSnapshotMeta(const std::string &payload)
     SnapshotReader r(payload);
     checkPayloadHeader(r);
     SnapshotMeta meta;
-    readSection(r, kSecMeta, [&] { ioMeta(r, meta); });
+    section(r, kSecMeta, false, [&] { ioMeta(r, meta); });
     return meta;
 }
 
@@ -1016,112 +1092,13 @@ void
 restoreSnapshot(Simulation &sim, const std::string &payload,
                 SnapshotRestoreMode mode)
 {
-    requireOneCore(sim);
     requireZeroCounters(sim);
     SnapshotReader r(payload);
     checkPayloadHeader(r);
-
     SnapshotMeta meta;
-    readSection(r, kSecMeta, [&] { ioMeta(r, meta); });
-    if (meta.formatVersion != kSnapshotFormatVersion) {
-        throw SnapshotError(SnapshotErrorKind::kVersion,
-                            strprintf("meta format version %u unknown",
-                                      meta.formatVersion));
-    }
-
-    // Identity gates: the restoring simulation must run the same
-    // program, and a config digest appropriate to the restore mode.
-    if (meta.workload != sim.program().name()
-        || meta.programSize != sim.program().size()
-        || meta.programHash != hashProgram(sim.program())) {
-        throw SnapshotError(
-            SnapshotErrorKind::kMismatch,
-            strprintf("snapshot is of workload '%s' (%llu uops), "
-                      "simulation runs '%s' (%llu uops)",
-                      meta.workload.c_str(),
-                      (unsigned long long)meta.programSize,
-                      sim.program().name().c_str(),
-                      (unsigned long long)sim.program().size()));
-    }
-    if (mode == SnapshotRestoreMode::kExact) {
-        if (meta.configDigest != snapshotConfigDigest(sim.config())) {
-            throw SnapshotError(SnapshotErrorKind::kMismatch,
-                                "config digest mismatch (exact restore "
-                                "needs an identical configuration)");
-        }
-    } else {
-        if (meta.warmupDigest != snapshotWarmupDigest(sim.config())) {
-            throw SnapshotError(SnapshotErrorKind::kMismatch,
-                                "warmup digest mismatch (fork restore "
-                                "needs identical warmup-relevant "
-                                "configuration)");
-        }
-        if (!meta.forkSafe) {
-            throw SnapshotError(SnapshotErrorKind::kMismatch,
-                                "image is not fork-safe (captured "
-                                "under a runahead policy or inside a "
-                                "runahead interval)");
-        }
-    }
-
-    readSection(r, kSecCore, [&] { SnapshotAccess::io(r, sim.core()); });
-
-    {
-        std::uint64_t len = 0;
-        readSectionHeader(r, kSecVariant, len);
-        if (mode == SnapshotRestoreMode::kFork) {
-            r.skip(static_cast<std::size_t>(len));
-        } else {
-            const std::size_t start = r.offset();
-            SnapshotAccess::io(r, sim.core().runahead());
-            SnapshotAccess::io(r, sim.core().chainAnalysis());
-            if (r.offset() - start != len) {
-                throw SnapshotError(SnapshotErrorKind::kFormat,
-                                    "variant section size mismatch");
-            }
-        }
-    }
-
-    readSection(r, kSecMem,
-                [&] { SnapshotAccess::io(r, sim.memory()); });
-
-    {
-        std::uint64_t len = 0;
-        readSectionHeader(r, kSecEngine, len);
-        if (mode == SnapshotRestoreMode::kFork) {
-            r.skip(static_cast<std::size_t>(len));
-        } else {
-            const std::size_t start = r.offset();
-            bool engine_present = false;
-            field(r, engine_present);
-            ChainEngine *engine = sim.memory().chainEngine();
-            if (engine_present != (engine != nullptr)) {
-                throw SnapshotError(
-                    SnapshotErrorKind::kMismatch,
-                    "chain-engine presence differs between snapshot "
-                    "and simulation");
-            }
-            if (engine_present)
-                SnapshotAccess::io(r, *engine);
-            if (r.offset() - start != len) {
-                throw SnapshotError(SnapshotErrorKind::kFormat,
-                                    "engine section size mismatch");
-            }
-        }
-    }
-
-    readSection(r, kSecFault, [&] {
-        bool fault_present = false;
-        field(r, fault_present);
-        if (fault_present != (sim.faults() != nullptr)) {
-            throw SnapshotError(SnapshotErrorKind::kMismatch,
-                                "fault-injector presence differs "
-                                "between snapshot and simulation");
-        }
-        if (fault_present)
-            SnapshotAccess::io(r, *sim.faults());
-    });
-
+    section(r, kSecMeta, false, [&] { ioMeta(r, meta); });
+    checkIdentity(meta, sim, mode);
+    SnapshotAccess::io(r, sim, mode == SnapshotRestoreMode::kFork);
     if (r.remaining() != 0) {
         throw SnapshotError(SnapshotErrorKind::kFormat,
                             "trailing bytes after final section");

@@ -1,9 +1,10 @@
 /**
  * @file
- * Whole-simulator snapshots: capture a `Simulation` at the warmup
- * boundary and restore it later — in the same process, from disk, or
- * from the content-addressed result store — so one warmup run can be
- * amortized across every config variant of a sweep group.
+ * Whole-simulator snapshots: capture a `Simulation` of any core count
+ * at the warmup boundary and restore it later — in the same process,
+ * from disk, or from the content-addressed result store — so one
+ * warmup run can be amortized across every config variant of a sweep
+ * group.
  *
  * Two restore modes:
  *   - kExact: the restoring simulation must have the same full config
@@ -16,8 +17,8 @@
  *     the variant-specific sections (runahead controller, chain
  *     engine) are skipped: each variant re-derives them from its own
  *     fresh construction. Fork restore requires a fork-safe image —
- *     captured outside any runahead interval (guaranteed when the
- *     warmup ran under the baseline policy).
+ *     every core captured outside any runahead interval (guaranteed
+ *     when the warmup ran under the baseline policy on every core).
  *
  * Images carry no stat counters: a capture follows runWarmup(), which
  * zeroes them, and a restore targets a fresh simulation. Both refuse a
@@ -35,6 +36,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "snapshot/archive.hh" // SnapshotError / SnapshotErrorKind.
 
@@ -45,7 +47,7 @@ class Simulation;
 struct SimConfig;
 
 /** Snapshot payload format version (bump on any layout change). */
-inline constexpr std::uint32_t kSnapshotFormatVersion = 5;
+inline constexpr std::uint32_t kSnapshotFormatVersion = 6;
 
 /** How a snapshot is applied to a simulation. */
 enum class SnapshotRestoreMode
@@ -54,32 +56,39 @@ enum class SnapshotRestoreMode
     kFork,  ///< Config variant: shared warmup state only.
 };
 
+/** One core's entry in the META section. */
+struct SnapshotCoreMeta
+{
+    std::string workload;
+    std::uint64_t programSize = 0;
+    std::uint64_t programHash = 0;
+    std::uint64_t retired = 0; ///< Retired uops at capture.
+    bool enginePresent = false; ///< Its chain-engine state present.
+};
+
 /** Parsed snapshot META section (cheap peek, no full restore). */
 struct SnapshotMeta
 {
     std::uint32_t formatVersion = 0;
     std::uint64_t configDigest = 0; ///< Full-config digest (kExact).
     std::uint64_t warmupDigest = 0; ///< Warmup-relevant digest (kFork).
-    bool forkSafe = false; ///< Captured outside any runahead interval.
-    std::string workload;
-    std::uint64_t programSize = 0;
-    std::uint64_t programHash = 0;
+    /** Every core captured outside any runahead interval. */
+    bool forkSafe = false;
     std::uint64_t warmupInstructions = 0;
-    std::uint64_t cycle = 0;   ///< Core cycle at capture.
-    std::uint64_t retired = 0; ///< Retired uops at capture.
-    bool faultPresent = false; ///< Fault-injector section present.
-    bool enginePresent = false; ///< Chain-engine section present.
+    std::uint64_t cycle = 0;   ///< Chip cycle at capture.
+    bool faultPresent = false; ///< Fault-injector sections present.
+    std::vector<SnapshotCoreMeta> cores; ///< One per core, in id order.
 };
 
-/** Serialize the complete simulation state to a payload string. An
- *  image holds one core and no counters: throws
- *  SnapshotError(kMismatch) when @p sim has more than one core or a
- *  non-zero stat counter. */
+/** Serialize the complete simulation state, every core and every
+ *  SharedMemory, to a payload string. An image holds no counters:
+ *  throws SnapshotError(kMismatch) when @p sim has a non-zero stat
+ *  counter. */
 std::string captureSnapshot(Simulation &sim);
 
 /** Apply @p payload to @p sim. Throws SnapshotError on any mismatch
- *  (a multi-core @p sim, or one with a non-zero stat counter,
- *  included), corruption or format problem;
+ *  (another core count or program, or a @p sim with a non-zero stat
+ *  counter, included), corruption or format problem;
  *  @p sim must then be discarded (it may be partially overwritten). */
 void restoreSnapshot(Simulation &sim, const std::string &payload,
                      SnapshotRestoreMode mode);

@@ -171,29 +171,56 @@ CampaignResult::committedInstructions() const
 namespace
 {
 
-/** Suite workload @p name under @p seed (0 = workload default). */
-Program
-buildPointWorkload(const std::string &name, std::uint64_t seed)
+/** One suite workload name per core: the mix's, or the point's. */
+std::vector<std::string>
+pointWorkloads(const SweepPoint &point)
 {
-    const WorkloadSpec *workload = findWorkload(name);
-    if (!workload)
-        throw std::runtime_error("unknown workload '" + name + "'");
-    WorkloadParams params = workload->params;
-    if (seed != 0)
-        params.seed = seed;
-    return buildWorkload(params);
+    if (point.isMix())
+        return point.mixWorkloads;
+    return {point.workload};
+}
+
+/** A group's per-core workloads as text: "mcf", "mcf,libq". */
+std::string
+joinWorkloads(const std::vector<std::string> &workloads)
+{
+    std::string text;
+    for (const std::string &name : workloads)
+        text += (text.empty() ? "" : ",") + name;
+    return text;
+}
+
+/** One program per core of @p point, each suite workload under the
+ *  point's seed (0 = workload default). */
+std::vector<Program>
+pointPrograms(const SweepPoint &point)
+{
+    std::vector<Program> programs;
+    for (const std::string &name : pointWorkloads(point)) {
+        const WorkloadSpec *workload = findWorkload(name);
+        if (!workload)
+            throw std::runtime_error("unknown workload '" + name + "'");
+        WorkloadParams params = workload->params;
+        if (point.seed != 0)
+            params.seed = point.seed;
+        programs.push_back(buildWorkload(params));
+    }
+    return programs;
 }
 
 /**
  * Config a warmup image for @p point's group is captured under: the
- * baseline policy, so the image is fork-safe (warmup never enters a
- * runahead interval). Variant-specific policy is deliberately absent:
- * it is exactly what each fork re-derives.
+ * baseline policy on every core, so the image is fork-safe (warmup
+ * never enters a runahead interval). Variant-specific policy, a mix
+ * point's per-core policies included, is deliberately absent: it is
+ * exactly what each fork re-derives.
  */
 SimConfig
 warmupImageConfig(const CampaignSpec &spec, const SweepPoint &point)
 {
-    return pointConfig(spec, point, RunaheadConfig::kBaseline);
+    SweepPoint group = point;
+    group.corePolicies.clear();
+    return pointConfig(spec, group, RunaheadConfig::kBaseline);
 }
 
 } // namespace
@@ -206,7 +233,6 @@ pointConfig(const CampaignSpec &spec, const SweepPoint &point,
     config.instructions = spec.instructions;
     config.warmupInstructions = spec.warmup;
     config.checkLevel = spec.checkLevel;
-    config.fastForward = spec.fastForward;
     if (point.isMix()) {
         config.numCores = static_cast<int>(point.mixWorkloads.size());
         config.corePolicies = point.corePolicies;
@@ -218,8 +244,7 @@ pointConfig(const CampaignSpec &spec, const SweepPoint &point,
 std::string
 buildWarmupImage(const CampaignSpec &spec, const SweepPoint &point)
 {
-    Simulation sim(warmupImageConfig(spec, point),
-                   buildPointWorkload(point.workload, point.seed));
+    Simulation sim(warmupImageConfig(spec, point), pointPrograms(point));
     sim.runWarmup();
     return captureSnapshot(sim);
 }
@@ -242,15 +267,8 @@ runPoint(const CampaignSpec &spec, const SweepPoint &point,
     // wallSeconds never feeds simulated state or manifest ordering)
     const auto start = std::chrono::steady_clock::now();
     try {
-        // One program per core: the mix's workloads, or the point's.
-        const std::vector<std::string> single = {point.workload};
-        std::vector<Program> programs;
-        for (const std::string &name :
-             point.isMix() ? point.mixWorkloads : single)
-            programs.push_back(buildPointWorkload(name, point.seed));
-
         Simulation sim(pointConfig(spec, point, point.runahead),
-                       std::move(programs));
+                       pointPrograms(point));
         if (warmup_image) {
             restoreSnapshot(sim, *warmup_image,
                             SnapshotRestoreMode::kFork);
@@ -277,8 +295,8 @@ namespace
 {
 
 /**
- * Thread-safe cache of shared warmup images, one per (workload, seed,
- * prefetch) group of single-core points: the engine behind
+ * Thread-safe cache of shared warmup images, one per (per-core
+ * workloads, seed, prefetch) group: the engine behind
  * CampaignSpec::snapshotWarmup. The first worker to reach a group
  * builds its image — consulting / feeding the result store's snapshot
  * records when one is attached — while the group's other points block
@@ -321,7 +339,7 @@ class WarmupImageCache
     ResultStore *store_;
     std::string gitSha_;
     std::mutex mutex_; ///< Guards the map's shape, not the groups.
-    std::map<std::tuple<std::string, std::uint64_t, bool>,
+    std::map<std::tuple<std::vector<std::string>, std::uint64_t, bool>,
              std::unique_ptr<Group>>
         groups_;
 };
@@ -329,10 +347,11 @@ class WarmupImageCache
 const WarmupImageCache::Image &
 WarmupImageCache::get(const CampaignSpec &spec, const SweepPoint &point)
 {
+    const std::vector<std::string> workloads = pointWorkloads(point);
     Group *g = nullptr;
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        auto &slot = groups_[std::make_tuple(point.workload, point.seed,
+        auto &slot = groups_[std::make_tuple(workloads, point.seed,
                                              point.prefetch)];
         if (!slot)
             slot = std::make_unique<Group>();
@@ -350,7 +369,7 @@ WarmupImageCache::get(const CampaignSpec &spec, const SweepPoint &point)
                 skey.gitSha = gitSha_;
                 skey.warmupDigestHex = hex64(snapshotWarmupDigest(
                     warmupImageConfig(spec, point)));
-                skey.workload = point.workload;
+                skey.workloads = workloads;
                 skey.seed = point.seed;
                 skey.warmupInstructions = spec.warmup;
                 skey.formatVersion = kSnapshotFormatVersion;
@@ -369,8 +388,8 @@ WarmupImageCache::get(const CampaignSpec &spec, const SweepPoint &point)
             image.payload.clear();
             image.error = strprintf(
                 "error: warmup image build failed for '%s' seed %llu: %s",
-                point.workload.c_str(), (unsigned long long)point.seed,
-                e.what());
+                joinWorkloads(workloads).c_str(),
+                (unsigned long long)point.seed, e.what());
         }
     }
     return image;
@@ -406,9 +425,9 @@ runCampaign(const CampaignSpec &spec, int threads,
     const std::uint64_t snap_misses0 =
         store ? store->snapshotMisses() : 0;
 
-    // One shared warmup image per (workload, seed, prefetch) group of
-    // single-core points; built lazily by whichever worker reaches
-    // the group first.
+    // One shared warmup image per (per-core workloads, seed,
+    // prefetch) group; built lazily by whichever worker reaches the
+    // group first.
     WarmupImageCache warmup_cache(store, git_sha);
 
     const std::atomic<bool> *stop = options.stop;
@@ -422,9 +441,7 @@ runCampaign(const CampaignSpec &spec, int threads,
     const auto run_index = [&](std::size_t index) {
         const SweepPoint &point = grid[index];
         const WarmupImageCache::Image *image =
-            spec.snapshotWarmup && !point.isMix()
-            ? &warmup_cache.get(spec, point)
-            : nullptr;
+            spec.snapshotWarmup ? &warmup_cache.get(spec, point) : nullptr;
 
         PointResult pr;
         if (image && !image->error.empty()) {

@@ -113,16 +113,17 @@ struct CampaignSpec
     std::uint64_t instructions = 40'000;
     std::uint64_t warmup = 10'000;
     CheckLevel checkLevel = CheckLevel::kOff;
-    bool fastForward = true; ///< Cycle-loop fast-forward engine.
 
     /**
-     * Snapshotted warmup: warm each (workload, seed, prefetch) group
-     * once under the baseline policy, capture a whole-simulator
-     * snapshot at the warmup boundary, and fork every config variant
-     * of the group from that shared image instead of re-running its
-     * own warmup. Amortizes warmup across the variant axis (the bulk
-     * of a sweep's redundant work) and, with a result store attached,
-     * across campaigns and processes via cached snapshot records.
+     * Snapshotted warmup: warm each (per-core workloads, seed,
+     * prefetch) group once under the baseline policy on every core,
+     * capture a whole-simulator snapshot at the warmup boundary, and
+     * fork every config variant of the group from that shared image
+     * instead of re-running its own warmup. A mix point's group is its
+     * chip: the image holds every core and the shared memory. Amortizes
+     * warmup across the variant axis (the bulk of a sweep's redundant
+     * work) and, with a result store attached, across campaigns and
+     * processes via cached snapshot records.
      *
      * Snapshot-warmed results are a distinct result universe from
      * inline-warmed ones (the warmup ran under the baseline policy,
@@ -130,7 +131,6 @@ struct CampaignSpec
      * config key's snapshot= line). A point whose
      * group image cannot be built or restored fails; it never warms
      * inline instead, which would move it into the other universe.
-     * Multi-core mix points always warm inline.
      */
     bool snapshotWarmup = false;
 
@@ -177,8 +177,8 @@ struct PointResult
     double wallSeconds = 0;
     bool ran = false;    ///< False: interrupted before this point ran.
     bool cached = false; ///< Served from the result store.
-    /** Resumed from a warmup snapshot (false: the spec warms inline,
-     *  or the point is a mix point). */
+    /** Resumed from a warmup snapshot (false: the spec warms
+     *  inline). */
     bool snapshotWarmed = false;
 };
 
@@ -265,7 +265,7 @@ SimConfig pointConfig(const CampaignSpec &spec, const SweepPoint &point,
 /**
  * Run one point under the config (spec, point) names. When
  * @p warmup_image is non-null (a captureSnapshot payload of a warmed
- * baseline-policy simulation of the point's workload/seed/prefetch
+ * baseline-policy simulation of the point's workloads/seed/prefetch
  * group), the point's simulation fork-restores from it and runs only
  * the measured region; a SnapshotError fails the point with the
  * error's text (snapshotWarmed stays false).
@@ -274,11 +274,12 @@ PointResult runPoint(const CampaignSpec &spec, const SweepPoint &point,
                      const std::string *warmup_image = nullptr);
 
 /**
- * Warm one baseline-policy simulation of @p point's (workload, seed,
- * prefetch) group under @p spec's budgets and capture it — the image
- * every variant of the group forks from. Throws on any build, run or
- * capture failure. runCampaign shares one image per group, and a
- * group whose build throws fails all its points.
+ * Warm one simulation of @p point's (per-core workloads, seed,
+ * prefetch) group, with the baseline policy on every core, under
+ * @p spec's budgets and capture it — the image every variant of the
+ * group forks from. The programs are runPoint's. Throws on any build,
+ * run or capture failure. runCampaign shares one image per group,
+ * and a group whose build throws fails all its points.
  */
 std::string buildWarmupImage(const CampaignSpec &spec,
                              const SweepPoint &point);

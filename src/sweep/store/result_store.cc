@@ -33,7 +33,8 @@ SnapshotStoreKey::canonical() const
     std::string s;
     s += "git=" + gitSha + "\n";
     s += "warmup_digest=" + warmupDigestHex + "\n";
-    s += "workload=" + workload + "\n";
+    for (const std::string &workload : workloads)
+        s += "workload=" + workload + "\n";
     s += strprintf("seed=%llu\n", (unsigned long long)seed);
     s += strprintf("warmup_instructions=%llu\n",
                    (unsigned long long)warmupInstructions);

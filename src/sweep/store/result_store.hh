@@ -41,6 +41,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "sweep/campaign.hh"
 #include "sweep/store/store_key.hh"
@@ -52,14 +53,15 @@ namespace rab
  * Identity of one cached warmup snapshot. A snapshot is reusable by
  * any config variant whose warmup-relevant digest matches, so the key
  * is the warmup digest (not the full config hash) plus everything
- * else that shapes warmup state: code identity, workload, seed, the
- * warmup instruction budget, and the payload format version.
+ * else that shapes warmup state: code identity, each core's workload,
+ * seed, the warmup instruction budget, and the payload format
+ * version.
  */
 struct SnapshotStoreKey
 {
     std::string gitSha;          ///< Code identity (currentGitSha()).
     std::string warmupDigestHex; ///< hex64(snapshotWarmupDigest()).
-    std::string workload;
+    std::vector<std::string> workloads; ///< Suite name per core.
     std::uint64_t seed = 0;
     std::uint64_t warmupInstructions = 0;
     std::uint32_t formatVersion = 0; ///< kSnapshotFormatVersion.

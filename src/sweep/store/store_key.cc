@@ -15,17 +15,17 @@ canonicalConfigString(const CampaignSpec &spec, const SweepPoint &point,
     // intended way to retire a format. The config digest hashes every
     // machine and variant field core/config_fields.hh lists, so a
     // spec knob that reaches the SimConfig is keyed here unasked. The
-    // digest leaves out fast-forward, which preserves behaviour, and
-    // the workloads, which live in the programs. A point forked from
-    // a shared warmup snapshot is keyed to that exact image (format
-    // version + content hash), so a snapshot-format bump or a
-    // different warmup image can never serve a stale result.
+    // digest leaves out the workloads, which live in the programs,
+    // and fast-forward, which preserves behaviour and which campaigns
+    // always run. A point forked from a shared warmup snapshot is
+    // keyed to that exact image (format version + content hash), so a
+    // snapshot-format bump or a different warmup image can never
+    // serve a stale result.
     std::string s = std::string("schema=") + kConfigKeySchema + "\n";
     s += "config="
         + hex64(snapshotConfigDigest(
             pointConfig(spec, point, point.runahead)))
         + "\n";
-    s += strprintf("fast_forward=%d\n", spec.fastForward ? 1 : 0);
     for (std::size_t i = 0; i < point.mixWorkloads.size(); ++i)
         s += strprintf("core%zu=%s\n", i, point.mixWorkloads[i].c_str());
     s += "snapshot="

@@ -35,19 +35,20 @@ namespace rab
 /** Current canonical config-key schema. v5 replaced the hand-kept
  *  field lines of v4 (variant, runahead, prefetch, warmup, check
  *  level and policy, cores, per-core policy, engine, warmup mode)
- *  with the snapshot config digest of the point's SimConfig. A key
- *  hashed under another schema names another record file, so it can
- *  never hit. */
-inline constexpr const char *kConfigKeySchema = "rab-config-key-v5";
+ *  with the snapshot config digest of the point's SimConfig; v6
+ *  dropped the fast_forward= line with the campaign knob it keyed.
+ *  A key hashed under another schema names another record file, so
+ *  it can never hit. */
+inline constexpr const char *kConfigKeySchema = "rab-config-key-v6";
 
 /**
  * Canonical serialisation of everything per point that shapes
  * simulated output beyond the StoreKey's own fields: `config=`, the
  * hex snapshotConfigDigest of pointConfig(spec, point,
- * point.runahead); `fast_forward=`, which that digest leaves out; one
- * `core<i>=<workload>` per core of a mix point; and `snapshot=`.
- * Line-oriented `name=value` text in an order fixed here. The variant
- * label is not keyed: two labels for one config run one simulation.
+ * point.runahead); one `core<i>=<workload>` per core of a mix point;
+ * and `snapshot=`. Line-oriented `name=value` text in an order fixed
+ * here. The variant label is not keyed: two labels for one config run
+ * one simulation.
  *
  * @p snapshot_id identifies the warmup snapshot this point forked
  * from ("<format-version>/<content-hash-hex>", built by the sweep

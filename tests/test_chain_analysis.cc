@@ -62,7 +62,7 @@ TEST(ChainAnalysis, SliceLengthIsStaticChain)
     // Static slice: load, add, mix, addi = 4 distinct PCs (the older
     // iteration's addi dedups by PC).
     EXPECT_EQ(ca.chainsMeasured.value(), 1u);
-    EXPECT_DOUBLE_EQ(ca.averageChainLength(), 4.0);
+    EXPECT_EQ(ca.chainLengthSum.value(), 4u);
 }
 
 TEST(ChainAnalysis, IdenticalChainsCountAsRepeated)
@@ -76,7 +76,6 @@ TEST(ChainAnalysis, IdenticalChainsCountAsRepeated)
     ca.endInterval();
     EXPECT_EQ(ca.chainsTotal.value(), 5u);
     EXPECT_EQ(ca.chainsRepeated.value(), 4u); // first is "unique"
-    EXPECT_DOUBLE_EQ(ca.repeatedFraction(), 0.8);
 }
 
 TEST(ChainAnalysis, DifferentChainsAreUnique)
@@ -106,7 +105,6 @@ TEST(ChainAnalysis, NecessaryFractionCountsChainOps)
     // addi, mix, add, load are necessary; the filler is not.
     EXPECT_EQ(ca.opsExecuted.value(), 5u);
     EXPECT_EQ(ca.opsNecessary.value(), 4u);
-    EXPECT_DOUBLE_EQ(ca.necessaryFraction(), 0.8);
 }
 
 TEST(ChainAnalysis, IntervalsAreIndependent)
@@ -145,7 +143,8 @@ TEST(ChainAnalysis, OutOfOrderRecordingStillWalksProgramOrder)
     ca.recordExec(miss);
     ca.recordMiss(miss);
     ca.endInterval();
-    EXPECT_DOUBLE_EQ(ca.averageChainLength(), 4.0);
+    EXPECT_EQ(ca.chainsMeasured.value(), 1u);
+    EXPECT_EQ(ca.chainLengthSum.value(), 4u);
 }
 
 // --------------------------------------------------------------------

@@ -211,9 +211,9 @@ TEST_F(ControllerFixture, IntervalBookkeeping)
     ctrl.exit(60);
     EXPECT_FALSE(ctrl.inRunahead());
     EXPECT_EQ(ctrl.intervals.value(), 1u);
-    EXPECT_DOUBLE_EQ(ctrl.missesPerInterval(), 2.0);
+    EXPECT_EQ(ctrl.runaheadMisses.value(), 2u);
     EXPECT_EQ(ctrl.cyclesTraditional.value(), 1u);
-    EXPECT_DOUBLE_EQ(ctrl.bufferCycleFraction(), 0.0);
+    EXPECT_EQ(ctrl.cyclesBuffer.value(), 0u);
 }
 
 TEST_F(ControllerFixture, BufferIssueDelayedByGeneration)

@@ -9,6 +9,9 @@
  * identical full statistics payload (core, memory and faults) compared
  * to the straight-line run that never snapshotted.
  *
+ * A chip of four cores, each under its own policy, resumes exactly as
+ * well, and a campaign's mix points fork from chip images.
+ *
  * Also certifies the failure surface: truncated, bit-flipped,
  * wrong-magic and wrong-version files are rejected with the right
  * structured SnapshotErrorKind, and mode gates (config digest, workload
@@ -237,57 +240,226 @@ TEST(Snapshot, ExactRestoreThroughLlcEvictionsAllConfigs)
     }
 }
 
+/** @p workloads' programs under @p seed-free suite defaults. */
+std::vector<Program>
+suitePrograms(const std::vector<std::string> &workloads)
+{
+    std::vector<Program> programs;
+    for (const std::string &name : workloads)
+        programs.push_back(buildSuiteWorkload(name));
+    return programs;
+}
+
+/** @p config warmed over @p programs and captured. */
+std::string
+captureWarm(const SimConfig &config, const std::vector<Program> &programs)
+{
+    Simulation warm(config, programs);
+    warm.runWarmup();
+    return captureSnapshot(warm);
+}
+
+/** The error kind restoring @p payload into a fresh @p config
+ *  simulation of @p programs raises; kIo stands for "accepted". */
+SnapshotErrorKind
+restoreKind(const SimConfig &config, const std::vector<Program> &programs,
+            const std::string &payload)
+{
+    Simulation sim(config, programs);
+    try {
+        restoreSnapshot(sim, payload, SnapshotRestoreMode::kExact);
+    } catch (const SnapshotError &e) {
+        return e.kind();
+    }
+    return SnapshotErrorKind::kIo;
+}
+
 TEST(Snapshot, CorruptPayloadNeverCrashesRestore)
 {
     // Flip one byte at a fixed stride through every section and
     // restore each copy into a fresh simulation. A copy may restore
     // (most bytes are plain values) or be rejected, but only ever with
     // SnapshotError: counts are checked against the bytes left, and
-    // the cache and BTB indices and the ROB head and size against the
-    // restoring simulation's geometry, so no corrupt payload writes
-    // out of bounds (CI runs this under ASan+UBSan). The CRE config
-    // under faults fills every section, and omnetpp leaves valid BTB
-    // entries.
+    // the cache and BTB indices, the ROB head and size and the memory
+    // queue's core ids against the restoring simulation's geometry, so
+    // no corrupt payload writes out of bounds (CI runs this under
+    // ASan+UBSan). The CRE config under faults fills every section,
+    // and omnetpp leaves valid BTB entries. The chip of two cores
+    // writes each core's five sections and then its shared memory.
     SimConfig config = makeTestConfig(RunaheadConfig::kCRE, true);
     config.mem.llc.sizeBytes = 64 * 1024;
-    const Program program = buildSuiteWorkload("omnetpp");
-    std::string payload;
+    SimConfig chip = config;
+    chip.numCores = 2;
+    const struct
     {
-        Simulation warm(config, program);
-        warm.runWarmup();
-        payload = captureSnapshot(warm);
-    }
+        const SimConfig &config;
+        std::vector<std::string> workloads;
+        std::size_t sections;
+    } images[] = {{config, {"omnetpp"}, 7}, {chip, {"omnetpp", "mcf"}, 12}};
 
-    // Payload header: 8-byte magic + u32 version; then sections of
-    // u32 tag + u64 length + body.
-    constexpr std::size_t kStride = 31;
-    std::size_t sections = 0;
-    std::size_t restored = 0;
-    std::size_t rejected = 0;
-    for (std::size_t begin = 12; begin < payload.size(); ++sections) {
-        std::uint64_t len = 0;
-        for (std::size_t b = 0; b < 8; ++b) {
-            len |= std::uint64_t(std::uint8_t(payload[begin + 4 + b]))
-                << (8 * b);
+    for (const auto &image : images) {
+        const std::vector<Program> programs = suitePrograms(image.workloads);
+        const std::string payload = captureWarm(image.config, programs);
+
+        // Payload header: 8-byte magic + u32 version; then sections of
+        // u32 tag + u64 length + body.
+        constexpr std::size_t kStride = 31;
+        std::size_t sections = 0;
+        std::size_t restored = 0;
+        std::size_t rejected = 0;
+        for (std::size_t begin = 12; begin < payload.size(); ++sections) {
+            std::uint64_t len = 0;
+            for (std::size_t b = 0; b < 8; ++b) {
+                len |= std::uint64_t(std::uint8_t(payload[begin + 4 + b]))
+                    << (8 * b);
+            }
+            const std::size_t end = begin + 12 + len;
+            ASSERT_LE(end, payload.size());
+            for (std::size_t at = begin; at < end; at += kStride) {
+                std::string corrupt = payload;
+                corrupt[at] = static_cast<char>(corrupt[at] ^ 0xff);
+                if (restoreKind(image.config, programs, corrupt)
+                    == SnapshotErrorKind::kIo)
+                    ++restored;
+                else
+                    ++rejected;
+            }
+            begin = end;
         }
-        const std::size_t end = begin + 12 + len;
-        ASSERT_LE(end, payload.size());
-        for (std::size_t at = begin; at < end; at += kStride) {
-            std::string corrupt = payload;
-            corrupt[at] = static_cast<char>(corrupt[at] ^ 0xff);
-            Simulation sim(config, program);
-            try {
-                restoreSnapshot(sim, corrupt, SnapshotRestoreMode::kExact);
-                ++restored;
-            } catch (const SnapshotError &) {
-                ++rejected;
+        EXPECT_EQ(sections, image.sections) << image.workloads.size();
+        EXPECT_GT(restored, 0u);
+        EXPECT_GT(rejected, 0u);
+    }
+}
+
+TEST(Snapshot, ChipRejectsForeignCoreIds)
+{
+    // The CHIP section, the payload's last, ends with the memory
+    // queue's entries, each a u64 fill cycle and an i32 core id, and
+    // then the per-core slot counts (a u64 count and one u64 per core).
+    // An entry naming a core the restoring chip lacks, or a slot vector
+    // of another length, would index past the per-core slots; both are
+    // kFormat.
+    SimConfig config = makeTestConfig(RunaheadConfig::kBaseline, false);
+    config.numCores = 2;
+    const std::vector<Program> programs = suitePrograms({"mcf", "libq"});
+    const std::string payload = captureWarm(config, programs);
+    const auto u64_at = [](const std::string &bytes, std::size_t at) {
+        std::uint64_t v = 0;
+        for (std::size_t b = 0; b < 8; ++b)
+            v |= std::uint64_t(std::uint8_t(bytes[at + b])) << (8 * b);
+        return v;
+    };
+    std::size_t chip = 12; // Sections follow the 12-byte header.
+    while (chip + 12 + u64_at(payload, chip + 4) < payload.size())
+        chip += 12 + u64_at(payload, chip + 4);
+    const std::size_t slots = payload.size() - 8 * (1 + 2);
+    ASSERT_EQ(u64_at(payload, slots), 2u);
+    // Some fill is in flight at the warmup boundary, so the last queue
+    // entry's core id sits just before the slot counts.
+    ASSERT_GT(u64_at(payload, slots + 8) + u64_at(payload, slots + 16), 0u);
+    ASSERT_EQ(restoreKind(config, programs, payload),
+              SnapshotErrorKind::kIo);
+
+    std::string forged = payload;
+    forged[slots - 4] = 2; // Core 2 of a 2-core chip.
+    EXPECT_EQ(restoreKind(config, programs, forged),
+              SnapshotErrorKind::kFormat);
+
+    // One slot count for two cores, in a section framed to match.
+    forged = payload.substr(0, payload.size() - 8);
+    forged[slots] = 1;
+    const std::uint64_t len = u64_at(forged, chip + 4) - 8;
+    for (std::size_t b = 0; b < 8; ++b)
+        forged[chip + 4 + b] = static_cast<char>(len >> (8 * b));
+    EXPECT_EQ(restoreKind(config, programs, forged),
+              SnapshotErrorKind::kFormat);
+}
+
+/** One chip run: every core's commit stream, the cycles and the
+ *  payload of the measured region. */
+struct ChipCapture
+{
+    std::vector<std::vector<RefCommit>> traces;
+    std::map<std::string, double> stats;
+    std::uint64_t cycles = 0;
+};
+
+ChipCapture
+runChipMeasured(Simulation &sim)
+{
+    ChipCapture cap;
+    cap.traces.resize(static_cast<std::size_t>(sim.config().numCores));
+    for (int i = 0; i < sim.config().numCores; ++i) {
+        std::vector<RefCommit> &trace = cap.traces[std::size_t(i)];
+        sim.core(i).setCommitHook([&trace](const DynUop &uop) {
+            RefCommit c;
+            c.pc = uop.pc;
+            c.result = uop.sop.hasDest() || uop.isStore() ? uop.result : 0;
+            c.addr = uop.sop.isMem() ? uop.effAddr : kNoAddr;
+            c.taken = uop.isControl() && uop.actualTaken;
+            trace.push_back(c);
+        });
+    }
+    cap.cycles = sim.runMeasured().cycles;
+    cap.stats = sim.statPayload();
+    return cap;
+}
+
+TEST(Snapshot, ChipExactRestoreMatchesStraightLine)
+{
+    // A mix4 chip with a different policy on each core (hybrid,
+    // baseline, buffer-cc, cre: an engine on core 3 only),
+    // captured at the warmup boundary and restored into a fresh chip,
+    // must resume exactly as the straight-line run: every core's
+    // commit stream, the cycle count and the whole payload, clean and
+    // under fault injection. The restored chip re-captures to the
+    // same bytes.
+    for (const bool faulted : {false, true}) {
+        SimConfig config = makeTestConfig(RunaheadConfig::kHybrid, faulted);
+        config.instructions = 6'000;
+        config.numCores = 4;
+        config.corePolicies = {
+            RunaheadConfig::kHybrid, RunaheadConfig::kBaseline,
+            RunaheadConfig::kRunaheadBufferCC, RunaheadConfig::kCRE};
+        const std::vector<Program> programs =
+            suitePrograms(makeMix4().workloads);
+
+        Simulation straight(config, programs);
+        straight.runWarmup();
+        const std::string payload = captureSnapshot(straight);
+        const ChipCapture a = runChipMeasured(straight);
+
+        Simulation resumed(config, programs);
+        restoreSnapshot(resumed, payload, SnapshotRestoreMode::kExact);
+        EXPECT_EQ(captureSnapshot(resumed), payload) << faulted;
+        const ChipCapture b = runChipMeasured(resumed);
+
+        EXPECT_EQ(a.cycles, b.cycles) << faulted;
+        for (std::size_t i = 0; i < a.traces.size(); ++i) {
+            ASSERT_GT(a.traces[i].size(), 0u) << "core " << i;
+            ASSERT_EQ(a.traces[i].size(), b.traces[i].size()) << "core " << i;
+            for (std::size_t k = 0; k < a.traces[i].size(); ++k) {
+                ASSERT_EQ(a.traces[i][k].pc, b.traces[i][k].pc)
+                    << "core " << i << " uop " << k;
+                ASSERT_EQ(a.traces[i][k].result, b.traces[i][k].result)
+                    << "core " << i << " uop " << k;
+                ASSERT_EQ(a.traces[i][k].addr, b.traces[i][k].addr)
+                    << "core " << i << " uop " << k;
+                ASSERT_EQ(a.traces[i][k].taken, b.traces[i][k].taken)
+                    << "core " << i << " uop " << k;
             }
         }
-        begin = end;
+        EXPECT_EQ(a.stats, b.stats) << faulted;
+        EXPECT_TRUE(peekSnapshotMeta(payload).cores.at(3).enginePresent);
+        if (faulted) {
+            EXPECT_GT(a.stats.at("core0.faults.chain_corruptions")
+                          + a.stats.at("core0.faults.uop_flips")
+                          + a.stats.at("core2.faults.chain_corruptions")
+                          + a.stats.at("core2.faults.uop_flips"),
+                      0.0);
+        }
     }
-    EXPECT_EQ(sections, 6u);
-    EXPECT_GT(restored, 0u);
-    EXPECT_GT(rejected, 0u);
 }
 
 /** A baseline-warmup image and the ROB state it captured. */
@@ -412,16 +584,17 @@ TEST(Snapshot, MetaDescribesCapturePoint)
 
     const SnapshotMeta meta = peekSnapshotMeta(payload);
     EXPECT_EQ(meta.formatVersion, kSnapshotFormatVersion);
-    EXPECT_EQ(meta.workload, "mcf");
     EXPECT_EQ(meta.configDigest, snapshotConfigDigest(config));
     EXPECT_EQ(meta.warmupDigest, snapshotWarmupDigest(config));
     EXPECT_TRUE(meta.forkSafe); // Baseline warmup: no runahead at all.
     EXPECT_FALSE(meta.faultPresent);
-    EXPECT_FALSE(meta.enginePresent);
     EXPECT_EQ(meta.warmupInstructions, config.warmupInstructions);
-    EXPECT_GE(meta.retired, config.warmupInstructions);
     EXPECT_GT(meta.cycle, 0u);
-    EXPECT_EQ(meta.programSize, sim.program().size());
+    ASSERT_EQ(meta.cores.size(), 1u);
+    EXPECT_EQ(meta.cores[0].workload, "mcf");
+    EXPECT_FALSE(meta.cores[0].enginePresent);
+    EXPECT_GE(meta.cores[0].retired, config.warmupInstructions);
+    EXPECT_EQ(meta.cores[0].programSize, sim.program().size());
 }
 
 /** Fork restore: one baseline warmup image feeds every config variant;
@@ -718,14 +891,19 @@ TEST(SnapshotError, KindNamesAreStable)
 // Campaign integration: shared-image warmup
 // ---------------------------------------------------------------------
 
+/** Two workloads and a 2-core mix. "hybrid|baseline" runs hybrid on a
+ *  single-core point and on the mix's core 0, baseline on its core 1,
+ *  so the mix's group warms under an all-baseline chip whatever the
+ *  variant's per-core policies. */
 CampaignSpec
 campaignSpec()
 {
     CampaignSpec spec;
     spec.name = "snapshot-grid";
     spec.workloads = {"mcf", "libq"};
+    spec.mixes = {{"duo", {"mcf", "libq"}}};
     spec.variants = {makeVariant(RunaheadConfig::kBaseline, false),
-                     makeVariant(RunaheadConfig::kHybrid, false),
+                     parseVariantLabel("hybrid|baseline"),
                      makeVariant(RunaheadConfig::kCRE, false)};
     spec.instructions = 2'000;
     spec.warmup = 4'000;
@@ -733,16 +911,30 @@ campaignSpec()
     return spec;
 }
 
+/** Every core of @p point runs the baseline policy. */
+bool
+allBaseline(const SweepPoint &point)
+{
+    if (point.runahead != RunaheadConfig::kBaseline)
+        return false;
+    for (const RunaheadConfig policy : point.corePolicies) {
+        if (policy != RunaheadConfig::kBaseline)
+            return false;
+    }
+    return true;
+}
+
 TEST(SnapshotCampaign, SharedAndPerPointImagesAreByteIdentical)
 {
     // The whole scheme's correctness argument in one test: the
-    // campaign warms each (workload, seed, prefetch) group once and
+    // campaign warms each (workloads, seed, prefetch) group once and
     // forks every variant from the shared image; the reference builds
     // a private image per point and forks the point from it. Same
     // fork semantics, deterministic warmup ⇒ identical images ⇒ every
     // result and stat payload, and so the canonical manifests, must
-    // be byte-identical. The campaign runs on two threads, so this
-    // also certifies against thread-count variation.
+    // be byte-identical, for the mix's chip images too. The campaign
+    // runs on two threads, so this also certifies against
+    // thread-count variation.
     const CampaignSpec spec = campaignSpec();
 
     const CampaignResult shared = runCampaign(spec, 2);
@@ -779,7 +971,7 @@ TEST(SnapshotCampaign, CorruptImageFailsThePoint)
     // inline instead would move it into the other result universe
     // without a trace in the manifest.
     const CampaignSpec spec = campaignSpec();
-    const SweepPoint point = expandGrid(spec).at(1); // mcf, Hybrid
+    const SweepPoint point = expandGrid(spec).at(1); // mcf, hybrid
     std::string image = buildWarmupImage(spec, point);
     image[0] = 'X'; // Payload magic.
     std::string expected;
@@ -808,7 +1000,7 @@ TEST(SnapshotCampaign, UnbuildableImageFailsItsGroup)
         const CampaignResult campaign = runCampaign(spec, threads);
         EXPECT_EQ(campaign.failedCount(), spec.variants.size());
         for (const PointResult &p : campaign.points) {
-            if (p.point.workload == "mcf") {
+            if (p.point.workload != "does-not-exist") {
                 EXPECT_TRUE(p.ok) << p.error;
                 EXPECT_TRUE(p.snapshotWarmed);
                 continue;
@@ -829,7 +1021,7 @@ TEST(SnapshotCampaign, SnapshotAndInlineWarmupAreDistinctUniverses)
 {
     // A snapshot-warmed point warmed up under the baseline policy; an
     // inline-warmed one under its own. The runs genuinely differ for
-    // non-baseline variants, which is exactly why the v4 store key
+    // non-baseline variants, which is exactly why the store key
     // separates the two worlds.
     CampaignSpec spec = campaignSpec();
     const CampaignResult snap = runCampaign(spec, 1);
@@ -837,19 +1029,23 @@ TEST(SnapshotCampaign, SnapshotAndInlineWarmupAreDistinctUniverses)
     const CampaignResult inline_warm = runCampaign(spec, 1);
 
     ASSERT_EQ(snap.points.size(), inline_warm.points.size());
-    // Baseline variants fork from a baseline-warmed image: identical
-    // machines either way, so their results must agree exactly.
+    // All-baseline points, the mix's chip among them, fork from a
+    // baseline-warmed image: identical machines either way, so their
+    // results must agree exactly.
+    std::size_t same = 0;
     for (std::size_t i = 0; i < snap.points.size(); ++i) {
         const PointResult &a = snap.points[i];
         const PointResult &b = inline_warm.points[i];
         ASSERT_TRUE(a.ok && b.ok);
         EXPECT_FALSE(b.snapshotWarmed);
-        if (a.point.runahead == RunaheadConfig::kBaseline) {
+        if (allBaseline(a.point)) {
             EXPECT_EQ(a.result.cycles, b.result.cycles)
                 << a.point.workload;
             EXPECT_EQ(a.stats, b.stats) << a.point.workload;
+            ++same;
         }
     }
+    EXPECT_EQ(same, spec.workloads.size() + spec.mixes.size());
 }
 
 TEST(SnapshotCampaign, StoreCachesImagesAndKeysResultsByImage)
@@ -864,18 +1060,20 @@ TEST(SnapshotCampaign, StoreCachesImagesAndKeysResultsByImage)
     CampaignRunOptions options;
     options.store = &store;
 
-    // Cold: every image is built (one per workload — one seed, one
-    // prefetch setting) and persisted; every result is a miss.
+    // Cold: every image is built (one per workload and one per mix —
+    // one seed, one prefetch setting) and persisted; every result is a
+    // miss.
+    const std::size_t images = spec.workloads.size() + spec.mixes.size();
     const CampaignResult cold = runCampaign(spec, 2, options);
     for (const PointResult &p : cold.points)
         ASSERT_TRUE(p.ok) << p.error;
-    EXPECT_EQ(cold.storeSnapshotMisses, spec.workloads.size());
+    EXPECT_EQ(cold.storeSnapshotMisses, images);
     EXPECT_EQ(cold.storeSnapshotHits, 0u);
     EXPECT_EQ(cold.storeMisses, spec.pointCount());
 
     // Warm: images and results all served from the store.
     const CampaignResult warm = runCampaign(spec, 2, options);
-    EXPECT_EQ(warm.storeSnapshotHits, spec.workloads.size());
+    EXPECT_EQ(warm.storeSnapshotHits, images);
     EXPECT_EQ(warm.storeSnapshotMisses, 0u);
     EXPECT_EQ(warm.storeHits, spec.pointCount());
     EXPECT_EQ(campaignManifest(warm, true).dump(),

@@ -97,22 +97,20 @@ TEST(StoreKey, GoldenConfigSerialisation)
     // here — field order, spelling, a new field, or a config default
     // the config= digest hashes — invalidates every record in every
     // store on disk. That can be the right call, but it must be a
-    // *decision*: update this golden text (and bump rab-config-key-v5
+    // *decision*: update this golden text (and bump rab-config-key-v6
     // for a format change) deliberately.
     CampaignSpec spec = storeSpec();
     const std::vector<SweepPoint> grid = expandGrid(spec);
     const SweepPoint &hybrid = grid[1]; // mcf x Hybrid
     EXPECT_EQ(canonicalConfigString(spec, hybrid),
-              "schema=rab-config-key-v5\n"
+              "schema=rab-config-key-v6\n"
               "config=0c8c243e501b347f\n"
-              "fast_forward=1\n"
               "snapshot=-\n");
     // A snapshot-warmed point keys to the exact image it forked from.
     EXPECT_EQ(canonicalConfigString(spec, hybrid,
                                     "1/00c0ffee00c0ffee"),
-              "schema=rab-config-key-v5\n"
+              "schema=rab-config-key-v6\n"
               "config=0c8c243e501b347f\n"
-              "fast_forward=1\n"
               "snapshot=1/00c0ffee00c0ffee\n");
 }
 
@@ -139,9 +137,8 @@ TEST(StoreKey, EngineConfigsKeyDistinctly)
     const SweepPoint p = expandGrid(mix)[0];
     ASSERT_TRUE(p.isMix());
     EXPECT_EQ(canonicalConfigString(mix, p),
-              "schema=rab-config-key-v5\n"
+              "schema=rab-config-key-v6\n"
               "config=3b00957c38f270ab\n"
-              "fast_forward=1\n"
               "core0=mcf\n"
               "core1=libq\n"
               "snapshot=-\n");
@@ -155,7 +152,7 @@ TEST(StoreKey, GoldenConfigHash)
     const std::vector<SweepPoint> grid = expandGrid(spec);
     EXPECT_EQ(configHashHex(spec, grid[1]),
               hex64(fnv1a64(canonicalConfigString(spec, grid[1]))));
-    EXPECT_EQ(configHashHex(spec, grid[1]), "7ffe5c8b79481036");
+    EXPECT_EQ(configHashHex(spec, grid[1]), "6c62dfbb8e1c304b");
     // A non-empty snapshot id changes the key (and only the key —
     // the id is never parsed back out of it).
     EXPECT_NE(configHashHex(spec, grid[1], "1/00c0ffee00c0ffee"),
@@ -235,10 +232,6 @@ TEST(StoreKey, EveryFieldChangesTheKey)
     CampaignSpec checked = spec;
     checked.checkLevel = CheckLevel::kFull;
     EXPECT_NE(makeStoreKey(checked, point, "deadbeef").hashHex(), base);
-
-    CampaignSpec noff = spec;
-    noff.fastForward = false;
-    EXPECT_NE(makeStoreKey(noff, point, "deadbeef").hashHex(), base);
 
     SweepPoint other = point;
     other.seed = 9;
@@ -424,7 +417,7 @@ snapshotKey()
     SnapshotStoreKey key;
     key.gitSha = "deadbeef";
     key.warmupDigestHex = "00c0ffee00c0ffee";
-    key.workload = "mcf";
+    key.workloads = {"mcf"};
     key.seed = 42;
     key.warmupInstructions = 500;
     key.formatVersion = 1;
@@ -456,6 +449,10 @@ TEST(ResultStore, SnapshotRecordsRoundTrip)
     SnapshotStoreKey other_format = key;
     ++other_format.formatVersion;
     EXPECT_EQ(store.lookupSnapshot(other_format), std::nullopt);
+    // A chip image is keyed by each core's workload.
+    SnapshotStoreKey chip = key;
+    chip.workloads.push_back("libq");
+    EXPECT_EQ(store.lookupSnapshot(chip), std::nullopt);
 
     // Result records and snapshot records share a root without
     // colliding (different subdirectories, different magic).

@@ -352,11 +352,11 @@ TEST(PerfGate, ExitCodePrecedence)
 TEST(Campaign, MixPointsCarryChipEnergy)
 {
     // Multi-core mix points must report chip-level energy in the
-    // manifest (a mix point once left energy_total_j at zero) and the
-    // chip's DRAM requests once, over the measured region, and the
-    // payload must be deterministic. The once-per-chip static-power
-    // accounting itself is certified in test_multicore, where the
-    // per-core breakdowns are visible.
+    // manifest (a mix point once left energy_total_j at zero), the
+    // chip's DRAM requests once, over the measured region, and chip
+    // ratios (once all zero), and the payload must be deterministic.
+    // The once-per-chip static-power accounting itself is certified in
+    // test_multicore, where the per-core breakdowns are visible.
     CampaignSpec spec;
     spec.name = "mix-energy";
     spec.mixes = {{"duo", {"mcf", "libq"}}};
@@ -384,6 +384,20 @@ TEST(Campaign, MixPointsCarryChipEnergy)
         EXPECT_EQ(static_cast<double>(pr.result.dramRequests),
                   pr.stats.at("shared.dram.reads")
                       + pr.stats.at("shared.dram.writes"))
+            << pr.point.variant;
+        // The chip's ratios sum each count over the cores: MPKI is the
+        // chip's demand LLC misses per kilo-instruction.
+        double misses = 0;
+        double instructions = 0;
+        for (const char *core : {"core0", "core1"}) {
+            const std::string prefix = core;
+            misses += pr.stats.at(prefix + ".mem.llc_demand_misses");
+            instructions += pr.stats.at(prefix + ".core.committed_uops");
+        }
+        EXPECT_EQ(instructions, static_cast<double>(pr.result.instructions))
+            << pr.point.variant;
+        EXPECT_GT(misses, 0.0) << pr.point.variant;
+        EXPECT_EQ(pr.result.mpki, 1000.0 * misses / instructions)
             << pr.point.variant;
     }
 
